@@ -11,9 +11,9 @@ several-nodes case is reported as outside the proven scope.
 
 from __future__ import annotations
 
-from .homs import HomSpec, restriction_into_specht, restriction_is_zero
+from .homs import HomSpec, restriction_verdicts
 from .partitions import check_partition, drop_trailing_zeros, is_2regular
-from .qfield import FieldSpec, QuantumProfile, bstar, ell_p, vanish_run
+from .qfield import FieldSpec, QuantumProfile, bstar, ell_p, qint, vanish_run
 from .tableaux import Tableau, enumerate_semistandard
 
 
@@ -128,10 +128,7 @@ def _one_node_factor(field, tab: Tableau, eta, b: int, i: int):
     if eta[i - 1] == eta_next:
         return field.neg(field.q_power(-1))
     span = eta[i - 1] - eta[b - 1] + b - i - 1
-    total = field.zero_rep
-    for k in range(span):
-        total = field.add(total, field.q_power(k))
-    return field.neg(field.mul(field.q_power(-span), total))
+    return field.neg(field.mul(field.q_power(-span), qint(field, span).rep))
 
 
 def adjacent_map(field: FieldSpec, mu, a: int, gamma: int) -> HomSpec:
@@ -175,10 +172,8 @@ class CPVerification:
 def verify_cp(hom: HomSpec) -> CPVerification:
     """Brute-force verdict on a constructed map: is its restriction
     nonzero, and does the restriction land in the Specht submodule."""
-    return CPVerification(
-        nonzero=not restriction_is_zero(hom),
-        lands_in_specht=restriction_into_specht(hom),
-    )
+    is_zero, lands = restriction_verdicts(hom)
+    return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
 
 
 def predicted_hom_dim(lam, mu, profile: QuantumProfile):

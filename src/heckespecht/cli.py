@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .carter_payne import (
@@ -29,9 +28,7 @@ from .qfield import parse_field, qbinom, quantum_char, vanish_run
 from .reducibility import classify_range
 from .tableaux import Tableau
 
-DEFAULT_SEED = 20240801
 BRUTE_FORCE_LIMIT = 9
-WORKERS_ENV = "HECKESPECHT_WORKERS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Specht module homomorphisms for Hecke algebras",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed echoed into machine output, reserved for sampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field(p):
@@ -190,7 +185,7 @@ def _dispatch(args, field):
         hom = compose_psi_theta(field, tab, args.d, args.t)
         return hom.to_json(), _hom_rows(hom)
     if cmd == "classify":
-        reports = _classify(args.n, field.profile())
+        reports = classify_range(args.n, field.profile())
         rows = [
             (",".join(str(x) for x in r.partition), r.e, r.p, r.verdict,
              _witness_text(r.witness), r.caveat or "")
@@ -236,29 +231,6 @@ def _load_or_build_map(args, field) -> HomSpec:
     return _build_map(args, field)
 
 
-def _classify(n, profile):
-    workers = 1
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            workers = max(1, int(raw))
-        except ValueError:
-            workers = 1
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            from .partitions import partitions_of
-            from .reducibility import is_ep_reducible
-
-            parts = list(partitions_of(n))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(is_ep_reducible, lam, profile) for lam in parts]
-                return [f.result() for f in futures]
-        except Exception:
-            pass
-    return classify_range(n, profile)
-
-
 def _guard(n: int, force: bool):
     if n > BRUTE_FORCE_LIMIT and not force:
         raise ValueError(
@@ -285,14 +257,12 @@ def _b(value: bool) -> str:
 
 def _emit(args, profile, result, rows, note=None) -> int:
     field_name = args.field
-    e = None if profile is None else profile.e
-    p = None if profile is None else profile.p
+    e, p = profile.e, profile.p
     if args.format == "json":
         payload = {
             "field": field_name,
             "e": e,
             "p": p,
-            "seed": args.seed,
             "command": args.command,
             "result": result,
         }

@@ -122,6 +122,7 @@ def basis_vector(field: FieldSpec, shape, d=None) -> ModuleVector:
 
 
 def _acc(field, coeffs: dict, key, rep):
+    """coeffs[key] += rep, keeping only nonzero entries."""
     old = coeffs.get(key)
     if old is None:
         if not field.is_zero(rep):
@@ -132,6 +133,63 @@ def _acc(field, coeffs: dict, key, rep):
         del coeffs[key]
     else:
         coeffs[key] = new
+
+
+class SparseEchelon:
+    """Row echelon form of sparse vectors (dicts from sortable keys to
+    reps): rows sorted by pivot, the smallest key of the row, and each
+    scaled to coefficient one at its pivot.
+
+    The single elimination kernel behind spinning and the intertwiner
+    solve.  Reducing against the rows in pivot order clears every pivot,
+    because a row only has keys at or after its own pivot."""
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.rows: list[tuple] = []  # (pivot, normalised coeff dict)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, coeffs: dict) -> dict:
+        """Clear every pivot from coeffs in place; returns the multiple of
+        each row taken away, by pivot (rows not used are left out)."""
+        f = self.field
+        taken = {}
+        for pivot, row in self.rows:
+            c = coeffs.get(pivot)
+            if c is None:
+                continue
+            taken[pivot] = c
+            nc = f.neg(c)
+            for k, rep in row.items():
+                _acc(f, coeffs, k, f.mul(nc, rep))
+        return taken
+
+    def insert(self, coeffs: dict) -> bool:
+        """Reduce coeffs in place against the rows and keep the remainder
+        as a new row; returns False when it reduces to zero."""
+        self._reduce(coeffs)
+        if not coeffs:
+            return False
+        f = self.field
+        pivot = min(coeffs)
+        inv = f.inv(coeffs[pivot])
+        normal = {k: f.mul(inv, rep) for k, rep in coeffs.items()}
+        insort(self.rows, (pivot, normal), key=lambda item: item[0])
+        return True
+
+    def coordinates(self, coeffs: dict) -> list:
+        """Coefficients of coeffs over the rows, in pivot order; raises
+        ValueError when coeffs lies outside their span."""
+        coeffs = dict(coeffs)
+        taken = self._reduce(coeffs)
+        if coeffs:
+            raise ValueError("vector lies outside the span of the rows")
+        zero = self.field.zero_rep
+        return [taken.get(pivot, zero) for pivot, _ in self.rows]
 
 
 def _act_dict(field, shape, rowpos, coeffs: dict, i: int) -> dict:
@@ -384,12 +442,13 @@ class SpechtModule:
     """An echelonised basis of the Specht submodule together with the
     exact matrices of the generator action on that basis."""
 
-    __slots__ = ("field", "shape", "basis", "matrices")
+    __slots__ = ("field", "shape", "echelon", "basis", "matrices")
 
-    def __init__(self, field, shape, basis, matrices):
+    def __init__(self, field, shape, echelon: SparseEchelon, matrices):
         self.field = field
         self.shape = shape
-        self.basis = basis
+        self.echelon = echelon
+        self.basis = [ModuleVector(field, shape, row) for _, row in echelon.rows]
         self.matrices = matrices
 
     @property
@@ -413,23 +472,24 @@ class SpechtModule:
 
     def coordinates(self, v: ModuleVector):
         """Coordinates of v in the echelon basis; raises if v is outside."""
-        f = self.field
-        coeffs = dict(v.coeffs)
-        out = []
-        for pivot, row in self.basis_rows():
-            c = coeffs.get(pivot)
-            if c is None:
-                out.append(f.zero_rep)
-                continue
-            out.append(c)
-            for k, rep in row.items():
-                _acc(f, coeffs, k, f.neg(f.mul(c, rep)))
-        if coeffs:
-            raise ValueError("vector lies outside the spun module")
-        return out
+        return self.echelon.coordinates(v.coeffs)
 
-    def basis_rows(self):
-        return [(min(b.coeffs), b.coeffs) for b in self.basis]
+
+def _spin(v: ModuleVector) -> SparseEchelon:
+    """Echelon basis of the submodule generated by v: insert v, then the
+    generator images of every row, until a whole pass adds no row."""
+    n = sum(v.shape)
+    rowpos = shape_row_of_position(v.shape)
+    echelon = SparseEchelon(v.field)
+    echelon.insert(dict(v.coeffs))
+    changed = True
+    while changed:
+        changed = False
+        for _, row in list(echelon.rows):
+            for i in range(1, n):
+                if echelon.insert(_act_dict(v.field, v.shape, rowpos, row, i)):
+                    changed = True
+    return echelon
 
 
 def spin_specht(field: FieldSpec, lam) -> SpechtModule:
@@ -441,57 +501,18 @@ def spin_specht(field: FieldSpec, lam) -> SpechtModule:
     if cached is not None:
         return cached
 
-    n = sum(lam)
-    rowpos = shape_row_of_position(lam)
-    f = field
-    rows: list[tuple] = []  # (pivot, normalised coeff dict), pivot-sorted
-
-    def reduce(coeffs: dict) -> dict:
-        for pivot, row in rows:
-            c = coeffs.get(pivot)
-            if c is None:
-                continue
-            nc = f.neg(c)
-            for k, rep in row.items():
-                _acc(f, coeffs, k, f.mul(nc, rep))
-        return coeffs
-
-    def insert(coeffs: dict) -> bool:
-        coeffs = reduce(coeffs)
-        if not coeffs:
-            return False
-        pivot = min(coeffs)
-        inv = f.inv(coeffs[pivot])
-        normal = {k: f.mul(inv, rep) for k, rep in coeffs.items()}
-        insort(rows, (pivot, normal), key=lambda item: item[0])
-        return True
-
-    insert(dict(specht_generator(field, lam).coeffs))
-    changed = True
-    while changed:
-        changed = False
-        for _, row in list(rows):
-            for i in range(1, n):
-                candidate = _act_dict(f, lam, rowpos, row, i)
-                if insert(candidate):
-                    changed = True
-
-    basis = [ModuleVector(f, lam, dict(row)) for _, row in rows]
+    module = SpechtModule(field, lam, _spin(specht_generator(field, lam)), [])
     expected = standard_count(lam)
-    if len(basis) != expected:
+    if module.dimension != expected:
         raise AssertionError(
-            f"spun dimension {len(basis)} differs from standard count {expected} for {lam}"
+            f"spun dimension {module.dimension} differs from standard count {expected} for {lam}"
         )
-
-    matrices = []
-    module = SpechtModule(f, lam, basis, [])
-    for i in range(1, n):
-        mat = []
-        for b in basis:
-            image = ModuleVector(f, lam, _act_dict(f, lam, rowpos, b.coeffs, i))
-            mat.append(module.coordinates(image))
-        matrices.append(mat)
-    module.matrices.extend(matrices)
+    rowpos = shape_row_of_position(lam)
+    for i in range(1, sum(lam)):
+        module.matrices.append([
+            module.echelon.coordinates(_act_dict(field, lam, rowpos, row, i))
+            for _, row in module.echelon.rows
+        ])
     _SPIN_CACHE[key] = module
     return module
 
@@ -499,38 +520,7 @@ def spin_specht(field: FieldSpec, lam) -> SpechtModule:
 def cyclic_closure_dimension(v: ModuleVector) -> int:
     """Dimension of the submodule generated by v, by spinning v under the
     generator action with exact elimination."""
-    if v.is_zero():
-        return 0
-    n = sum(v.shape)
-    rowpos = shape_row_of_position(v.shape)
-    f = v.field
-    rows: list[tuple] = []
-
-    def insert(coeffs: dict) -> bool:
-        for pivot, row in rows:
-            c = coeffs.get(pivot)
-            if c is None:
-                continue
-            nc = f.neg(c)
-            for k, rep in row.items():
-                _acc(f, coeffs, k, f.mul(nc, rep))
-        if not coeffs:
-            return False
-        pivot = min(coeffs)
-        inv = f.inv(coeffs[pivot])
-        insort(rows, (pivot, {k: f.mul(inv, rep) for k, rep in coeffs.items()}),
-               key=lambda item: item[0])
-        return True
-
-    insert(dict(v.coeffs))
-    changed = True
-    while changed:
-        changed = False
-        for _, row in list(rows):
-            for i in range(1, n):
-                if insert(_act_dict(f, v.shape, rowpos, row, i)):
-                    changed = True
-    return len(rows)
+    return len(_spin(v))
 
 
 # ---------------------------------------------------------------------------

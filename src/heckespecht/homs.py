@@ -16,10 +16,9 @@ by solving the exact intertwiner system on spun-out generator matrices.
 
 from __future__ import annotations
 
-from bisect import insort
-
 from .hecke import (
     ModuleVector,
+    SparseEchelon,
     _acc,
     act_word,
     specht_generator,
@@ -31,7 +30,7 @@ from .partitions import (
     drop_trailing_zeros,
     nu_composition,
 )
-from .qfield import FieldSpec, Scalar, parse_field, qbinom
+from .qfield import FieldSpec, Scalar, parse_field, qbinom, qint
 from .tableaux import (
     Tableau,
     coset_reps,
@@ -132,6 +131,18 @@ def identity_hom(field: FieldSpec, lam) -> HomSpec:
 # ---------------------------------------------------------------------------
 # the basis homomorphisms and the merge maps
 
+def _row_class_sum(field: FieldSpec, coeffs: dict, target) -> ModuleVector:
+    """Image of the source cyclic generator under the combination of basis
+    homomorphisms with the given coefficients over tableaux: each
+    tableau's coefficient times the coset basis vectors of its row
+    equivalence class."""
+    out: dict = {}
+    for tab, c in coeffs.items():
+        for other in row_equiv_class(tab):
+            _acc(field, out, perm_of_tableau(other), c)
+    return ModuleVector(field, tuple(target), out)
+
+
 def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVector:
     """Image of the source cyclic generator under the basis homomorphism
     attached to tab: the sum of coset basis vectors over the row
@@ -140,10 +151,7 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
         target = tab.content()
     elif drop_trailing_zeros(target) != drop_trailing_zeros(tab.content()):
         raise ValueError("target does not match the tableau type")
-    out: dict = {}
-    for other in row_equiv_class(tab):
-        _acc(field, out, perm_of_tableau(other), field.one_rep)
-    return ModuleVector(field, tuple(target), out)
+    return _row_class_sum(field, {tab: field.one_rep}, target)
 
 
 def push_through(base: ModuleVector, v: ModuleVector) -> ModuleVector:
@@ -181,11 +189,7 @@ def _psi_base(field: FieldSpec, mu, d: int, t: int) -> ModuleVector:
                 rows.append((d,) * merged + (d + 1,) * t)
             else:
                 rows.append((i,) * part)
-        tab = Tableau(rows)
-        out: dict = {}
-        for other in row_equiv_class(tab):
-            _acc(field, out, perm_of_tableau(other), field.one_rep)
-        cached = ModuleVector(field, nu, out)
+        cached = theta_image_of_x(field, Tableau(rows), nu)
         _PSI_BASE_CACHE[key] = cached
     return cached
 
@@ -262,14 +266,9 @@ def _bounded_compositions(total, bounds):
 def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
     """Value of the restricted homomorphism at the Specht generator of
     its source."""
-    field = hom.field
     lam = check_partition(hom.source)
-    combined: dict = {}
-    for tab, c in hom.coeffs.items():
-        for other in row_equiv_class(tab):
-            _acc(field, combined, perm_of_tableau(other), c)
-    base = ModuleVector(field, hom.target, combined)
-    return push_through(base, specht_generator(field, lam))
+    base = _row_class_sum(hom.field, hom.coeffs, hom.target)
+    return push_through(base, specht_generator(hom.field, lam))
 
 
 def restriction_is_zero(hom: HomSpec) -> bool:
@@ -277,10 +276,15 @@ def restriction_is_zero(hom: HomSpec) -> bool:
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:
+    return restriction_verdicts(hom)[1]
+
+
+def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
+    """(is the restriction zero, does it land in the Specht submodule of
+    the target), from a single evaluation at the generator."""
     target = check_partition(drop_trailing_zeros(hom.target))
     value = evaluate_on_generator(hom)
-    value = ModuleVector(hom.field, target, value.coeffs)
-    return specht_membership(value)
+    return value.is_zero(), specht_membership(ModuleVector(hom.field, target, value.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,29 +314,13 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
 
 
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:
+    """Dimension of the matrices X with A X = X B for every generator pair
+    (A, B), X unrolled row-major into ma * mb unknowns."""
     ma = len(mats_a[0])
     mb = len(mats_b[0])
     total = ma * mb
-    rows: list[tuple] = []  # (pivot, normalised sparse row), pivot-sorted
+    echelon = SparseEchelon(field)
     f = field
-
-    def insert(row: dict) -> bool:
-        for pivot, existing in rows:
-            c = row.get(pivot)
-            if c is None:
-                continue
-            nc = f.neg(c)
-            for k, rep in existing.items():
-                _acc_int(f, row, k, f.mul(nc, rep))
-        if not row:
-            return False
-        pivot = min(row)
-        inv = f.inv(row[pivot])
-        normal = {k: f.mul(inv, rep) for k, rep in row.items()}
-        insort(rows, (pivot, normal), key=lambda item: item[0])
-        return True
-
-    rank = 0
     for A, B in zip(mats_a, mats_b):
         for r in range(ma):
             for c in range(mb):
@@ -340,29 +328,14 @@ def _intertwiner_dimension(field, mats_a, mats_b) -> int:
                 for k in range(ma):
                     v = A[r][k]
                     if not f.is_zero(v):
-                        _acc_int(f, row, k * mb + c, v)
+                        _acc(f, row, k * mb + c, v)
                 for k in range(mb):
                     v = B[k][c]
                     if not f.is_zero(v):
-                        _acc_int(f, row, r * mb + k, f.neg(v))
-                if insert(row):
-                    rank += 1
-                    if rank == total:
-                        return 0
-    return total - rank
-
-
-def _acc_int(field, row: dict, key: int, rep):
-    old = row.get(key)
-    if old is None:
-        if not field.is_zero(rep):
-            row[key] = rep
-        return
-    new = field.add(old, rep)
-    if field.is_zero(new):
-        del row[key]
-    else:
-        row[key] = new
+                        _acc(f, row, r * mb + k, f.neg(v))
+                if echelon.insert(row) and len(echelon) == total:
+                    return 0
+    return total - len(echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +443,7 @@ def _merge_rewrite(field: FieldSpec, mu, entries, d: int):
         mu_next = mu[d]
         coeff = field.mul(
             field.q_power(mu_next - 1),
-            _qint_rep(field, lam_d - mu_next + 1),
+            qint(field, lam_d - mu_next + 1).rep,
         )
         new = list(entries)
         new[d - 1] = d
@@ -498,13 +471,6 @@ def _merge_rewrite(field: FieldSpec, mu, entries, d: int):
             sign = l
     coeff = field.neg(qexp) if sign % 2 else qexp
     return coeff, new
-
-
-def _qint_rep(field, alpha: int):
-    out = field.zero_rep
-    for k in range(alpha):
-        out = field.add(out, field.q_power(k))
-    return out
 
 
 def one_node_conditions_check(field: FieldSpec, mu, coeffs) -> bool:
@@ -539,16 +505,7 @@ def one_node_conditions_check(field: FieldSpec, mu, coeffs) -> bool:
             if rewritten is None:
                 continue
             coeff, target = rewritten
-            _acc_group(field, groups, target, field.mul(coeff, rep))
+            _acc(field, groups, target, field.mul(coeff, rep))
         if groups:
             return False
     return True
-
-
-def _acc_group(field, groups: dict, key, rep):
-    old = groups.get(key)
-    new = rep if old is None else field.add(old, rep)
-    if field.is_zero(new):
-        groups.pop(key, None)
-    else:
-        groups[key] = new

@@ -30,10 +30,6 @@ def check_composition(parts) -> tuple[int, ...]:
     return parts
 
 
-def size(parts) -> int:
-    return sum(parts)
-
-
 def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -65,13 +61,6 @@ def partitions_of(n: int, max_part: int | None = None):
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def diagram(shape):
-    """Nodes (i, j) of the diagram, row-major, 1-based."""
-    for i, row_len in enumerate(shape, start=1):
-        for j in range(1, row_len + 1):
-            yield (i, j)
 
 
 def conjugate(shape) -> tuple[int, ...]:

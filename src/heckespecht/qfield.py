@@ -39,17 +39,6 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
 def _poly_div_monic(a, b):
     """Exact division of a by a monic b over the integers."""
     a = list(a)
@@ -337,6 +326,20 @@ class FieldSpec:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def profile(self) -> QuantumProfile:
+        """(e, p), e found as the multiplicative order of q (e = p when
+        q = 1).  Cyclotomic fields preset the profile."""
+        if self._profile is None:
+            if self.q_rep == self.one_rep:
+                e = self.p
+            else:
+                e, acc = 1, self.q_rep
+                while acc != self.one_rep:
+                    acc = self.mul(acc, self.q_rep)
+                    e += 1
+            self._profile = QuantumProfile(e, self.p)
+        return self._profile
+
     def q_power(self, k: int):
         cache = self._qpow
         rep = cache.get(k)
@@ -394,34 +397,11 @@ class PrimeField(FieldSpec):
     def is_zero(self, a):
         return a == 0
 
-    def profile(self) -> QuantumProfile:
-        if self._profile is None:
-            if self.q_rep == self.one_rep:
-                e = self.p
-            else:
-                e, acc = 1, self.q_rep
-                while acc != 1:
-                    acc = (acc * self.q_rep) % self.p
-                    e += 1
-            self._profile = QuantumProfile(e, self.p)
-        return self._profile
-
     def format_rep(self, a) -> str:
         return str(a)
 
     def parse_rep(self, text: str):
         return int(text.strip()) % self.p
-
-
-def _fold_modulus(coeffs, modulus_tail, deg, mul, add_into):
-    """Reduce a coefficient list in place modulo a monic polynomial whose
-    non-leading coefficients are modulus_tail (length deg)."""
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c:
-            coeffs[i] = 0
-            for j in range(deg):
-                add_into(coeffs, i - deg + j, mul(c, modulus_tail[j]))
 
 
 class Cyclotomic(FieldSpec):
@@ -528,9 +508,6 @@ class Cyclotomic(FieldSpec):
         ints = [int(c * common) for c in inv_poly[: self.degree]]
         return self._norm([c * den for c in ints], common)
 
-    def profile(self) -> QuantumProfile:
-        return self._profile
-
     def format_rep(self, a) -> str:
         num, den = a
         return format_poly([Fraction(c, den) for c in num])
@@ -600,13 +577,14 @@ class PrimeExtension(FieldSpec):
         one = [0] * self.degree
         one[0] = 1
         self.one_rep = tuple(one)
+        if self.degree == 1:
+            default_q = ((-modulus[0]) % p,)
+        else:
+            qv = [0] * self.degree
+            qv[1] = 1
+            default_q = tuple(qv)
         if q is None:
-            if self.degree == 1:
-                q = ((-modulus[0]) % p,)
-            else:
-                qv = [0] * self.degree
-                qv[1] = 1
-                q = tuple(qv)
+            q = default_q
         else:
             q = tuple(list(q) + [0] * (self.degree - len(q)))[: self.degree]
             q = tuple(c % p for c in q)
@@ -614,7 +592,11 @@ class PrimeExtension(FieldSpec):
             raise ValueError("q must be a unit")
         self.q_rep = q
         if label is None:
+            # fields compare and hash by name, so the name carries every
+            # parameter that changes the arithmetic
             label = f"ext:p={p},mod={';'.join(str(c) for c in modulus)}"
+            if q != default_q:
+                label += f",q={';'.join(str(c) for c in q)}"
         self.name = label
         self._qpow = {}
         self._profile = None
@@ -665,25 +647,12 @@ class PrimeExtension(FieldSpec):
             q, r = _pmod_divmod(r0, r1, p)
             r0, r1 = r1, r
             t = _pmod_mul(q, s1, p)
-            n = max(len(s0), len(t))
             s = [(x - y) % p for x, y in itertools.zip_longest(s0, t, fillvalue=0)]
             s0, s1 = s1, _pmod_trim(s, p)
         inv_lead = pow(r1[0], -1, p)
         out = [(c * inv_lead) % p for c in s1]
         out += [0] * (self.degree - len(out))
         return tuple(out[: self.degree])
-
-    def profile(self) -> QuantumProfile:
-        if self._profile is None:
-            if self.q_rep == self.one_rep:
-                e = self.p
-            else:
-                e, acc = 1, self.q_rep
-                while acc != self.one_rep:
-                    acc = self.mul(acc, self.q_rep)
-                    e += 1
-            self._profile = QuantumProfile(e, self.p)
-        return self._profile
 
     def format_rep(self, a) -> str:
         return format_poly(list(a))
@@ -768,20 +737,23 @@ def parse_poly(text: str, degree: int):
 # field spec parsing
 
 def parse_field(text: str) -> FieldSpec:
-    """Parse "p=7,q=2", "cyclotomic:e=3" or "ext:p=2,e=3"."""
+    """Parse "p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3" or
+    "ext:p=2,mod=1;1;1" (optionally with ",q=1;1", q's coefficients)."""
     text = text.strip()
     if text.startswith("cyclotomic:"):
         body = dict(_split_kv(text[len("cyclotomic:"):]))
+        if set(body) != {"e"}:
+            raise ValueError(f"cyclotomic field needs exactly e: {text!r}")
         return Cyclotomic(int(body["e"]))
     if text.startswith("ext:"):
         body = dict(_split_kv(text[len("ext:"):]))
-        p = int(body["p"])
-        if "e" in body:
-            return prime_extension_auto(p, int(body["e"]))
-        if "mod" in body:
+        if set(body) == {"p", "e"}:
+            return prime_extension_auto(int(body["p"]), int(body["e"]))
+        if set(body) in ({"p", "mod"}, {"p", "mod", "q"}):
             coeffs = [int(c) for c in body["mod"].split(";")]
-            return PrimeExtension(p, coeffs)
-        raise ValueError("ext field needs e=... or mod=...")
+            q = [int(c) for c in body["q"].split(";")] if "q" in body else None
+            return PrimeExtension(int(body["p"]), coeffs, q=q)
+        raise ValueError(f"ext field needs p and e, or p and mod (and optionally q): {text!r}")
     body = dict(_split_kv(text))
     if set(body) != {"p", "q"}:
         raise ValueError(f"cannot parse field spec {text!r}")
@@ -816,12 +788,9 @@ def spec_for_profile(e: int, p: int) -> FieldSpec:
         raise ValueError(f"no field of characteristic {p} has e={e}")
     if (p - 1) % e == 0:
         for q in range(2, p):
-            order, acc = 1, q
-            while acc != 1:
-                acc = (acc * q) % p
-                order += 1
-            if order == e:
-                return PrimeField(p, q)
+            field = PrimeField(p, q)
+            if field.profile().e == e:
+                return field
     return prime_extension_auto(p, e)
 
 

@@ -139,6 +139,21 @@ def test_verify_examples(cyclo3, cyclo4):
     assert verify_cp(adjacent_map(c2, (2, 2), 1, 1)) == CPVerification(True, True)
 
 
+def test_verify_evaluates_generator_once(cyclo4, monkeypatch):
+    from heckespecht import homs
+
+    calls = []
+    original = homs.evaluate_on_generator
+
+    def counting(hom):
+        calls.append(hom)
+        return original(hom)
+
+    monkeypatch.setattr(homs, "evaluate_on_generator", counting)
+    assert verify_cp(one_node_map(cyclo4, (2, 1, 1), 1, 3)) == CPVerification(True, True)
+    assert len(calls) == 1
+
+
 def test_predicted_dims(cyclo3, cyclo4):
     prof3, prof4 = cyclo3.profile(), cyclo4.profile()
     assert predicted_hom_dim((3,), (2, 1), prof3) == 1

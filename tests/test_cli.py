@@ -95,14 +95,6 @@ def test_cp_verify_rejects_field_mismatch(capsys, tmp_path):
     assert "cyclotomic:e=3" in err
 
 
-def test_classify_worker_pool_matches_sequential(capsys, monkeypatch):
-    args = ("--format", "csv", "classify", "--field", "cyclotomic:e=3", "--n", "5")
-    _, sequential, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("HECKESPECHT_WORKERS", "2")
-    _, pooled, _ = run_cli(capsys, *args)
-    assert pooled == sequential
-
-
 def test_cp_eligible_outside_scope(capsys):
     code, out, _ = run_cli(
         capsys, "cp-eligible", "--field", "cyclotomic:e=3",

@@ -10,6 +10,8 @@ import pytest
 from heckespecht.hecke import (
     HeckeElement,
     ModuleVector,
+    SparseEchelon,
+    _acc,
     act_element,
     act_gen,
     act_word,
@@ -238,6 +240,39 @@ def test_cyclic_closure_dimensions(cyclo3):
         assert cyclic_closure_dimension(gen) == standard_count(lam)
     zero = ModuleVector(cyclo3, (3, 2), {})
     assert cyclic_closure_dimension(zero) == 0
+
+
+@pytest.mark.parametrize("field_name", ["cyclo3", "f7q2", "ext23"])
+def test_sparse_echelon_kernel(field_name, request):
+    field = request.getfixturevalue(field_name)
+
+    def vec(*entries):
+        reps = {k: field.int_rep(c) for k, c in enumerate(entries)}
+        return {k: rep for k, rep in reps.items() if not field.is_zero(rep)}
+
+    # rank 4 in characteristic 0, 2 and 7: rows 1, 2, 3 and 5 are
+    # triangular with pivot entries 1, 1, 1, 3; row 4 is row 3 + row 2
+    matrix = [(0, 0, 1, 1), (0, 1, 1, 0), (1, 2, 0, 1), (1, 3, 1, 1), (0, 0, 0, 3)]
+    echelon = SparseEchelon(field)
+    assert [echelon.insert(vec(*row)) for row in matrix] == [True, True, True, False, True]
+    assert not echelon.insert({})
+    assert not echelon.insert(vec(5, 1, 1, 1))
+    assert len(echelon) == 4
+    assert [pivot for pivot, _ in echelon.rows] == [0, 1, 2, 3]
+    for pivot, row in echelon.rows:
+        assert min(row) == pivot and row[pivot] == field.one_rep
+
+    target = vec(*matrix[3])
+    rebuilt: dict = {}
+    for c, (_, row) in zip(echelon.coordinates(target), echelon.rows):
+        for k, rep in row.items():
+            _acc(field, rebuilt, k, field.mul(c, rep))
+    assert rebuilt == target
+    partial = SparseEchelon(field)
+    for row in matrix[:3]:
+        partial.insert(vec(*row))
+    with pytest.raises(ValueError):
+        partial.coordinates(vec(0, 0, 0, 1))
 
 
 def test_module_vector_json(cyclo3):

@@ -163,6 +163,23 @@ def test_parse_and_names():
         parse_field("p=6,q=2")
     with pytest.raises(ValueError):
         parse_field("nonsense")
+    for stray in ("cyclotomic:", "cyclotomic:e=3,q=5", "ext:p=2", "ext:p=2,e=3,q=1;1"):
+        with pytest.raises(ValueError):
+            parse_field(stray)  # a missing key or one the field would ignore
+
+
+def test_extension_identity_includes_q():
+    from heckespecht.hecke import specht_generator
+    from heckespecht.qfield import PrimeExtension
+
+    a = PrimeExtension(2, (1, 1, 1))
+    b = PrimeExtension(2, (1, 1, 1), q=(1, 1))
+    assert a != b and a.name != b.name
+    assert PrimeExtension(2, (1, 1, 1), q=(0, 1)) == a
+    assert parse_field(b.name) == b and parse_field(b.name).q_rep == b.q_rep
+    specht_generator(a, (2, 1))  # a's generator is cached first
+    gen = specht_generator(b, (2, 1))
+    assert sorted(str(b.scalar(c)) for c in gen.coeffs.values()) == ["1", "z"]
 
 
 def test_parse_explicit_extension_modulus():
