@@ -196,7 +196,7 @@ def _act_dict(field, shape, rowpos, coeffs: dict, i: int) -> dict:
     """Right action of the i-th generator on a coefficient dict."""
     out: dict = {}
     q = field.q_rep
-    qm1 = field.sub(q, field.one_rep)
+    qm1 = field.qm1_rep
     mul = field.mul
     for d, c in coeffs.items():
         pi = d.index(i)
@@ -287,7 +287,7 @@ class HeckeElement:
     def times_gen(self, i: int) -> "HeckeElement":
         f = self.field
         q = f.q_rep
-        qm1 = f.sub(q, f.one_rep)
+        qm1 = f.qm1_rep
         out: dict = {}
         for w, c in self.coeffs.items():
             ws = perm_times_s(w, i)
@@ -477,18 +477,22 @@ class SpechtModule:
 
 def _spin(v: ModuleVector) -> SparseEchelon:
     """Echelon basis of the submodule generated by v: insert v, then the
-    generator images of every row, until a whole pass adds no row."""
+    generator images of each new row exactly once.
+
+    The worklist holds each remainder that insert kept, a multiple of the
+    row it became; together they span the rows, so acting on each once
+    closes the span after 1 + dim * (n - 1) inserts."""
     n = sum(v.shape)
     rowpos = shape_row_of_position(v.shape)
     echelon = SparseEchelon(v.field)
-    echelon.insert(dict(v.coeffs))
-    changed = True
-    while changed:
-        changed = False
-        for _, row in list(echelon.rows):
-            for i in range(1, n):
-                if echelon.insert(_act_dict(v.field, v.shape, rowpos, row, i)):
-                    changed = True
+    first = dict(v.coeffs)
+    pending = [first] if echelon.insert(first) else []
+    while pending:
+        row = pending.pop()
+        for i in range(1, n):
+            image = _act_dict(v.field, v.shape, rowpos, row, i)
+            if echelon.insert(image):
+                pending.append(image)
     return echelon
 
 

@@ -20,7 +20,8 @@ from .hecke import (
     ModuleVector,
     SparseEchelon,
     _acc,
-    act_word,
+    _act_dict,
+    act_word,  # re-exported: the per-key oracle for push_through
     specht_generator,
     spin_specht,
 )
@@ -35,7 +36,9 @@ from .tableaux import (
     Tableau,
     coset_reps,
     perm_of_tableau,
+    reduced_word,
     row_equiv_class,
+    shape_row_of_position,
 )
 
 
@@ -156,13 +159,33 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
 
 def push_through(base: ModuleVector, v: ModuleVector) -> ModuleVector:
     """Image of v under the homomorphism sending the source generator to
-    base: sum of v's coefficients times base pushed by the basis words."""
+    base: sum of v's coefficients times base pushed by the basis words.
+
+    The keys are visited in the lexicographic order of their reduced
+    words, a depth-first walk of the prefix tree of those words, holding
+    the image of every prefix of the current word.  So each key w costs
+    one generator action on the image of its parent w s_i, i the last
+    letter of reduced_word(w), and shared prefixes are acted out once;
+    ``act_word`` remains the per-key oracle."""
     f = base.field
+    rowpos = shape_row_of_position(base.shape)
+    mul = f.mul
     out: dict = {}
-    for key, c in v.coeffs.items():
-        moved = act_word(base, key)
-        for k, rep in moved.coeffs.items():
-            _acc(f, out, k, f.mul(c, rep))
+    path = [base.coeffs]  # path[j]: base pushed by the first j letters
+    prev = ()
+    for word, key in sorted((reduced_word(w), w) for w in v.coeffs):
+        keep = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            keep += 1
+        del path[keep + 1:]
+        for i in word[keep:]:
+            path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
+        c = v.coeffs[key]
+        for k, rep in path[-1].items():
+            _acc(f, out, k, mul(c, rep))
+        prev = word
     return ModuleVector(f, base.shape, out)
 
 

@@ -290,7 +290,8 @@ class FieldSpec:
 
     Subclasses implement arithmetic directly on raw representations
     (ints or coefficient tuples); ``Scalar`` wraps a (field, rep) pair
-    for the public API.  Hot paths work on reps.
+    for the public API.  Hot paths work on reps; every family stores
+    ``q_rep`` and ``qm1_rep`` (q - 1, used by each generator action).
     """
 
     name: str
@@ -373,6 +374,7 @@ class PrimeField(FieldSpec):
         self.q_rep = q
         self.zero_rep = 0
         self.one_rep = 1 % p
+        self.qm1_rep = self.sub(q, self.one_rep)
         self.name = f"p={p},q={q}"
         self._qpow = {}
         self._profile = None
@@ -426,6 +428,7 @@ class Cyclotomic(FieldSpec):
         else:
             qv[1] = 1
         self.q_rep = self._norm(qv, 1)
+        self.qm1_rep = self.sub(self.q_rep, self.one_rep)
         self.name = f"cyclotomic:e={e}"
         self._qpow = {}
         self._profile = QuantumProfile(e, 0)
@@ -591,6 +594,7 @@ class PrimeExtension(FieldSpec):
         if not any(q):
             raise ValueError("q must be a unit")
         self.q_rep = q
+        self.qm1_rep = self.sub(q, self.one_rep)
         if label is None:
             # fields compare and hash by name, so the name carries every
             # parameter that changes the arithmetic

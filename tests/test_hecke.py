@@ -242,6 +242,25 @@ def test_cyclic_closure_dimensions(cyclo3):
     assert cyclic_closure_dimension(zero) == 0
 
 
+def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
+    from heckespecht.hecke import cyclic_closure_dimension
+
+    inserts = [0]
+    insert = SparseEchelon.insert
+
+    def counted(self, coeffs):
+        inserts[0] += 1
+        return insert(self, coeffs)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    for lam, expected in [((3, 2, 1), 81), ((4, 2, 1), 211), ((3, 3, 1), 127)]:
+        inserts[0] = 0
+        dim = cyclic_closure_dimension(specht_generator(cyclo3, lam))
+        assert dim == standard_count(lam)
+        # the generator, then n - 1 images of each row
+        assert inserts[0] == expected == 1 + dim * (sum(lam) - 1), lam
+
+
 @pytest.mark.parametrize("field_name", ["cyclo3", "f7q2", "ext23"])
 def test_sparse_echelon_kernel(field_name, request):
     field = request.getfixturevalue(field_name)

@@ -4,10 +4,19 @@ import random
 import pytest
 
 from heckespecht.carter_payne import one_node_map
-from heckespecht.hecke import ModuleVector, basis_vector, spin_specht, specht_generator
+from heckespecht import homs
+from heckespecht.hecke import (
+    HeckeElement,
+    ModuleVector,
+    act_element,
+    basis_vector,
+    spin_specht,
+    specht_generator,
+)
 from heckespecht.homs import (
     HomSpec,
     _intertwiner_dimension,
+    _psi_base,
     compose_psi_theta,
     evaluate_on_generator,
     hom_space_dim,
@@ -35,6 +44,8 @@ from heckespecht.tableaux import (
     enumerate_semistandard,
     one_node_codes,
     perm_identity,
+    perm_times_s,
+    reduced_word,
 )
 
 
@@ -85,6 +96,76 @@ def test_specht_generator_in_kernel_of_all_merges(cyclo3, f7q2):
 def test_membership_rejects_plain_basis_vector(cyclo3):
     assert not specht_membership(basis_vector(cyclo3, (2, 1)))
     assert specht_membership(ModuleVector(cyclo3, (2, 1), {}))
+
+
+def _push_oracle(base: ModuleVector, v: ModuleVector) -> ModuleVector:
+    """push_through by the group algebra: base times v's keys as an
+    element, one act_word per key."""
+    return act_element(base, HeckeElement(base.field, sum(v.shape), v.coeffs))
+
+
+def _graded_vector(field, shape) -> ModuleVector:
+    """Every coset basis vector of the shape, the k-th with coefficient
+    q^(k^2); outside the Specht submodule for every shape with two or more
+    rows and n <= 5 over the three test fields."""
+    reps = coset_reps(shape)
+    return ModuleVector(field, shape, {d: field.q_power(k * k) for k, d in enumerate(reps)})
+
+
+@pytest.mark.parametrize("field_name", ["f97q3", "cyclo3", "ext23"])
+def test_push_through_matches_per_key_oracle(field_name, request):
+    field = request.getfixturevalue(field_name)
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            gen = specht_generator(field, lam)
+            for mu in partitions_of(n):
+                for tab in enumerate_row_standard(lam, mu):
+                    base = theta_image_of_x(field, tab, mu)
+                    assert push_through(base, gen) == _push_oracle(base, gen), (lam, tab)
+        for mu in partitions_of(n):
+            v = _graded_vector(field, mu)
+            if len(mu) > 1:
+                assert not specht_membership(v), (field.name, mu)
+            for d in range(1, len(mu)):
+                for t in range(mu[d]):
+                    base = _psi_base(field, mu, d, t)
+                    assert push_through(base, v) == _push_oracle(base, v), (mu, d, t)
+
+
+def _prefix_nodes(keys) -> set:
+    """Non-identity prefixes of the keys' reduced words, as permutations."""
+    nodes = set()
+    for w in keys:
+        u = perm_identity(len(w))
+        for i in reduced_word(w):
+            u = perm_times_s(u, i)
+            nodes.add(u)
+    return nodes
+
+
+def test_push_through_one_action_per_prefix(cyclo3, monkeypatch):
+    calls = [0]
+    act = homs._act_dict
+
+    def counted(*args):
+        calls[0] += 1
+        return act(*args)
+
+    monkeypatch.setattr(homs, "_act_dict", counted)
+    cases = [
+        (theta_image_of_x(cyclo3, Tableau([[1, 1, 2], [2, 3]]), (2, 2, 1)),
+         specht_generator(cyclo3, (3, 2))),
+        (_psi_base(cyclo3, (2, 2, 1), 1, 1), _graded_vector(cyclo3, (2, 2, 1))),
+        (_psi_base(cyclo3, (3, 2, 1), 2, 0), specht_generator(cyclo3, (3, 2, 1))),
+    ]
+    for base, v in cases:
+        calls[0] = 0
+        push_through(base, v)
+        nodes = _prefix_nodes(v.coeffs)
+        assert calls[0] == len(nodes)
+        assert calls[0] <= len(coset_reps(v.shape)) - 1
+        # a word per key would pay for every letter of every key
+        assert calls[0] < sum(len(reduced_word(w)) for w in v.coeffs)
 
 
 def test_compose_single_row_example(f97q3):

@@ -147,6 +147,7 @@ def test_field_axioms_randomized(cyclo3, cyclo4, f7q2, ext23):
             if not a.is_zero():
                 assert a * a.inverse() == spec.one
         assert spec.zero + spec.one == spec.one
+        assert spec.scalar(spec.qm1_rep) == spec.q - spec.one
 
 
 def test_unrealisable_profile_rejected():
@@ -177,6 +178,7 @@ def test_extension_identity_includes_q():
     assert a != b and a.name != b.name
     assert PrimeExtension(2, (1, 1, 1), q=(0, 1)) == a
     assert parse_field(b.name) == b and parse_field(b.name).q_rep == b.q_rep
+    assert b.qm1_rep == (0, 1)  # q - 1 = z with q = 1 + z
     specht_generator(a, (2, 1))  # a's generator is cached first
     gen = specht_generator(b, (2, 1))
     assert sorted(str(b.scalar(c)) for c in gen.coeffs.values()) == ["1", "z"]
