@@ -11,8 +11,8 @@ several-nodes case is reported as outside the proven scope.
 
 from __future__ import annotations
 
-from .homs import HomSpec, restriction_verdicts
-from .partitions import check_partition, drop_trailing_zeros, is_2regular
+from .homs import HomSpec, restriction_verdicts, semistandard_scope
+from .partitions import check_partition, drop_trailing_zeros
 from .qfield import FieldSpec, QuantumProfile, bstar, ell_p, qint, vanish_run
 from .tableaux import Tableau, enumerate_semistandard
 
@@ -181,7 +181,7 @@ def predicted_hom_dim(lam, mu, profile: QuantumProfile):
     a node-moving pair: 0, 1, ">=1" or "unknown"."""
     a, b, gamma = cp_pair_data(lam, mu)
     inst = CPInstance(mu, a, b, gamma)
-    regular_ok = profile.e != 2 or is_2regular(lam)
+    regular_ok = semistandard_scope(profile, lam)
     if gamma == 1:
         eligible = cp_eligible(inst, profile)
         if not eligible:

@@ -10,6 +10,7 @@ unexpected internal failures with status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -105,9 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it, and
+    building it costs more than most queries."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         field = parse_field(args.field)
         profile = quantum_char(field)

@@ -10,8 +10,9 @@ for zero.
 The symbolic composition rule rewrites a merge map composed with a basis
 homomorphism as an explicit Gaussian-binomial combination of basis
 homomorphisms; the brute-force evaluation path stays available as an
-oracle for it.  Hom-space dimensions are computed module-theoretically,
-by solving the exact intertwiner system on spun-out generator matrices.
+oracle for it.  Hom-space dimensions come from the semistandard basis
+maps where the semistandard homomorphism theorem holds, and otherwise
+from the exact intertwiner system on spun-out generator matrices.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from .partitions import (
     check_composition,
     check_partition,
     drop_trailing_zeros,
+    is_2regular,
     nu_composition,
 )
-from .qfield import FieldSpec, Scalar, parse_field, qbinom, qint
+from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import (
     Tableau,
     coset_reps,
+    enumerate_semistandard,
     perm_of_tableau,
     reduced_word,
     row_equiv_class,
@@ -157,7 +160,12 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
     return _row_class_sum(field, {tab: field.one_rep}, target)
 
 
-def push_through(base: ModuleVector, v: ModuleVector) -> ModuleVector:
+def _word_order(v: ModuleVector) -> list:
+    """v's keys paired with their reduced words, sorted by word."""
+    return sorted((reduced_word(w), w) for w in v.coeffs)
+
+
+def push_through(base: ModuleVector, v: ModuleVector, order=None) -> ModuleVector:
     """Image of v under the homomorphism sending the source generator to
     base: sum of v's coefficients times base pushed by the basis words.
 
@@ -166,14 +174,15 @@ def push_through(base: ModuleVector, v: ModuleVector) -> ModuleVector:
     the image of every prefix of the current word.  So each key w costs
     one generator action on the image of its parent w s_i, i the last
     letter of reduced_word(w), and shared prefixes are acted out once;
-    ``act_word`` remains the per-key oracle."""
+    ``act_word`` remains the per-key oracle.  A caller pushing one v
+    through several maps passes ``order=_word_order(v)`` to sort once."""
     f = base.field
     rowpos = shape_row_of_position(base.shape)
     mul = f.mul
     out: dict = {}
     path = [base.coeffs]  # path[j]: base pushed by the first j letters
     prev = ()
-    for word, key in sorted((reduced_word(w), w) for w in v.coeffs):
+    for word, key in _word_order(v) if order is None else order:
         keep = 0
         for a, b in zip(prev, word):
             if a != b:
@@ -217,10 +226,10 @@ def _psi_base(field: FieldSpec, mu, d: int, t: int) -> ModuleVector:
     return cached
 
 
-def psi_dt(v: ModuleVector, d: int, t: int) -> ModuleVector:
+def psi_dt(v: ModuleVector, d: int, t: int, order=None) -> ModuleVector:
     """The one-row-merge homomorphism applied to a permutation module
-    vector."""
-    return push_through(_psi_base(v.field, v.shape, d, t), v)
+    vector; ``order`` as for ``push_through``."""
+    return push_through(_psi_base(v.field, v.shape, d, t), v, order)
 
 
 def specht_membership(v: ModuleVector) -> bool:
@@ -229,9 +238,10 @@ def specht_membership(v: ModuleVector) -> bool:
     mu = check_partition(v.shape)
     if v.is_zero():
         return True
+    order = _word_order(v)
     for d in range(1, len(mu)):
         for t in range(mu[d]):
-            if not psi_dt(v, d, t).is_zero():
+            if not psi_dt(v, d, t, order).is_zero():
                 return False
     return True
 
@@ -311,17 +321,28 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# hom-space dimensions via the intertwiner system
+# hom-space dimensions: semistandard basis maps, or the intertwiner system
+
+def semistandard_scope(profile: QuantumProfile, lam) -> bool:
+    """Whether the semistandard homomorphism theorem (Dipper-James) holds
+    for maps out of the Specht module of lam: q != -1, that is e != 2, or
+    lam 2-regular.  Then the restricted basis maps of the semistandard
+    tableaux of shape lam and type mu form a basis of the maps into the
+    permutation module of mu, for every mu."""
+    return profile.e != 2 or is_2regular(lam)
+
 
 def hom_space_dim(field: FieldSpec, lam, mu) -> int:
     """Dimension of the space of module maps from the Specht module of
     lam to the Specht module of mu.
 
-    The general route solves the exact intertwiner system on spun-out
-    generator matrices.  Maps out of the trivial one-row module are
-    special-cased: the q-symmetric vectors of the permutation module form
-    a line, spanned by the all-ones vector, so the dimension is 1 or 0
-    according to whether that vector lies in the Specht submodule."""
+    Maps out of the trivial one-row module are special-cased: the
+    q-symmetric vectors of the permutation module form a line, spanned by
+    the all-ones vector, so the dimension is 1 or 0 according to whether
+    that vector lies in the Specht submodule.  Within the semistandard
+    scope the dimension is solved over the semistandard basis maps;
+    outside it, from the exact intertwiner system on spun-out generator
+    matrices."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
@@ -331,9 +352,41 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
             field, mu, {d: field.one_rep for d in coset_reps(mu)}
         )
         return 1 if specht_membership(ones) else 0
+    if semistandard_scope(field.profile(), lam):
+        return _semistandard_dimension(field, lam, mu)
     sa = spin_specht(field, lam)
     sb = spin_specht(field, mu)
     return _intertwiner_dimension(field, sa.matrices, sb.matrices)
+
+
+def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
+    """Dimension of the maps from the Specht module of lam into that of
+    mu, valid only within ``semistandard_scope``.
+
+    The maps are the combinations of the restricted basis maps theta_T,
+    T semistandard of shape lam and type mu, that land in the Specht
+    submodule, that is (kernel intersection) whose value at the
+    generator every merge map kills.  One unknown per T; one equation
+    per merge map and per coset key of the images under it of the
+    values v_T = theta_T(generator)."""
+    tabs = enumerate_semistandard(lam, mu)
+    total = len(tabs)
+    if not total:
+        return 0
+    gen = specht_generator(field, lam)
+    values = [push_through(theta_image_of_x(field, tab, mu), gen) for tab in tabs]
+    orders = [_word_order(v) for v in values]
+    echelon = SparseEchelon(field)
+    for d in range(1, len(mu)):
+        for t in range(mu[d]):
+            rows: dict = {}
+            for j, (v, order) in enumerate(zip(values, orders)):
+                for k, rep in psi_dt(v, d, t, order).coeffs.items():
+                    rows.setdefault(k, {})[j] = rep
+            for row in rows.values():
+                if echelon.insert(row) and len(echelon) == total:
+                    return 0
+    return total - len(echelon)
 
 
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:

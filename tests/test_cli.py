@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from heckespecht import cli
 from heckespecht.cli import main
 from heckespecht.homs import HomSpec
 from heckespecht.reducibility import ReducibilityReport
@@ -171,3 +172,33 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    runs = [
+        ("qbinom", "--field", "cyclotomic:e=2", "--alpha", "4", "--beta", "2"),
+        ("--format", "json", "hom-dim", "--field", "cyclotomic:e=3", "--lambda", "3", "--mu", "2,1"),
+        ("--format", "csv", "tables", "--field", "p=7,q=2", "--max", "3"),
+        ("cp-eligible", "--field", "cyclotomic:e=3", "--mu", "3,2,2", "--a", "1", "--b", "2"),
+    ]
+    rejected = ("qbinom", "--field", "p=7,q=2", "--alpha", "1", "--beta", "1", "--bogus")
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    calls = [0]
+    build = cli.build_parser
+
+    def counted():
+        calls[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv, expected in zip(runs, fresh):
+        assert run_cli(capsys, *argv) == expected
+        with pytest.raises(SystemExit) as exc:
+            main(list(rejected))
+        assert exc.value.code == 2
+        assert "--bogus" in capsys.readouterr().err
+    assert calls[0] == 1

@@ -16,6 +16,7 @@ from heckespecht.hecke import (
 from heckespecht.homs import (
     HomSpec,
     _intertwiner_dimension,
+    _semistandard_dimension,
     _psi_base,
     compose_psi_theta,
     evaluate_on_generator,
@@ -28,6 +29,7 @@ from heckespecht.homs import (
     restriction_is_zero,
     restrict_column_removal,
     restrict_row_removal,
+    semistandard_scope,
     specht_membership,
     theta_image_of_x,
     theta_on_generator,
@@ -35,7 +37,7 @@ from heckespecht.homs import (
     transfer_row_removal,
 )
 from heckespecht.partitions import drop_trailing_zeros, dominates, partitions_of
-from heckespecht.qfield import Cyclotomic, qint
+from heckespecht.qfield import Cyclotomic, QuantumProfile, parse_field, qint
 from heckespecht.tableaux import (
     OneNodeCode,
     Tableau,
@@ -229,17 +231,88 @@ def test_hom_space_dim_examples(cyclo3, cyclo4):
     assert hom_space_dim(cyclo3, (2, 2), (2, 2)) >= 1
 
 
+def _intertwiner_oracle(field, lam, mu) -> int:
+    return _intertwiner_dimension(
+        field, spin_specht(field, lam).matrices, spin_specht(field, mu).matrices
+    )
+
+
 def test_trivial_source_fast_path_matches_intertwiner(cyclo3, cyclo4):
     for field in (cyclo3, cyclo4):
         for n in range(2, 7):
             for mu in partitions_of(n):
                 fast = hom_space_dim(field, (n,), mu)
-                slow = _intertwiner_dimension(
-                    field,
-                    spin_specht(field, (n,)).matrices,
-                    spin_specht(field, mu).matrices,
-                )
-                assert fast == slow, (field.name, mu)
+                assert fast == _intertwiner_oracle(field, (n,), mu), (field.name, mu)
+
+
+@pytest.mark.parametrize("spec, max_n", [
+    ("p=97,q=3", 5), ("cyclotomic:e=3", 6), ("cyclotomic:e=4", 5),
+    ("ext:p=2,e=3", 5), ("p=2,q=1", 6), ("p=3,q=2", 5),
+])
+def test_semistandard_dimension_matches_intertwiner(spec, max_n):
+    field = parse_field(spec)
+    checked = 0
+    for n in range(2, max_n + 1):
+        for lam in partitions_of(n):
+            if not semistandard_scope(field.profile(), lam):
+                continue
+            for mu in partitions_of(n):
+                want = _intertwiner_oracle(field, lam, mu)
+                assert _semistandard_dimension(field, lam, mu) == want, (lam, mu)
+                checked += 1
+    assert checked
+
+
+def test_semistandard_count_wrong_outside_scope():
+    # q = -1 and lam not 2-regular: the semistandard maps no longer span,
+    # so hom_space_dim must take the intertwiner route
+    field = parse_field("cyclotomic:e=2")
+    assert not semistandard_scope(field.profile(), (1, 1))
+    assert semistandard_scope(field.profile(), (3, 1))
+    assert semistandard_scope(QuantumProfile(3, 0), (1, 1))
+    assert _semistandard_dimension(field, (1, 1), (2,)) == 0
+    assert hom_space_dim(field, (1, 1), (2,)) == 1
+    pairs = differ = 0
+    for n in range(2, 6):
+        for lam in partitions_of(n):
+            if semistandard_scope(field.profile(), lam):
+                continue
+            for mu in partitions_of(n):
+                want = _intertwiner_oracle(field, lam, mu)
+                assert hom_space_dim(field, lam, mu) == want, (lam, mu)
+                pairs += 1
+                differ += _semistandard_dimension(field, lam, mu) != want
+    assert (pairs, differ) == (48, 14)
+
+
+def test_in_scope_hom_space_dim_spins_nothing(cyclo3, monkeypatch):
+    calls = [0]
+    spin = homs.spin_specht
+
+    def counted(*args):
+        calls[0] += 1
+        return spin(*args)
+
+    monkeypatch.setattr(homs, "spin_specht", counted)
+    for lam, mu in [((2, 1), (2, 1)), ((3, 2, 1), (2, 2, 2)), ((4, 2), (3, 2, 1))]:
+        hom_space_dim(cyclo3, lam, mu)
+    assert calls[0] == 0
+    hom_space_dim(Cyclotomic(2), (2, 1, 1), (2, 1, 1))
+    assert calls[0] == 2
+
+
+def test_membership_sorts_keys_once(cyclo3, monkeypatch):
+    looked_up = []
+    word = homs.reduced_word
+
+    def counted(w):
+        looked_up.append(w)
+        return word(w)
+
+    monkeypatch.setattr(homs, "reduced_word", counted)
+    v = specht_generator(cyclo3, (3, 2, 1))  # in S^mu: every merge map runs
+    assert specht_membership(v)
+    assert sorted(looked_up) == sorted(v.coeffs)
 
 
 def test_semistandard_values_linearly_independent(cyclo3):
