@@ -5,9 +5,10 @@ representatives (one-line permutation tuples) to scalars.  The generator
 action follows the three-case multiplication rule for x-generated
 modules: absorb a q on a same-row pair, move to the swapped
 representative when the rows increase, and produce the mixed two-term
-combination otherwise.  Everything else (words, algebra elements, the
-Specht generator, spinning out a basis with exact Gaussian elimination)
-is built on that single rule.
+combination otherwise.  Everything else (words, module maps evaluated
+by a prefix walk over reduced words, algebra elements, the Specht
+generator, spinning out a basis with exact Gaussian elimination) is
+built on that single rule.
 
 The full group-algebra ``HeckeElement`` is also provided; module code
 never expands vectors over the n! basis, but the tests use it as an
@@ -247,6 +248,47 @@ def act_element(v: ModuleVector, h: "HeckeElement") -> ModuleVector:
     return ModuleVector(f, v.shape, out)
 
 
+def word_order(v) -> list:
+    """v's keys paired with their reduced words, sorted by word."""
+    return sorted((reduced_word(w), w) for w in v.coeffs)
+
+
+def push_through(base: ModuleVector, v, order=None) -> ModuleVector:
+    """Image of v under the homomorphism sending the source generator to
+    base: sum of v's coefficients times base pushed by the basis words.
+    v is anything with a ``coeffs`` dict keyed by permutations, such as a
+    ``ModuleVector`` or a ``HeckeElement`` (then the result is base . v).
+
+    The keys are visited in the lexicographic order of their reduced
+    words, a depth-first walk of the prefix tree of those words, holding
+    the image of every prefix of the current word.  So each key w costs
+    one generator action on the image of its parent w s_i, i the last
+    letter of reduced_word(w), and shared prefixes are acted out once;
+    ``act_word`` and ``act_element`` remain the per-key oracles.  A caller
+    pushing one v through several maps passes ``order=word_order(v)`` to
+    sort once."""
+    f = base.field
+    rowpos = shape_row_of_position(base.shape)
+    mul = f.mul
+    out: dict = {}
+    path = [base.coeffs]  # path[j]: base pushed by the first j letters
+    prev = ()
+    for word, key in word_order(v) if order is None else order:
+        keep = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            keep += 1
+        del path[keep + 1:]
+        for i in word[keep:]:
+            path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
+        c = v.coeffs[key]
+        for k, rep in path[-1].items():
+            _acc(f, out, k, mul(c, rep))
+        prev = word
+    return ModuleVector(f, base.shape, out)
+
+
 # ---------------------------------------------------------------------------
 # the group algebra, used as a multiplication oracle and for y-sums
 
@@ -371,48 +413,9 @@ def y_element(field: FieldSpec, shape) -> HeckeElement:
     return HeckeElement(field, sum(shape), out)
 
 
-def _stabilizer_generators(shape):
-    """Generator indices i with i, i+1 in the same row block."""
-    gens = []
-    start = 1
-    for part in shape:
-        gens.extend(range(start, start + part - 1))
-        start += part
-    return gens
-
-
 def apply_signed_stabilizer_sum(v: ModuleVector, shape) -> ModuleVector:
-    """v . y for the signed sum y over the row stabiliser of the shape.
-
-    Walks the stabiliser along length-increasing generator steps so each
-    group element costs a single generator action."""
-    field = v.field
-    gens = _stabilizer_generators(shape)
-    n = sum(v.shape)
-    rowpos = shape_row_of_position(v.shape)
-    ident = perm_identity(n)
-    layer = {ident: v.coeffs}
-    acc: dict = dict(v.coeffs)
-    length = 0
-    neg = field.neg
-    qinv_pow = field.q_power
-    while layer:
-        nxt: dict = {}
-        length += 1
-        sign_rep = qinv_pow(-length)
-        if length % 2:
-            sign_rep = neg(sign_rep)
-        for w, coeffs in layer.items():
-            for i in gens:
-                ws = perm_times_s(w, i)
-                if perm_length(ws) != length or ws in nxt:
-                    continue
-                nxt[ws] = _act_dict(field, v.shape, rowpos, coeffs, i)
-        for coeffs in nxt.values():
-            for k, rep in coeffs.items():
-                _acc(field, acc, k, field.mul(sign_rep, rep))
-        layer = nxt
-    return ModuleVector(field, v.shape, acc)
+    """v . y for the signed sum y over the row stabiliser of the shape."""
+    return push_through(v, y_element(v.field, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +461,6 @@ class SpechtModule:
     def matrix(self, i: int):
         """Row-major matrix of the right action of the i-th generator."""
         return self.matrices[i - 1]
-
-    def matrices_json(self) -> dict:
-        f = self.field
-        return {
-            "shape": list(self.shape),
-            "fieldSpec": f.name,
-            "matrices": {
-                str(i + 1): [[f.format_rep(c) for c in row] for row in mat]
-                for i, mat in enumerate(self.matrices)
-            },
-        }
 
     def coordinates(self, v: ModuleVector):
         """Coordinates of v in the echelon basis; raises if v is outside."""

@@ -21,10 +21,11 @@ from .hecke import (
     ModuleVector,
     SparseEchelon,
     _acc,
-    _act_dict,
     act_word,  # re-exported: the per-key oracle for push_through
+    push_through,
     specht_generator,
     spin_specht,
+    word_order,
 )
 from .partitions import (
     check_composition,
@@ -39,9 +40,7 @@ from .tableaux import (
     coset_reps,
     enumerate_semistandard,
     perm_of_tableau,
-    reduced_word,
     row_equiv_class,
-    shape_row_of_position,
 )
 
 
@@ -81,14 +80,6 @@ class HomSpec:
     def coefficient(self, tab: Tableau) -> Scalar:
         rep = self.coeffs.get(tab)
         return self.field.scalar(self.field.zero_rep if rep is None else rep)
-
-    def scaled(self, scalar) -> "HomSpec":
-        rep = scalar.rep if hasattr(scalar, "rep") else scalar
-        f = self.field
-        return HomSpec(
-            f, self.source, self.target,
-            {tab: f.mul(rep, c) for tab, c in self.coeffs.items()},
-        )
 
     def __eq__(self, other):
         return (
@@ -160,44 +151,6 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
     return _row_class_sum(field, {tab: field.one_rep}, target)
 
 
-def _word_order(v: ModuleVector) -> list:
-    """v's keys paired with their reduced words, sorted by word."""
-    return sorted((reduced_word(w), w) for w in v.coeffs)
-
-
-def push_through(base: ModuleVector, v: ModuleVector, order=None) -> ModuleVector:
-    """Image of v under the homomorphism sending the source generator to
-    base: sum of v's coefficients times base pushed by the basis words.
-
-    The keys are visited in the lexicographic order of their reduced
-    words, a depth-first walk of the prefix tree of those words, holding
-    the image of every prefix of the current word.  So each key w costs
-    one generator action on the image of its parent w s_i, i the last
-    letter of reduced_word(w), and shared prefixes are acted out once;
-    ``act_word`` remains the per-key oracle.  A caller pushing one v
-    through several maps passes ``order=_word_order(v)`` to sort once."""
-    f = base.field
-    rowpos = shape_row_of_position(base.shape)
-    mul = f.mul
-    out: dict = {}
-    path = [base.coeffs]  # path[j]: base pushed by the first j letters
-    prev = ()
-    for word, key in _word_order(v) if order is None else order:
-        keep = 0
-        for a, b in zip(prev, word):
-            if a != b:
-                break
-            keep += 1
-        del path[keep + 1:]
-        for i in word[keep:]:
-            path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
-        c = v.coeffs[key]
-        for k, rep in path[-1].items():
-            _acc(f, out, k, mul(c, rep))
-        prev = word
-    return ModuleVector(f, base.shape, out)
-
-
 def theta_on_generator(field: FieldSpec, tab: Tableau) -> ModuleVector:
     """Value of the restricted basis homomorphism at the Specht generator
     of the tableau's shape."""
@@ -238,7 +191,7 @@ def specht_membership(v: ModuleVector) -> bool:
     mu = check_partition(v.shape)
     if v.is_zero():
         return True
-    order = _word_order(v)
+    order = word_order(v)
     for d in range(1, len(mu)):
         for t in range(mu[d]):
             if not psi_dt(v, d, t, order).is_zero():
@@ -375,7 +328,7 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
         return 0
     gen = specht_generator(field, lam)
     values = [push_through(theta_image_of_x(field, tab, mu), gen) for tab in tabs]
-    orders = [_word_order(v) for v in values]
+    orders = [word_order(v) for v in values]
     echelon = SparseEchelon(field)
     for d in range(1, len(mu)):
         for t in range(mu[d]):

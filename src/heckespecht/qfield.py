@@ -87,17 +87,6 @@ def _pmod_trim(coeffs, p):
     return tuple(out)
 
 
-def _pmod_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod_trim(out, p)
-
-
 def _pmod_divmod(a, b, p):
     a = list(a)
     db = len(b) - 1
@@ -252,15 +241,7 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        f = self.field
-        if k < 0:
-            base, k = f.inv(self.rep), -k
-        else:
-            base = self.rep
-        out = f.one_rep
-        for _ in range(k):
-            out = f.mul(out, base)
-        return Scalar(f, out)
+        return Scalar(self.field, self.field.power(self.rep, k))
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field, self.field.inv(self.rep))
@@ -341,20 +322,26 @@ class FieldSpec:
             self._profile = QuantumProfile(e, self.p)
         return self._profile
 
+    def power(self, rep, k: int):
+        """rep^k by square-and-multiply over the bits of |k| from the top,
+        starting from rep itself: at most |k| - 1 multiplications, after
+        one inversion when k < 0."""
+        if k < 0:
+            rep, k = self.inv(rep), -k
+        if k == 0:
+            return self.one_rep
+        out = rep
+        for bit in bin(k)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, rep)
+        return out
+
     def q_power(self, k: int):
         cache = self._qpow
         rep = cache.get(k)
         if rep is None:
-            if k >= 0:
-                rep = self.one_rep
-                for _ in range(k):
-                    rep = self.mul(rep, self.q_rep)
-            else:
-                qinv = self.inv(self.q_rep)
-                rep = self.one_rep
-                for _ in range(-k):
-                    rep = self.mul(rep, qinv)
-            cache[k] = rep
+            rep = cache[k] = self.power(self.q_rep, k)
         return rep
 
     def parse_scalar(self, text: str) -> Scalar:
@@ -486,30 +473,27 @@ class Cyclotomic(FieldSpec):
         return not any(a[0])
 
     def inv(self, a):
+        """1/a = (product of the other Galois conjugates of a) / N(a): the
+        conjugates are a(q^k) for 1 < k < e prime to e, and the norm N(a),
+        a times their product, is rational."""
         num, den = a
         if not any(num):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in Q[x] against Phi_e
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.e)]
-        f = [Fraction(c) for c in num]
-        r0, r1 = phi, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _fracpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fracpoly_sub(s0, _fracpoly_mul(q, s1))
-        lead = r1[0]
-        inv_poly = [c / lead for c in s1]
-        inv_poly += [Fraction(0)] * (self.degree - len(inv_poly))
-        common = 1
-        for c in inv_poly:
-            common = common * c.denominator // gcd(common, c.denominator)
-        ints = [int(c * common) for c in inv_poly[: self.degree]]
-        return self._norm([c * den for c in ints], common)
+        e = self.e
+        others = self.one_rep
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                conj = [0] * self.degree
+                for i, c in enumerate(num):
+                    if c:
+                        for j, t in enumerate(self.q_power(i * k % e)[0]):
+                            conj[j] += c * t
+                others = self.mul(others, self._norm(conj, den))
+        norm_num, norm_den = self.mul(a, others)
+        if any(norm_num[1:]):
+            raise AssertionError(f"norm of {self.format_rep(a)} is not rational")
+        onum, oden = others
+        return self._norm([c * norm_den for c in onum], oden * norm_num[0])
 
     def format_rep(self, a) -> str:
         num, den = a
@@ -521,40 +505,6 @@ class Cyclotomic(FieldSpec):
         for c in coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
         return self._norm([int(c * den) for c in coeffs], den)
-
-
-def _fracpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv_lead
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    r = a[:db]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, (r or [Fraction(0)])
-
-
-def _fracpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _fracpoly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] -= c
-    return a
 
 
 class PrimeExtension(FieldSpec):
@@ -642,21 +592,10 @@ class PrimeExtension(FieldSpec):
         return not any(a)
 
     def inv(self, a):
+        """a^(p^d - 2), by Fermat in the field of p^d elements."""
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        r0, r1 = self.modulus, _pmod_trim(a, p)
-        s0, s1 = (), (1,)
-        while len(r1) > 1:
-            q, r = _pmod_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t = _pmod_mul(q, s1, p)
-            s = [(x - y) % p for x, y in itertools.zip_longest(s0, t, fillvalue=0)]
-            s0, s1 = s1, _pmod_trim(s, p)
-        inv_lead = pow(r1[0], -1, p)
-        out = [(c * inv_lead) % p for c in s1]
-        out += [0] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        return self.power(a, self.p ** self.degree - 2)
 
     def format_rep(self, a) -> str:
         return format_poly(list(a))
@@ -826,7 +765,10 @@ def qfact(spec: FieldSpec, alpha: int) -> Scalar:
 
 def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
     """Gaussian binomial, by the recurrence
-    [a, b] = [a-1, b] + q^(a-b) [a-1, b-1]; valid at roots of unity."""
+    [a, b] = [a-1, b] + q^(a-b) [a-1, b-1]; valid at roots of unity.
+
+    Only the columns b <= beta of the triangle are filled, so the cache
+    gains at most (alpha + 1)(beta + 1) entries."""
     if beta < 0 or alpha < beta:
         raise ValueError("need 0 <= beta <= alpha")
     cache = getattr(spec, "_qbinom_cache", None)
@@ -834,16 +776,18 @@ def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
         cache = spec._qbinom_cache = {}
     rep = cache.get((alpha, beta))
     if rep is None:
-        prev = [spec.one_rep]
+        one = spec.one_rep
+        prev = [one]
+        cache[(0, 0)] = one
         for a in range(1, alpha + 1):
-            row = [spec.one_rep]
-            for b in range(1, a):
+            row = [one]
+            for b in range(1, min(a - 1, beta) + 1):
                 row.append(spec.add(prev[b], spec.mul(spec.q_power(a - b), prev[b - 1])))
-            row.append(spec.one_rep)
+            if a <= beta:
+                row.append(one)
             for b, r in enumerate(row):
                 cache[(a, b)] = r
             prev = row
-        cache[(0, 0)] = spec.one_rep
         rep = cache[(alpha, beta)]
     return Scalar(spec, rep)
 

@@ -10,7 +10,7 @@ caveat.
 
 from __future__ import annotations
 
-from .partitions import check_partition, conjugate, hook_length, partitions_of
+from .partitions import check_partition, conjugate, partitions_of
 from .qfield import QuantumProfile, nu_ep
 
 E2_CAVEAT = "criterion proven only for e != 2"
@@ -61,34 +61,39 @@ class ReducibilityReport:
         )
 
 
+def _hook_witness(lam, mark):
+    """First node triple ((a,i), (a,j), (b,i)) whose hook mark at (a,i)
+    is positive and differs from the marks at both partners, in row-major
+    order of the hooked node, then of the row and column partners; None
+    if there is none.  Every hook comes from one conjugate of lam."""
+    conj = conjugate(lam)
+    marks = [
+        [mark(part - a + conj[i] - i - 1) for i in range(part)]
+        for a, part in enumerate(lam)
+    ]
+    for a, row in enumerate(marks):
+        for i, v in enumerate(row):
+            if v <= 0:
+                continue
+            for j, other in enumerate(row):
+                if j == i or other == v:
+                    continue
+                for b in range(conj[i]):
+                    if b == a or marks[b][i] == v:
+                        continue
+                    return ((a + 1, i + 1), (a + 1, j + 1), (b + 1, i + 1))
+    return None
+
+
 def is_ep_reducible(lam, profile: QuantumProfile) -> ReducibilityReport:
-    """Exhaustive search over node triples, first witness in row-major
-    order of the hooked node, then of the row and column partners."""
+    """Exhaustive search over node triples with the hook valuations
+    nu_ep as marks; the witness is the first triple found."""
     lam = check_partition(lam)
     if not profile.finite:
         raise ValueError("the criterion needs a finite quantum characteristic")
     caveat = E2_CAVEAT if profile.e == 2 else None
-    conj = conjugate(lam)
-    hooks = {
-        (i, j): hook_length(lam, (i, j))
-        for i in range(1, len(lam) + 1)
-        for j in range(1, lam[i - 1] + 1)
-    }
-    vals = {node: nu_ep(profile, h) for node, h in hooks.items()}
-    for a in range(1, len(lam) + 1):
-        for i in range(1, lam[a - 1] + 1):
-            v = vals[(a, i)]
-            if v <= 0:
-                continue
-            for j in range(1, lam[a - 1] + 1):
-                if j == i or vals[(a, j)] == v:
-                    continue
-                for b in range(1, conj[i - 1] + 1):
-                    if b == a or vals[(b, i)] == v:
-                        continue
-                    witness = ((a, i), (a, j), (b, i))
-                    return ReducibilityReport(lam, profile.e, profile.p, True, witness, caveat)
-    return ReducibilityReport(lam, profile.e, profile.p, False, None, caveat)
+    witness = _hook_witness(lam, lambda h: nu_ep(profile, h))
+    return ReducibilityReport(lam, profile.e, profile.p, witness is not None, witness, caveat)
 
 
 def hook_divisibility_witness(lam, profile: QuantumProfile):
@@ -99,19 +104,7 @@ def hook_divisibility_witness(lam, profile: QuantumProfile):
     if not profile.finite:
         return None
     e = profile.e
-    conj = conjugate(lam)
-    for a in range(1, len(lam) + 1):
-        for i in range(1, lam[a - 1] + 1):
-            if hook_length(lam, (a, i)) % e:
-                continue
-            for j in range(1, lam[a - 1] + 1):
-                if j == i or hook_length(lam, (a, j)) % e == 0:
-                    continue
-                for b in range(1, conj[i - 1] + 1):
-                    if b == a or hook_length(lam, (b, i)) % e == 0:
-                        continue
-                    return ((a, i), (a, j), (b, i))
-    return None
+    return _hook_witness(lam, lambda h: h % e == 0)
 
 
 def classify_range(n: int, profile: QuantumProfile):

@@ -31,6 +31,7 @@ from heckespecht.tableaux import (
     perm_times_s,
     standard_count,
     t_col,
+    w_lambda,
 )
 
 
@@ -135,6 +136,18 @@ def test_signed_stabilizer_sum_matches_element(f7q2, cyclo3):
             for d in coset_reps(lam)[:6]:
                 v = basis_vector(field, lam, d)
                 assert apply_signed_stabilizer_sum(v, conjugate(lam)) == act_element(v, h)
+
+
+@pytest.mark.parametrize("field_name", ["f7q2", "cyclo3", "ext23"])
+def test_specht_generator_matches_per_key_oracle(field_name, request):
+    # the generator is x-vector . T_{w_lambda} . y_{lambda'}; the library
+    # pushes y through the prefix walk, the oracle acts one word per key
+    field = request.getfixturevalue(field_name)
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            v = act_word(basis_vector(field, lam), w_lambda(lam))
+            expect = act_element(v, y_element(field, conjugate(lam)))
+            assert specht_generator(field, lam) == expect, (field.name, lam)
 
 
 def test_dominance_kill(f7q2):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heckespecht.carter_payne import one_node_map
-from heckespecht import homs
+from heckespecht import hecke, homs
 from heckespecht.hecke import (
     HeckeElement,
     ModuleVector,
@@ -147,13 +147,13 @@ def _prefix_nodes(keys) -> set:
 
 def test_push_through_one_action_per_prefix(cyclo3, monkeypatch):
     calls = [0]
-    act = homs._act_dict
+    act = hecke._act_dict
 
     def counted(*args):
         calls[0] += 1
         return act(*args)
 
-    monkeypatch.setattr(homs, "_act_dict", counted)
+    monkeypatch.setattr(hecke, "_act_dict", counted)
     cases = [
         (theta_image_of_x(cyclo3, Tableau([[1, 1, 2], [2, 3]]), (2, 2, 1)),
          specht_generator(cyclo3, (3, 2))),
@@ -302,15 +302,15 @@ def test_in_scope_hom_space_dim_spins_nothing(cyclo3, monkeypatch):
 
 
 def test_membership_sorts_keys_once(cyclo3, monkeypatch):
+    v = specht_generator(cyclo3, (3, 2, 1))  # in S^mu: every merge map runs
     looked_up = []
-    word = homs.reduced_word
+    word = hecke.reduced_word
 
     def counted(w):
         looked_up.append(w)
         return word(w)
 
-    monkeypatch.setattr(homs, "reduced_word", counted)
-    v = specht_generator(cyclo3, (3, 2, 1))  # in S^mu: every merge map runs
+    monkeypatch.setattr(hecke, "reduced_word", counted)
     assert specht_membership(v)
     assert sorted(looked_up) == sorted(v.coeffs)
 

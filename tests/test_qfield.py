@@ -210,3 +210,77 @@ def test_scalar_power_and_division(cyclo4):
     assert q ** 4 == cyclo4.one
     assert q ** -1 == cyclo4.one / q
     assert (q ** 2) == -cyclo4.one
+
+
+POWER_FIELDS = [f"cyclotomic:e={e}" for e in (2, 3, 4, 5, 6, 7, 8, 12)] + [
+    "ext:p=2,e=5",
+    "ext:p=2,e=7",
+    "ext:p=2,mod=1;1;1,q=1;1",
+    "p=7,q=2",
+    "p=97,q=3",
+]
+
+
+def _sample_elements(spec):
+    """Nonzero q^k + c, k up to the order of q, c in -3..3."""
+    out = []
+    for k in range(spec.profile().e + 1):
+        for c in range(-3, 4):
+            rep = spec.add(spec.q_power(k), spec.int_rep(c))
+            if not spec.is_zero(rep):
+                out.append(rep)
+    return out
+
+
+@pytest.mark.parametrize("name", POWER_FIELDS)
+def test_inverse_and_power_by_multiplication(name):
+    spec = parse_field(name)
+    elements = _sample_elements(spec)
+    for a in elements:
+        assert spec.mul(a, spec.inv(a)) == spec.one_rep, (name, spec.format_rep(a))
+    for a in elements[:12]:
+        up, down = spec.one_rep, spec.one_rep
+        a_inv = spec.inv(a)
+        for k in range(41):
+            assert spec.power(a, k) == up, (name, k)
+            assert spec.scalar(a) ** k == spec.scalar(up)
+            if k <= 6:
+                assert spec.power(a, -k) == down, (name, -k)
+                assert spec.scalar(a) ** -k == spec.scalar(down)
+            up = spec.mul(up, a)
+            down = spec.mul(down, a_inv)
+
+
+@pytest.mark.parametrize("name", ["cyclotomic:e=5", "ext:p=2,e=5", "p=97,q=3"])
+def test_power_makes_at_most_k_minus_one_multiplications(name, monkeypatch):
+    spec = parse_field(name)
+    a = spec.add(spec.q_rep, spec.int_rep(2))
+    calls = [0]
+    mul = spec.mul
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(spec, "mul", counted)
+    for k in range(1, 200):
+        calls[0] = 0
+        spec.power(a, k)
+        assert calls[0] <= k - 1, (k, calls[0])
+    calls[0] = 0
+    spec.power(a, 0)
+    assert calls[0] == 0
+
+
+def test_qbinom_fills_only_the_needed_columns():
+    spec = Cyclotomic(5)  # a fresh field: an empty cache
+    alpha, beta = 300, 2
+    qbinom(spec, alpha, beta)
+    cache = spec._qbinom_cache
+    assert len(cache) <= (alpha + 1) * (beta + 1)
+    # the other q-Pascal rule, [a, b] = [a-1, b-1] + q^b [a-1, b]
+    for (a, b), rep in cache.items():
+        if 1 <= b < a:
+            expect = spec.add(cache[(a - 1, b - 1)], spec.mul(spec.q_power(b), cache[(a - 1, b)]))
+            assert rep == expect, (a, b)
+    assert qbinom(spec, 9, 2) == qbinom_sum_oracle(spec, 9, 2)

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from heckespecht.carter_payne import trivial_hom_exists
-from heckespecht.partitions import conjugate, partitions_of
-from heckespecht.qfield import QuantumProfile
+from heckespecht.partitions import conjugate, hook_length, partitions_of
+from heckespecht.qfield import QuantumProfile, nu_ep
 from heckespecht.reducibility import (
     E2_CAVEAT,
     ReducibilityReport,
@@ -176,3 +176,34 @@ def test_classify_range_order_and_json():
 def test_infinite_profile_rejected():
     with pytest.raises(ValueError):
         is_ep_reducible((2, 1), QuantumProfile(None, 0))
+
+
+def _first_triple_scan(lam, mark):
+    """The first witness triple, every hook from partitions.hook_length."""
+    conj = conjugate(lam)
+    for a in range(1, len(lam) + 1):
+        for i in range(1, lam[a - 1] + 1):
+            v = mark(hook_length(lam, (a, i)))
+            if v <= 0:
+                continue
+            for j in range(1, lam[a - 1] + 1):
+                if j == i or mark(hook_length(lam, (a, j))) == v:
+                    continue
+                for b in range(1, conj[i - 1] + 1):
+                    if b == a or mark(hook_length(lam, (b, i))) == v:
+                        continue
+                    return ((a, i), (a, j), (b, i))
+    return None
+
+
+def test_witnesses_match_first_triple_scan():
+    for e, p in ((2, 0), (3, 0), (4, 0), (2, 3), (3, 2), (5, 5), (2, 2)):
+        prof = QuantumProfile(e, p)
+        for n in range(1, 11):
+            for lam in partitions_of(n):
+                report = is_ep_reducible(lam, prof)
+                expect = _first_triple_scan(lam, lambda h: nu_ep(prof, h))
+                assert report.witness == expect, (e, p, lam)
+                assert report.reducible == (expect is not None)
+                expect = _first_triple_scan(lam, lambda h: int(h % e == 0))
+                assert hook_divisibility_witness(lam, prof) == expect, (e, p, lam)
