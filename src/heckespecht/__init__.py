@@ -1,5 +1,7 @@
 """Exact Specht module homomorphisms for Hecke algebras of symmetric groups."""
 
+from . import hecke, homs, qfield, tableaux
+
 from .carter_payne import (
     CPInstance,
     CPVerification,
@@ -89,3 +91,11 @@ from .tableaux import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo of the library: each is a bounded lru_cache."""
+    for module in (hecke, homs, qfield, tableaux):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

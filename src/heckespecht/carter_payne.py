@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .homs import HomSpec, restriction_verdicts, semistandard_scope
 from .partitions import check_partition, drop_trailing_zeros
-from .qfield import FieldSpec, QuantumProfile, bstar, ell_p, qint, vanish_run
+from .qfield import FieldSpec, QuantumProfile, qint, vanish_run
 from .tableaux import Tableau, enumerate_semistandard
 
 
@@ -75,15 +75,10 @@ def cp_eligible(inst: CPInstance, profile: QuantumProfile) -> bool:
     if not profile.finite:
         return False
     mu, a, b, gamma = inst.mu, inst.a, inst.b, inst.gamma
-    e = profile.e
     if b == a + 1:
-        diff = mu[a - 1] - mu[b - 1] + gamma
-        if profile.p == 0:
-            return (diff + 1) % e == 0 and gamma < e
-        modulus = e * profile.p ** ell_p(profile.p, bstar(e, gamma))
-        return (diff + 1) % modulus == 0
+        return vanish_run(profile, mu[a - 1] - mu[b - 1] + gamma, gamma)
     if gamma == 1:
-        return (mu[a - 1] - mu[b - 1] + b - a + 1) % e == 0
+        return (mu[a - 1] - mu[b - 1] + b - a + 1) % profile.e == 0
     raise OutsideProvenScope(
         f"gamma={gamma} across rows {a}<{b} is outside the proven scope"
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from functools import lru_cache
 
 from .partitions import check_composition, check_partition, conjugate
 from .qfield import FieldSpec
@@ -55,9 +56,6 @@ class ModuleVector:
     def coefficient(self, d):
         rep = self.coeffs.get(tuple(d))
         return self.field.scalar(self.field.zero_rep if rep is None else rep)
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def add(self, other: "ModuleVector") -> "ModuleVector":
         self._check(other)
@@ -421,42 +419,36 @@ def apply_signed_stabilizer_sum(v: ModuleVector, shape) -> ModuleVector:
 # ---------------------------------------------------------------------------
 # the Specht generator and spinning
 
-_GEN_CACHE: dict = {}
-_SPIN_CACHE: dict = {}
-
-
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:
     """The canonical generator of the Specht submodule, expanded over the
     coset basis of the permutation module."""
-    lam = check_partition(lam)
-    key = (field, lam)
-    cached = _GEN_CACHE.get(key)
-    if cached is None:
-        v = basis_vector(field, lam)
-        v = act_word(v, w_lambda(lam))
-        cached = apply_signed_stabilizer_sum(v, conjugate(lam))
-        if cached.is_zero():
-            raise AssertionError("Specht generator vanished")
-        _GEN_CACHE[key] = cached
-    return cached.copy()
+    return _specht_generator(field, check_partition(lam)).copy()
+
+
+@lru_cache(maxsize=1024)
+def _specht_generator(field: FieldSpec, lam) -> ModuleVector:
+    v = act_word(basis_vector(field, lam), w_lambda(lam))
+    v = apply_signed_stabilizer_sum(v, conjugate(lam))
+    if v.is_zero():
+        raise AssertionError("Specht generator vanished")
+    return v
 
 
 class SpechtModule:
     """An echelonised basis of the Specht submodule together with the
     exact matrices of the generator action on that basis."""
 
-    __slots__ = ("field", "shape", "echelon", "basis", "matrices")
+    __slots__ = ("field", "shape", "echelon", "matrices")
 
     def __init__(self, field, shape, echelon: SparseEchelon, matrices):
         self.field = field
         self.shape = shape
         self.echelon = echelon
-        self.basis = [ModuleVector(field, shape, row) for _, row in echelon.rows]
         self.matrices = matrices
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.echelon)
 
     def matrix(self, i: int):
         """Row-major matrix of the right action of the i-th generator."""
@@ -491,12 +483,11 @@ def _spin(v: ModuleVector) -> SparseEchelon:
 def spin_specht(field: FieldSpec, lam) -> SpechtModule:
     """Close the cyclic module generated by the Specht generator under the
     generator action; the echelonised result is cached per (field, shape)."""
-    lam = check_partition(lam)
-    key = (field, lam)
-    cached = _SPIN_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _spin_specht(field, check_partition(lam))
 
+
+@lru_cache(maxsize=128)
+def _spin_specht(field: FieldSpec, lam) -> SpechtModule:
     module = SpechtModule(field, lam, _spin(specht_generator(field, lam)), [])
     expected = standard_count(lam)
     if module.dimension != expected:
@@ -509,7 +500,6 @@ def spin_specht(field: FieldSpec, lam) -> SpechtModule:
             module.echelon.coordinates(_act_dict(field, lam, rowpos, row, i))
             for _, row in module.echelon.rows
         ])
-    _SPIN_CACHE[key] = module
     return module
 
 

@@ -17,6 +17,8 @@ from the exact intertwiner system on spun-out generator matrices.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .hecke import (
     ModuleVector,
     SparseEchelon,
@@ -74,9 +76,6 @@ class HomSpec:
     def is_zero_spec(self) -> bool:
         return not self.coeffs
 
-    def is_semistandard_form(self) -> bool:
-        return all(tab.is_semistandard() for tab in self.coeffs)
-
     def coefficient(self, tab: Tableau) -> Scalar:
         rep = self.coeffs.get(tab)
         return self.field.scalar(self.field.zero_rep if rep is None else rep)
@@ -119,12 +118,6 @@ class HomSpec:
         return cls(field, tuple(data["source"]), tuple(data["target"]), coeffs)
 
 
-def identity_hom(field: FieldSpec, lam) -> HomSpec:
-    lam = check_partition(lam)
-    rows = [(i,) * part for i, part in enumerate(lam, start=1)]
-    return HomSpec(field, lam, lam, {Tableau(rows): field.one_rep})
-
-
 # ---------------------------------------------------------------------------
 # the basis homomorphisms and the merge maps
 
@@ -158,25 +151,18 @@ def theta_on_generator(field: FieldSpec, tab: Tableau) -> ModuleVector:
     return push_through(theta_image_of_x(field, tab), specht_generator(field, lam))
 
 
-_PSI_BASE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _psi_base(field: FieldSpec, mu, d: int, t: int) -> ModuleVector:
-    key = (field, tuple(mu), d, t)
-    cached = _PSI_BASE_CACHE.get(key)
-    if cached is None:
-        mu = check_composition(mu)
-        nu = nu_composition(mu, d, t)
-        merged = mu[d] - t
-        rows = []
-        for i, part in enumerate(mu, start=1):
-            if i == d + 1:
-                rows.append((d,) * merged + (d + 1,) * t)
-            else:
-                rows.append((i,) * part)
-        cached = theta_image_of_x(field, Tableau(rows), nu)
-        _PSI_BASE_CACHE[key] = cached
-    return cached
+    mu = check_composition(mu)
+    nu = nu_composition(mu, d, t)
+    merged = mu[d] - t
+    rows = []
+    for i, part in enumerate(mu, start=1):
+        if i == d + 1:
+            rows.append((d,) * merged + (d + 1,) * t)
+        else:
+            rows.append((i,) * part)
+    return theta_image_of_x(field, Tableau(rows), nu)
 
 
 def psi_dt(v: ModuleVector, d: int, t: int, order=None) -> ModuleVector:

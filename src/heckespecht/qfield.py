@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -58,22 +59,16 @@ def _poly_div_monic(a, b):
     return _trim(q)
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=64)
 def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Coefficients of Phi_e, ascending, computed by exact division of
     x^e - 1 by the product of the Phi_d over proper divisors d."""
     if e < 1:
         raise ValueError("e must be positive")
-    cached = _CYCLOTOMIC_CACHE.get(e)
-    if cached is not None:
-        return cached
     poly = tuple([-1] + [0] * (e - 1) + [1])
     for d in range(1, e):
         if e % d == 0:
             poly = _poly_div_monic(poly, cyclotomic_polynomial(d))
-    _CYCLOTOMIC_CACHE[e] = poly
     return poly
 
 
@@ -338,11 +333,15 @@ class FieldSpec:
         return out
 
     def q_power(self, k: int):
-        cache = self._qpow
-        rep = cache.get(k)
-        if rep is None:
-            rep = cache[k] = self.power(self.q_rep, k)
-        return rep
+        """q^k, read from the list of the powers of q below its order (1
+        when q = 1, else the profile's e), made on first use."""
+        table = self._qpow
+        if not table:
+            order = 1 if self.q_rep == self.one_rep else self.profile().e
+            table.append(self.one_rep)
+            while len(table) < order:
+                table.append(self.mul(table[-1], self.q_rep))
+        return table[k % len(table)]
 
     def parse_scalar(self, text: str) -> Scalar:
         return Scalar(self, self.parse_rep(text))
@@ -363,7 +362,7 @@ class PrimeField(FieldSpec):
         self.one_rep = 1 % p
         self.qm1_rep = self.sub(q, self.one_rep)
         self.name = f"p={p},q={q}"
-        self._qpow = {}
+        self._qpow = []
         self._profile = None
 
     def int_rep(self, k: int):
@@ -417,7 +416,7 @@ class Cyclotomic(FieldSpec):
         self.q_rep = self._norm(qv, 1)
         self.qm1_rep = self.sub(self.q_rep, self.one_rep)
         self.name = f"cyclotomic:e={e}"
-        self._qpow = {}
+        self._qpow = []
         self._profile = QuantumProfile(e, 0)
 
     def _norm(self, num, den):
@@ -486,7 +485,7 @@ class Cyclotomic(FieldSpec):
                 conj = [0] * self.degree
                 for i, c in enumerate(num):
                     if c:
-                        for j, t in enumerate(self.q_power(i * k % e)[0]):
+                        for j, t in enumerate(self.q_power(i * k)[0]):
                             conj[j] += c * t
                 others = self.mul(others, self._norm(conj, den))
         norm_num, norm_den = self.mul(a, others)
@@ -552,7 +551,7 @@ class PrimeExtension(FieldSpec):
             if q != default_q:
                 label += f",q={';'.join(str(c) for c in q)}"
         self.name = label
-        self._qpow = {}
+        self._qpow = []
         self._profile = None
 
     def int_rep(self, k: int):
@@ -763,33 +762,21 @@ def qfact(spec: FieldSpec, alpha: int) -> Scalar:
     return Scalar(spec, out)
 
 
+@lru_cache(maxsize=4096)
 def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
     """Gaussian binomial, by the recurrence
     [a, b] = [a-1, b] + q^(a-b) [a-1, b-1]; valid at roots of unity.
 
-    Only the columns b <= beta of the triangle are filled, so the cache
-    gains at most (alpha + 1)(beta + 1) entries."""
+    One row of the triangle, the columns b <= beta, is updated in place
+    for a = 1..alpha, each row from right to left so that [a-1, b-1] is
+    still the old value when [a, b] is formed."""
     if beta < 0 or alpha < beta:
         raise ValueError("need 0 <= beta <= alpha")
-    cache = getattr(spec, "_qbinom_cache", None)
-    if cache is None:
-        cache = spec._qbinom_cache = {}
-    rep = cache.get((alpha, beta))
-    if rep is None:
-        one = spec.one_rep
-        prev = [one]
-        cache[(0, 0)] = one
-        for a in range(1, alpha + 1):
-            row = [one]
-            for b in range(1, min(a - 1, beta) + 1):
-                row.append(spec.add(prev[b], spec.mul(spec.q_power(a - b), prev[b - 1])))
-            if a <= beta:
-                row.append(one)
-            for b, r in enumerate(row):
-                cache[(a, b)] = r
-            prev = row
-        rep = cache[(alpha, beta)]
-    return Scalar(spec, rep)
+    row = [spec.one_rep] + [spec.zero_rep] * beta
+    for a in range(1, alpha + 1):
+        for b in range(min(a, beta), 0, -1):
+            row[b] = spec.add(row[b], spec.mul(spec.q_power(a - b), row[b - 1]))
+    return Scalar(spec, row[beta])
 
 
 def qbinom_sum_oracle(spec: FieldSpec, alpha: int, beta: int) -> Scalar:

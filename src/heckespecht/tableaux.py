@@ -264,24 +264,6 @@ def enumerate_semistandard(shape, mu) -> list[Tableau]:
     return out
 
 
-def enumerate_tableaux(shape, mu) -> list[Tableau]:
-    """Every filling of the shape with the given type (desk scale only)."""
-    shape = check_composition(shape)
-    mu = check_composition(mu)
-    if sum(shape) != sum(mu):
-        raise ValueError("shape and type must have equal sizes")
-    entries = [v for v, count in enumerate(mu, start=1) for _ in range(count)]
-    words = sorted(set(itertools.permutations(entries)))
-    out = []
-    for word in words:
-        rows, k = [], 0
-        for part in shape:
-            rows.append(word[k:k + part])
-            k += part
-        out.append(Tableau(rows))
-    return out
-
-
 def enumerate_standard(shape) -> list[Tableau]:
     shape = check_partition(shape)
     return enumerate_semistandard(shape, (1,) * sum(shape))
@@ -342,22 +324,6 @@ def coset_reps(shape) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
-def coset_decompose(shape, w):
-    """Write w = v d with v in the row stabiliser of the shape and d the
-    minimal coset representative; returns (length of v, d)."""
-    start = 0
-    d = []
-    lv = 0
-    for part in shape:
-        block = w[start:start + part]
-        order = sorted(block)
-        pattern = tuple(order.index(x) + 1 for x in block)
-        lv += perm_length(pattern)
-        d.extend(order)
-        start += part
-    return lv, tuple(d)
-
-
 # ---------------------------------------------------------------------------
 # one-node codes
 
@@ -390,10 +356,6 @@ class OneNodeCode:
     def shape(self) -> tuple[int, ...]:
         mu = self.base
         return drop_trailing_zeros((mu[0] + 1,) + mu[1:-1])
-
-    def position_of(self, value: int) -> int:
-        """Slot index holding the given value (the r-style accessors)."""
-        return self.entries.index(value) + 1
 
     def is_semistandard(self) -> bool:
         lam = self.shape

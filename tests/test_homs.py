@@ -21,7 +21,6 @@ from heckespecht.homs import (
     compose_psi_theta,
     evaluate_on_generator,
     hom_space_dim,
-    identity_hom,
     one_node_conditions_check,
     psi_dt,
     push_through,
@@ -36,8 +35,8 @@ from heckespecht.homs import (
     transfer_column_removal,
     transfer_row_removal,
 )
-from heckespecht.partitions import drop_trailing_zeros, dominates, partitions_of
-from heckespecht.qfield import Cyclotomic, QuantumProfile, parse_field, qint
+from heckespecht.partitions import check_partition, drop_trailing_zeros, dominates, partitions_of
+from heckespecht.qfield import Cyclotomic, FieldSpec, QuantumProfile, parse_field, qint
 from heckespecht.tableaux import (
     OneNodeCode,
     Tableau,
@@ -200,6 +199,12 @@ def test_compose_matches_brute_force(f97q3, cyclo3):
                                         theta_image_of_x(field, s_tab, sym.target).scale(c)
                                     )
                                 assert acc == brute, (lam, mu, tab, d, t)
+
+
+def identity_hom(field: FieldSpec, lam) -> HomSpec:
+    lam = check_partition(lam)
+    rows = [(i,) * part for i, part in enumerate(lam, start=1)]
+    return HomSpec(field, lam, lam, {Tableau(rows): field.one_rep})
 
 
 def test_restriction_identity_and_dominance(cyclo3):

@@ -273,14 +273,31 @@ def test_power_makes_at_most_k_minus_one_multiplications(name, monkeypatch):
 
 
 def test_qbinom_fills_only_the_needed_columns():
-    spec = Cyclotomic(5)  # a fresh field: an empty cache
-    alpha, beta = 300, 2
-    qbinom(spec, alpha, beta)
-    cache = spec._qbinom_cache
-    assert len(cache) <= (alpha + 1) * (beta + 1)
+    spec = Cyclotomic(5)
     # the other q-Pascal rule, [a, b] = [a-1, b-1] + q^b [a-1, b]
-    for (a, b), rep in cache.items():
-        if 1 <= b < a:
-            expect = spec.add(cache[(a - 1, b - 1)], spec.mul(spec.q_power(b), cache[(a - 1, b)]))
-            assert rep == expect, (a, b)
+    for a in range(2, 301):
+        for b in (1, 2):
+            if b < a:
+                expect = qbinom(spec, a - 1, b - 1) + spec.q ** b * qbinom(spec, a - 1, b)
+                assert qbinom(spec, a, b) == expect, (a, b)
     assert qbinom(spec, 9, 2) == qbinom_sum_oracle(spec, 9, 2)
+
+
+def test_qbinom_keeps_q_table_within_the_order_of_q():
+    spec = Cyclotomic(3)
+    value = qbinom(spec, 100000, 2)
+    assert len(spec._qpow) <= 3
+    # by q-Lucas, [3m + 1, 2] = C(m, 0) [1, 2] = 0 at a primitive cube root of 1
+    assert value.is_zero()
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("cyclotomic:e=3", 3), ("cyclotomic:e=4", 4), ("p=7,q=2", 3), ("p=97,q=3", 48),
+     ("ext:p=2,e=3", 3), ("p=5,q=1", 1)],
+)
+def test_q_power_is_power_of_q(name, order):
+    spec = parse_field(name)
+    for k in range(-50, 51):
+        assert spec.q_power(k) == spec.power(spec.q_rep, k), k
+    assert len(spec._qpow) == order

@@ -3,16 +3,14 @@ from math import factorial
 
 import pytest
 
-from heckespecht.partitions import partitions_of
+from heckespecht.partitions import check_composition, partitions_of
 from heckespecht.tableaux import (
     OneNodeCode,
     Tableau,
-    coset_decompose,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
     enumerate_standard,
-    enumerate_tableaux,
     one_node_codes,
     perm_identity,
     perm_inverse,
@@ -73,6 +71,24 @@ def test_semistandard_subset_of_row_standard():
                     assert t.is_semistandard()
 
 
+def enumerate_tableaux(shape, mu) -> list[Tableau]:
+    """Every filling of the shape with the given type (desk scale only)."""
+    shape = check_composition(shape)
+    mu = check_composition(mu)
+    if sum(shape) != sum(mu):
+        raise ValueError("shape and type must have equal sizes")
+    entries = [v for v, count in enumerate(mu, start=1) for _ in range(count)]
+    words = sorted(set(itertools.permutations(entries)))
+    out = []
+    for word in words:
+        rows, k = [], 0
+        for part in shape:
+            rows.append(word[k:k + part])
+            k += part
+        out.append(Tableau(rows))
+    return out
+
+
 def test_coset_bijection():
     for n in range(1, 7):
         for mu in partitions_of(n):
@@ -95,6 +111,22 @@ def test_coset_reps_special_shapes():
     assert coset_reps((4,)) == (perm_identity(4),)
     assert len(coset_reps((2, 1))) == 3
     assert len(coset_reps((1, 1, 1))) == 6
+
+
+def coset_decompose(shape, w):
+    """Write w = v d with v in the row stabiliser of the shape and d the
+    minimal coset representative; returns (length of v, d)."""
+    start = 0
+    d = []
+    lv = 0
+    for part in shape:
+        block = w[start:start + part]
+        order = sorted(block)
+        pattern = tuple(order.index(x) + 1 for x in block)
+        lv += perm_length(pattern)
+        d.extend(order)
+        start += part
+    return lv, tuple(d)
 
 
 def test_coset_decomposition_is_length_additive():
