@@ -10,6 +10,7 @@ unexpected internal failures with status 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -25,7 +26,7 @@ from .carter_payne import (
 )
 from .homs import HomSpec, compose_psi_theta, hom_space_dim
 from .partitions import parse_partition
-from .qfield import parse_field, qbinom, quantum_char, vanish_run
+from .qfield import parse_field, qbinom, qbinom_rows, quantum_char, vanish_run
 from .reducibility import classify_range
 from .tableaux import Tableau
 
@@ -203,8 +204,8 @@ def _dispatch(args, field):
         if args.max < 0:
             raise ValueError("--max must be nonnegative")
         table = [
-            [str(qbinom(field, a, b)) for b in range(a + 1)]
-            for a in range(args.max + 1)
+            [field.format_rep(rep) for rep in row]
+            for row in qbinom_rows(field, args.max, args.max)
         ]
         return {"max": args.max, "qbinom": table}, table
     raise ValueError(f"unknown command {cmd}")
@@ -275,7 +276,7 @@ def _emit(args, profile, result, rows, note=None) -> int:
         }
         if note:
             payload["note"] = note
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
         return 0
     if args.format == "csv":
         print(f"# field={field_name},e={e},p={p}")
@@ -289,22 +290,19 @@ def _emit(args, profile, result, rows, note=None) -> int:
 
 
 def _emit_csv(command, rows):
+    out = csv.writer(sys.stdout, lineterminator="\n")
     if command == "classify":
-        print("partition,e,p,verdict,witness,note")
-        for row in rows:
-            print(",".join(f'"{cell}"' if "," in str(cell) else str(cell) for cell in row))
+        out.writerow(("partition", "e", "p", "verdict", "witness", "note"))
+        out.writerows(rows)
     elif command == "tables":
-        width = len(rows) - 1 if rows else 0
-        print("alpha\\beta," + ",".join(str(b) for b in range(width + 1)))
-        for a, row in enumerate(rows):
-            print(f"{a}," + ",".join(row))
+        out.writerow(["alpha\\beta", *range(len(rows))])
+        out.writerows([a, *row] for a, row in enumerate(rows))
     elif command in ("cp-map", "compose"):
-        print("tableau,scalar")
-        for tab, scalar in rows:
-            print(f'"{tab}","{scalar}"')
+        out.writerow(("tableau", "scalar"))
+        out.writerows(rows)
     else:
-        print(",".join(str(k) for k, _ in rows))
-        print(",".join(str(v) for _, v in rows))
+        out.writerow([k for k, _ in rows])
+        out.writerow([v for _, v in rows])
 
 
 def _emit_text(command, rows):

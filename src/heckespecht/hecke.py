@@ -30,6 +30,7 @@ from .tableaux import (
     reduced_word,
     shape_row_of_position,
     standard_count,
+    t_row,
     w_lambda,
 )
 
@@ -367,31 +368,12 @@ class HeckeElement:
         return f"HeckeElement({items})"
 
 
-def row_stabilizer(shape, n: int | None = None):
+def row_stabilizer(shape):
     """Yield (w, length) over the row stabiliser of the row filling of the
-    shape, as permutations of 1..n."""
-    shape = check_composition(shape)
-    total = sum(shape)
-    if n is None:
-        n = total
-    blocks = []
-    start = 1
-    for part in shape:
-        blocks.append(tuple(range(start, start + part)))
-        start += part
-    tail = tuple(range(total + 1, n + 1))
-
-    def inversions(seq):
-        return sum(
-            1
-            for a in range(len(seq))
-            for b in range(a + 1, len(seq))
-            if seq[a] > seq[b]
-        )
-
-    for pieces in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        w = tuple(itertools.chain.from_iterable(pieces)) + tail
-        yield w, sum(inversions(p) for p in pieces)
+    shape."""
+    blocks = (itertools.permutations(row) for row in t_row(shape).rows)
+    for pieces in itertools.product(*blocks):
+        yield tuple(itertools.chain.from_iterable(pieces)), sum(map(perm_length, pieces))
 
 
 def x_element(field: FieldSpec, shape) -> HeckeElement:

@@ -38,6 +38,7 @@ from .partitions import (
 )
 from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import (
+    OneNodeCode,
     Tableau,
     coset_reps,
     enumerate_semistandard,
@@ -498,22 +499,15 @@ def one_node_conditions_check(field: FieldSpec, mu, coeffs) -> bool:
     mu = check_partition(mu)
     if mu[-1] != 1:
         raise ValueError("base partition must end in 1")
-    s = len(mu) - 1
-    lam = drop_trailing_zeros((mu[0] + 1,) + mu[1:-1])
     clean = {}
     for entries, rep in coeffs.items():
-        entries = tuple(entries)
-        if sorted(entries) != list(range(2, s + 2)):
-            raise ValueError(f"code {entries} is not a permutation of 2..{s + 1}")
-        for a, v in enumerate(entries, start=1):
-            if v < a:
-                raise ValueError(f"code {entries} puts {v} in slot {a}")
-            if a < s and lam[a - 1] == lam[a] and v >= entries[a]:
-                raise ValueError(f"code {entries} is not semistandard")
+        code = OneNodeCode(mu, entries)
+        if not code.is_semistandard():
+            raise ValueError(f"code {code.entries} is not semistandard")
         if hasattr(rep, "rep"):
             rep = rep.rep
-        clean[entries] = rep
-    for d in range(1, s + 1):
+        clean[code.entries] = rep
+    for d in range(1, len(mu)):
         groups: dict = {}
         for entries, rep in clean.items():
             rewritten = _merge_rewrite(field, mu, entries, d)

@@ -762,20 +762,30 @@ def qfact(spec: FieldSpec, alpha: int) -> Scalar:
     return Scalar(spec, out)
 
 
+def qbinom_rows(spec: FieldSpec, alpha: int, width: int):
+    """Yield the rows a = 0..alpha of the Gaussian binomial triangle, each
+    cut to the columns b <= min(a, width), as tuples of reps, by the
+    recurrence [a, b] = [a-1, b] + q^(a-b) [a-1, b-1]; valid at roots of
+    unity.
+
+    One row is updated in place, from right to left so that [a-1, b-1]
+    is still the old value when [a, b] is formed."""
+    row = [spec.one_rep] + [spec.zero_rep] * width
+    yield tuple(row[:1])
+    for a in range(1, alpha + 1):
+        for b in range(min(a, width), 0, -1):
+            row[b] = spec.add(row[b], spec.mul(spec.q_power(a - b), row[b - 1]))
+        yield tuple(row[:a + 1])
+
+
 @lru_cache(maxsize=4096)
 def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
-    """Gaussian binomial, by the recurrence
-    [a, b] = [a-1, b] + q^(a-b) [a-1, b-1]; valid at roots of unity.
-
-    One row of the triangle, the columns b <= beta, is updated in place
-    for a = 1..alpha, each row from right to left so that [a-1, b-1] is
-    still the old value when [a, b] is formed."""
+    """Gaussian binomial [alpha, beta]: the last of the rows of the
+    triangle cut to the columns b <= beta."""
     if beta < 0 or alpha < beta:
         raise ValueError("need 0 <= beta <= alpha")
-    row = [spec.one_rep] + [spec.zero_rep] * beta
-    for a in range(1, alpha + 1):
-        for b in range(min(a, beta), 0, -1):
-            row[b] = spec.add(row[b], spec.mul(spec.q_power(a - b), row[b - 1]))
+    for row in qbinom_rows(spec, alpha, beta):
+        pass
     return Scalar(spec, row[beta])
 
 

@@ -179,89 +179,60 @@ def shape_row_of_position(shape) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _row_fillings(length, values_ok, counts):
-    """Weakly increasing rows of a given length drawn from a multiset."""
-    if length == 0:
-        yield ()
+def _fillings(shape, mu, columns: bool) -> list[tuple[int, ...]]:
+    """Reading words of the fillings of the shape by the multiset of type
+    mu with weakly increasing rows and, when columns is set, strictly
+    increasing columns.  The cells are filled in reading order with the
+    values tried in increasing order, so the words come out sorted."""
+    shape = check_composition(shape)
+    mu = check_composition(mu)
+    if sum(shape) != sum(mu):
+        raise ValueError("shape and type must have equal sizes")
+    if columns and any(shape[i] > shape[i - 1] for i in range(1, len(shape))):
+        return []  # as in Tableau.is_semistandard: no row outgrows the one above
+    first, above = [], []
+    for i, part in enumerate(shape):
+        for j in range(part):
+            first.append(j == 0)
+            above.append(len(above) - shape[i - 1] if columns and i else -1)
+    out: list[tuple[int, ...]] = []
+    _fill([0] * len(first), 0, [0, *mu], first, above, out)
+    return out
+
+
+def _fill(word, k, remaining, first, above, out):
+    """Fill word[k:], with remaining[v] copies of each value v left."""
+    if k == len(word):
+        out.append(tuple(word))
         return
-    for row in itertools.combinations_with_replacement(values_ok, length):
-        ok = True
-        used: dict[int, int] = {}
-        for v in row:
-            used[v] = used.get(v, 0) + 1
-            if used[v] > counts[v]:
-                ok = False
-                break
-        if ok:
-            yield row
+    lo = 1 if first[k] else word[k - 1]
+    if above[k] >= 0 and word[above[k]] >= lo:
+        lo = word[above[k]] + 1
+    for v in range(lo, len(remaining)):
+        if remaining[v]:
+            remaining[v] -= 1
+            word[k] = v
+            _fill(word, k + 1, remaining, first, above, out)
+            remaining[v] += 1
+
+
+def _tableaux(shape, mu, columns: bool) -> list[Tableau]:
+    words = _fillings(shape, mu, columns)
+    ends = list(itertools.accumulate(shape))
+    cuts = list(zip([0] + ends, ends))
+    return [Tableau([word[a:b] for a, b in cuts]) for word in words]
 
 
 def enumerate_row_standard(shape, mu) -> list[Tableau]:
     """All row-standard tableaux of the given shape and type, in reading
     word order."""
-    shape = check_composition(shape)
-    mu = check_composition(mu)
-    if sum(shape) != sum(mu):
-        raise ValueError("shape and type must have equal sizes")
-    values = [v for v in range(1, len(mu) + 1)]
-    out: list[Tableau] = []
-
-    def fill(i, remaining, rows):
-        if i == len(shape):
-            out.append(Tableau(rows))
-            return
-        usable = [v for v in values if remaining[v]]
-        for row in _row_fillings(shape[i], usable, remaining):
-            for v in row:
-                remaining[v] -= 1
-            fill(i + 1, remaining, rows + [row])
-            for v in row:
-                remaining[v] += 1
-
-    fill(0, {v: mu[v - 1] for v in values}, [])
-    out.sort(key=lambda t: t.reading_word())
-    return out
+    return _tableaux(shape, mu, columns=False)
 
 
 def enumerate_semistandard(shape, mu) -> list[Tableau]:
     """All semistandard tableaux of the given shape and type, reading word
     order."""
-    shape = check_composition(shape)
-    mu = check_composition(mu)
-    if sum(shape) != sum(mu):
-        raise ValueError("shape and type must have equal sizes")
-    values = list(range(1, len(mu) + 1))
-    out: list[Tableau] = []
-
-    def fill(i, remaining, rows):
-        if i == len(shape):
-            out.append(Tableau(rows))
-            return
-        above = rows[i - 1] if i else None
-        if above is not None and shape[i] > len(above):
-            return
-
-        def build(j, row):
-            if j == shape[i]:
-                fill(i + 1, remaining, rows + [tuple(row)])
-                return
-            lo = row[-1] if row else 1
-            if above is not None:
-                lo = max(lo, above[j] + 1)
-            for v in values:
-                if v < lo or not remaining[v]:
-                    continue
-                remaining[v] -= 1
-                row.append(v)
-                build(j + 1, row)
-                row.pop()
-                remaining[v] += 1
-
-        build(0, [])
-
-    fill(0, {v: mu[v - 1] for v in values}, [])
-    out.sort(key=lambda t: t.reading_word())
-    return out
+    return _tableaux(shape, mu, columns=True)
 
 
 def enumerate_standard(shape) -> list[Tableau]:
@@ -306,22 +277,7 @@ def perm_of_tableau(tab: Tableau) -> tuple[int, ...]:
 def coset_reps(shape) -> tuple[tuple[int, ...], ...]:
     """Minimal coset representatives for the row stabiliser of the given
     shape: reading words of row-standard fillings by 1..n, sorted."""
-    shape = check_composition(shape)
-    n = sum(shape)
-    reps = []
-
-    def split(rest, shape_idx, acc):
-        if shape_idx == len(shape):
-            reps.append(tuple(acc))
-            return
-        k = shape[shape_idx]
-        for chosen in itertools.combinations(rest, k):
-            remaining = [x for x in rest if x not in chosen]
-            split(remaining, shape_idx + 1, acc + list(chosen))
-
-    split(list(range(1, n + 1)), 0, [])
-    reps.sort()
-    return tuple(reps)
+    return tuple(_fillings(shape, (1,) * sum(check_composition(shape)), columns=False))
 
 
 # ---------------------------------------------------------------------------
@@ -411,14 +367,14 @@ class OneNodeCode:
 
 def one_node_codes(base) -> list[OneNodeCode]:
     """All semistandard one-node codes over the given base, in the
-    lexicographic order of their entry sequences."""
-    base = check_partition(base)
-    s = len(base) - 1
-    out = []
-    for perm in itertools.permutations(range(2, s + 2)):
-        if all(v >= a for a, v in enumerate(perm, start=1)):
-            code = OneNodeCode(base, perm)
-            if code.is_semistandard():
-                out.append(code)
-    out.sort(key=lambda c: c.entries)
-    return out
+    lexicographic order of their entry sequences.  These are the
+    semistandard tableaux of the code shape and type base, read off at
+    the row ends: each of them is in one-node form."""
+    least = OneNodeCode(base, range(2, len(base) + 1))
+    if len(least.base) == 1:
+        return [least]  # the base (1,): one empty code, no tableau
+    ends = list(itertools.accumulate(least.shape))
+    return [
+        OneNodeCode(least.base, [word[e - 1] for e in ends])
+        for word in _fillings(least.shape, least.base, columns=True)
+    ]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from heckespecht import cli
 from heckespecht.cli import main
 from heckespecht.homs import HomSpec
+from heckespecht.qfield import parse_field, qbinom
 from heckespecht.reducibility import ReducibilityReport
 
 
@@ -155,6 +157,43 @@ def test_tables(capsys):
     code, out, _ = run_cli(capsys, "tables", "--field", "cyclotomic:e=2", "--max", "4")
     assert code == 0
     assert "[4] 1  0  2  0  1" in out
+
+
+def test_tables_match_per_cell_qbinom(capsys):
+    for name in ("cyclotomic:e=3", "p=7,q=2", "ext:p=2,e=3"):
+        field = parse_field(name)
+        for top in (0, 1, 12):
+            code, out, _ = run_cli(capsys, "--format", "json", "tables", "--field", name, "--max", str(top))
+            assert code == 0
+            table = json.loads(out)["result"]["qbinom"]
+            assert table == [
+                [str(qbinom(field, a, b)) for b in range(a + 1)] for a in range(top + 1)
+            ], (name, top)
+
+
+@pytest.mark.parametrize("argv", [
+    ("qbinom", "--alpha", "4", "--beta", "2"),
+    ("vanish-run", "--alpha", "4", "--beta", "2"),
+    ("trivial-sub", "--mu", "3,1"),
+    ("cp-eligible", "--mu", "3,2,2", "--a", "1", "--b", "3"),
+    ("cp-map", "--xi", "2,1,1", "--a", "1", "--b", "3"),
+    ("cp-verify", "--xi", "2,1,1", "--a", "1", "--b", "3"),
+    ("hom-dim", "--lambda", "3,1", "--mu", "2,2"),
+    ("compose", "--tableau", "[[1,1,2],[3]]", "--d", "1", "--t", "0"),
+    ("classify", "--n", "4"),
+    ("tables", "--max", "4"),
+])
+def test_csv_rows_as_wide_as_the_header(capsys, argv):
+    code, out, _ = run_cli(capsys, "--format", "csv", argv[0], "--field", "p=97,q=3", *argv[1:])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# field=p=97,q=3,e=48,p=97"
+    header, *rows = csv.reader(lines[1:])
+    assert rows
+    if argv[0] == "tables":  # the triangle: row a holds alpha and beta = 0..a
+        assert [len(row) for row in rows] == [a + 2 for a in range(len(header) - 1)]
+    else:
+        assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
 def test_byte_identical_reruns(capsys):

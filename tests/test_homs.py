@@ -468,6 +468,9 @@ def test_one_node_conditions_trivial_cases(cyclo3):
     assert one_node_conditions_check(cyclo3, (2, 1, 1), {})
     zeros = {c.entries: cyclo3.zero_rep for c in one_node_codes((2, 1, 1))}
     assert one_node_conditions_check(cyclo3, (2, 1, 1), zeros)
+    for base, entries in [((2, 2), (2,)), ((2, 1, 1), (2, 2)), ((1, 1, 1, 1), (3, 4, 2))]:
+        with pytest.raises(ValueError):
+            one_node_conditions_check(cyclo3, base, {entries: cyclo3.one_rep})
 
 
 def test_one_node_conditions_on_constructed_map(cyclo3, cyclo4):

@@ -188,7 +188,65 @@ def test_one_node_code_validation():
 
 
 def test_enumeration_is_sorted_by_reading_word():
-    for lam, mu in [((3, 1), (2, 1, 1)), ((2, 2), (1, 1, 1, 1))]:
-        tabs = enumerate_semistandard(lam, mu)
-        words = [t.reading_word() for t in tabs]
-        assert words == sorted(words)
+    for lam, mu in [((3, 1), (2, 1, 1)), ((2, 2), (1, 1, 1, 1)), ((2, 0, 2), (1, 2, 1))]:
+        for tabs in (enumerate_semistandard(lam, mu), enumerate_row_standard(lam, mu)):
+            words = [t.reading_word() for t in tabs]
+            assert words == sorted(words)
+        assert list(coset_reps(lam)) == sorted(coset_reps(lam))
+    words = [c.to_tableau().reading_word() for c in one_node_codes((2, 2, 1, 1, 1))]
+    assert len(words) > 1 and words == sorted(words)
+
+
+def _compositions(n, max_parts):
+    """The compositions of n with at most max_parts parts, zero parts
+    included."""
+    for k in range(max_parts + 1):
+        for parts in itertools.product(range(n + 1), repeat=k):
+            if sum(parts) == n:
+                yield parts
+
+
+def test_fillings_match_filtered_permutations():
+    for n in range(6):
+        comps = list(_compositions(n, 4))
+        for mu in comps:
+            for shape in comps:
+                every = enumerate_tableaux(shape, mu)
+                rs = [t for t in every if t.is_row_standard()]
+                ss = [t for t in every if t.is_semistandard()]
+                assert enumerate_row_standard(shape, mu) == rs, (shape, mu)
+                assert enumerate_semistandard(shape, mu) == ss, (shape, mu)
+
+
+def test_coset_reps_are_the_minimal_length_representatives():
+    for n in range(7):
+        shapes = set(_compositions(n, 3)) | {c for c in _compositions(n, n) if 0 not in c}
+        for shape in shapes:
+            ends = list(itertools.accumulate(shape))
+            cuts = list(zip([0] + ends, ends))
+            least: dict = {}
+            for w in itertools.permutations(range(1, n + 1)):
+                coset = tuple(frozenset(w[a:b]) for a, b in cuts)
+                if coset not in least or perm_length(w) < perm_length(least[coset]):
+                    least[coset] = w
+            assert coset_reps(shape) == tuple(sorted(least.values())), shape
+
+
+def test_one_node_codes_match_the_permutation_filter():
+    bases = [(1,), (2,), (2, 2), (3, 1, 1)]
+    bases += [mu for n in range(2, 10) for mu in partitions_of(n) if mu[-1] == 1 and len(mu) > 1]
+    for base in bases:
+        s = len(base) - 1
+        expect = []
+        try:
+            for perm in itertools.permutations(range(2, s + 2)):
+                if all(v >= a for a, v in enumerate(perm, start=1)):
+                    code = OneNodeCode(base, perm)
+                    if code.is_semistandard():
+                        expect.append(code)
+        except ValueError:
+            with pytest.raises(ValueError):
+                one_node_codes(base)
+        else:
+            expect.sort(key=lambda c: c.entries)
+            assert one_node_codes(base) == expect, base
