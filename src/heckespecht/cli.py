@@ -280,6 +280,8 @@ def _emit(args, profile, result, rows, note=None) -> int:
         return 0
     if args.format == "csv":
         print(f"# field={field_name},e={e},p={p}")
+        if note:
+            print(f"# note={note}")
         _emit_csv(args.command, rows)
         return 0
     print(f"field {field_name} (e={e}, p={p})")

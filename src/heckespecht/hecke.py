@@ -66,14 +66,6 @@ class ModuleVector:
             _acc(f, out, k, rep)
         return ModuleVector(f, self.shape, out)
 
-    def sub(self, other: "ModuleVector") -> "ModuleVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        f = self.field
-        for k, rep in other.coeffs.items():
-            _acc(f, out, k, f.neg(rep))
-        return ModuleVector(f, self.shape, out)
-
     def scale(self, scalar) -> "ModuleVector":
         f = self.field
         rep = scalar.rep if hasattr(scalar, "rep") else scalar
@@ -247,45 +239,53 @@ def act_element(v: ModuleVector, h: "HeckeElement") -> ModuleVector:
     return ModuleVector(f, v.shape, out)
 
 
-def word_order(v) -> list:
-    """v's keys paired with their reduced words, sorted by word."""
-    return sorted((reduced_word(w), w) for w in v.coeffs)
-
-
-def push_through(base: ModuleVector, v, order=None) -> ModuleVector:
+def push_through(base: ModuleVector, v) -> ModuleVector:
     """Image of v under the homomorphism sending the source generator to
-    base: sum of v's coefficients times base pushed by the basis words.
-    v is anything with a ``coeffs`` dict keyed by permutations, such as a
-    ``ModuleVector`` or a ``HeckeElement`` (then the result is base . v).
+    base, by ``push_many`` of v alone.  v is anything with a ``coeffs``
+    dict keyed by permutations, such as a ``ModuleVector`` or a
+    ``HeckeElement`` (then the result is base . v)."""
+    return ModuleVector(base.field, base.shape, push_many([v])(base)[0])
 
-    The keys are visited in the lexicographic order of their reduced
-    words, a depth-first walk of the prefix tree of those words, holding
-    the image of every prefix of the current word.  So each key w costs
-    one generator action on the image of its parent w s_i, i the last
-    letter of reduced_word(w), and shared prefixes are acted out once;
-    ``act_word`` and ``act_element`` remain the per-key oracles.  A caller
-    pushing one v through several maps passes ``order=word_order(v)`` to
-    sort once."""
-    f = base.field
-    rowpos = shape_row_of_position(base.shape)
-    mul = f.mul
-    out: dict = {}
-    path = [base.coeffs]  # path[j]: base pushed by the first j letters
-    prev = ()
-    for word, key in word_order(v) if order is None else order:
-        keep = 0
-        for a, b in zip(prev, word):
-            if a != b:
-                break
-            keep += 1
-        del path[keep + 1:]
-        for i in word[keep:]:
-            path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
-        c = v.coeffs[key]
-        for k, rep in path[-1].items():
-            _acc(f, out, k, mul(c, rep))
-        prev = word
-    return ModuleVector(f, base.shape, out)
+
+def push_many(vectors):
+    """push(base) -> the coefficient dicts of the vectors' images under
+    the homomorphism sending the source generator to base.
+
+    The union of the vectors' keys is sorted once, by reduced word, and
+    each push visits it in that order: a depth-first walk of the prefix
+    tree of the words, holding the image of base under every prefix of
+    the current word.  So each key w costs one generator action on the
+    image of its parent w s_i, i the last letter of reduced_word(w),
+    shared prefixes are acted out once, and one walk serves every
+    vector; ``act_word`` and ``act_element`` remain the per-key oracles."""
+    coeffs = [v.coeffs for v in vectors]
+    order = sorted((reduced_word(w), w) for w in {w for c in coeffs for w in c})
+
+    def push(base: ModuleVector) -> list:
+        f = base.field
+        rowpos = shape_row_of_position(base.shape)
+        mul = f.mul
+        outs = [{} for _ in coeffs]
+        path = [base.coeffs]  # path[j]: base pushed by the first j letters
+        prev = ()
+        for word, key in order:
+            keep = 0
+            for a, b in zip(prev, word):
+                if a != b:
+                    break
+                keep += 1
+            del path[keep + 1:]
+            for i in word[keep:]:
+                path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
+            for vc, out in zip(coeffs, outs):
+                c = vc.get(key)
+                if c is not None:
+                    for k, rep in path[-1].items():
+                        _acc(f, out, k, mul(c, rep))
+            prev = word
+        return outs
+
+    return push
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +344,6 @@ class HeckeElement:
         for i in reduced_word(tuple(w)):
             out = out.times_gen(i)
         return out
-
-    def times(self, other: "HeckeElement") -> "HeckeElement":
-        acc = HeckeElement(self.field, self.n, {})
-        for w, c in other.coeffs.items():
-            acc = acc.add(self.times_word(w).scale(c))
-        return acc
 
     def __eq__(self, other):
         return (

@@ -24,10 +24,10 @@ from .hecke import (
     SparseEchelon,
     _acc,
     act_word,  # re-exported: the per-key oracle for push_through
+    push_many,
     push_through,
     specht_generator,
     spin_specht,
-    word_order,
 )
 from .partitions import (
     check_composition,
@@ -166,24 +166,38 @@ def _psi_base(field: FieldSpec, mu, d: int, t: int) -> ModuleVector:
     return theta_image_of_x(field, Tableau(rows), nu)
 
 
-def psi_dt(v: ModuleVector, d: int, t: int, order=None) -> ModuleVector:
+def psi_dt(v: ModuleVector, d: int, t: int) -> ModuleVector:
     """The one-row-merge homomorphism applied to a permutation module
-    vector; ``order`` as for ``push_through``."""
-    return push_through(_psi_base(v.field, v.shape, d, t), v, order)
+    vector."""
+    return push_through(_psi_base(v.field, v.shape, d, t), v)
 
 
 def specht_membership(v: ModuleVector) -> bool:
     """Whether v lies in the Specht submodule of its permutation module:
     all one-row-merge maps send it to zero."""
-    mu = check_partition(v.shape)
-    if v.is_zero():
-        return True
-    order = word_order(v)
+    return _landing_dimension(check_partition(v.shape), [v]) == 1
+
+
+def _landing_dimension(mu, values) -> int:
+    """Dimension of the combinations of the given vectors of the
+    permutation module of mu that lie in its Specht submodule, that is
+    (kernel intersection) that every merge map psi_{d,t} kills.
+
+    One unknown per vector; one equation per merge map and per coset key
+    of the images under it, formed in the order the keys first appear
+    across the images and eliminated at once, so the solve stops at the
+    first merge map that brings the rank to the number of vectors."""
+    field = values[0].field
+    push = push_many(values)
+    echelon = SparseEchelon(field)
     for d in range(1, len(mu)):
         for t in range(mu[d]):
-            if not psi_dt(v, d, t, order).is_zero():
-                return False
-    return True
+            images = push(_psi_base(field, mu, d, t))
+            for k in dict.fromkeys(k for image in images for k in image):
+                row = {j: image[k] for j, image in enumerate(images) if k in image}
+                if echelon.insert(row) and len(echelon) == len(values):
+                    return 0
+    return len(values) - len(echelon)
 
 
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:
@@ -291,7 +305,7 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
         ones = ModuleVector(
             field, mu, {d: field.one_rep for d in coset_reps(mu)}
         )
-        return 1 if specht_membership(ones) else 0
+        return _landing_dimension(mu, [ones])
     if semistandard_scope(field.profile(), lam):
         return _semistandard_dimension(field, lam, mu)
     sa = spin_specht(field, lam)
@@ -305,28 +319,15 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
 
     The maps are the combinations of the restricted basis maps theta_T,
     T semistandard of shape lam and type mu, that land in the Specht
-    submodule, that is (kernel intersection) whose value at the
-    generator every merge map kills.  One unknown per T; one equation
-    per merge map and per coset key of the images under it of the
-    values v_T = theta_T(generator)."""
+    submodule: the landing dimension of the values
+    v_T = theta_T(generator)."""
     tabs = enumerate_semistandard(lam, mu)
-    total = len(tabs)
-    if not total:
+    if not tabs:
         return 0
     gen = specht_generator(field, lam)
-    values = [push_through(theta_image_of_x(field, tab, mu), gen) for tab in tabs]
-    orders = [word_order(v) for v in values]
-    echelon = SparseEchelon(field)
-    for d in range(1, len(mu)):
-        for t in range(mu[d]):
-            rows: dict = {}
-            for j, (v, order) in enumerate(zip(values, orders)):
-                for k, rep in psi_dt(v, d, t, order).coeffs.items():
-                    rows.setdefault(k, {})[j] = rep
-            for row in rows.values():
-                if echelon.insert(row) and len(echelon) == total:
-                    return 0
-    return total - len(echelon)
+    return _landing_dimension(
+        mu, [push_through(theta_image_of_x(field, tab, mu), gen) for tab in tabs]
+    )
 
 
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:

@@ -248,11 +248,17 @@ def standard_count(shape) -> int:
 def row_equiv_class(tab: Tableau) -> list[Tableau]:
     """All tableaux row-equivalent to tab (all orderings within rows),
     deterministic order."""
-    per_row = []
-    for row in tab.rows:
-        seen = sorted(set(itertools.permutations(row)))
-        per_row.append(seen)
-    out = [Tableau(rows) for rows in itertools.product(*per_row)]
+    return [Tableau(rows) for rows in itertools.product(*map(_orderings, tab.rows))]
+
+
+def _orderings(row) -> list[tuple[int, ...]]:
+    """The distinct orderings of a row of positive integers, sorted: the
+    fill in which every cell starts a row and no column links cells."""
+    remaining = [0] * (max(row, default=0) + 1)
+    for v in row:
+        remaining[v] += 1
+    out: list[tuple[int, ...]] = []
+    _fill([0] * len(row), 0, remaining, [True] * len(row), [-1] * len(row), out)
     return out
 
 

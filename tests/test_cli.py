@@ -196,6 +196,20 @@ def test_csv_rows_as_wide_as_the_header(capsys, argv):
         assert [len(row) for row in rows] == [len(header)] * len(rows)
 
 
+def test_out_of_scope_note_in_every_format(capsys):
+    argv = ("cp-eligible", "--field", "cyclotomic:e=3", "--mu", "3,2,2", "--a", "1", "--b", "3",
+            "--gamma", "2")
+    note = "gamma=2 across rows 1<3 is outside the proven scope"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and note in out.splitlines()
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert json.loads(out)["note"] == note
+    code, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    assert out.splitlines() == [
+        "# field=cyclotomic:e=3,e=3,p=0", f"# note={note}", "verdict", "outside proven scope",
+    ]
+
+
 def test_byte_identical_reruns(capsys):
     args = ("--format", "json", "classify", "--field", "p=7,q=2", "--n", "5")
     _, first, _ = run_cli(capsys, *args)

@@ -16,6 +16,7 @@ from heckespecht.hecke import (
 from heckespecht.homs import (
     HomSpec,
     _intertwiner_dimension,
+    _landing_dimension,
     _semistandard_dimension,
     _psi_base,
     compose_psi_theta,
@@ -318,6 +319,65 @@ def test_membership_sorts_keys_once(cyclo3, monkeypatch):
     monkeypatch.setattr(hecke, "reduced_word", counted)
     assert specht_membership(v)
     assert sorted(looked_up) == sorted(v.coeffs)
+    # the in-scope solve: each value v_T sorts the generator's keys once,
+    # then the landing solve sorts the union of the values' keys once for
+    # all the merge maps, not once per value
+    lam, mu = (2, 1, 1, 1, 1), (1,) * 6
+    gen = specht_generator(cyclo3, lam)
+    values = [
+        push_through(theta_image_of_x(cyclo3, tab, mu), gen)
+        for tab in enumerate_semistandard(lam, mu)
+    ]
+    union = {w for value in values for w in value.coeffs}
+    looked_up.clear()
+    _semistandard_dimension(cyclo3, lam, mu)
+    assert sorted(looked_up) == sorted([*union] + [*gen.coeffs] * len(values))
+    assert len(looked_up) == 1320  # 720 union keys and 5 * 120 generator keys
+
+
+ROADMAP_FIELDS = (
+    "cyclotomic:e=2", "cyclotomic:e=3", "cyclotomic:e=4",
+    "p=2,q=1", "p=3,q=2", "ext:p=2,e=3", "p=97,q=3",
+)
+
+
+def _random_values(field, mu, rng) -> list:
+    """One to four vectors of the permutation module of mu: random
+    combinations of spun Specht rows, about half of them with a stray
+    coset basis vector added."""
+    rows = [row for _, row in spin_specht(field, mu).echelon.rows]
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs: dict = {}
+        for row in rng.sample(rows, rng.randint(1, min(3, len(rows)))):
+            c = field.q_power(rng.randrange(6))
+            for k, rep in row.items():
+                hecke._acc(field, coeffs, k, field.mul(c, rep))
+        if rng.random() < 0.5:
+            hecke._acc(field, coeffs, rng.choice(coset_reps(mu)), field.one_rep)
+        out.append(ModuleVector(field, mu, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_landing_dimension_matches_spun_module(spec):
+    # the combinations landing in S^mu number K - (dim(S^mu + span) - dim S^mu)
+    field = parse_field(spec)
+    rng = random.Random(spec)
+    checks = partial = 0
+    for n in range(1, 6):
+        for mu in partitions_of(n):
+            for _ in range(3):
+                values = _random_values(field, mu, rng)
+                span = hecke.SparseEchelon(field)
+                for _, row in spin_specht(field, mu).echelon.rows:
+                    span.insert(dict(row))
+                outside = sum(span.insert(dict(v.coeffs)) for v in values)
+                got = _landing_dimension(mu, values)
+                assert got == len(values) - outside, (mu, values)
+                checks += 1
+                partial += 0 < got < len(values)
+    assert checks == 54 and partial >= 10, partial
 
 
 def test_semistandard_values_linearly_independent(cyclo3):

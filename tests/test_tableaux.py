@@ -150,6 +150,21 @@ def test_row_equiv_class_sizes():
     assert len(row_equiv_class(Tableau([[1, 2, 3], [4, 5]]))) == 12
     assert len(row_equiv_class(Tableau([[1, 1, 2]]))) == 3
     assert len(row_equiv_class(Tableau([[1], [2], [3]]))) == 1
+    # a long row with one repeated value: its 10 orderings, not 10! permutations
+    long_row = row_equiv_class(Tableau([[1] * 9 + [2]]))
+    assert [t.rows[0].index(2) for t in long_row] == list(range(9, -1, -1))
+    # against the brute force over every permutation of every row
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for tab in enumerate_row_standard(lam, mu):
+                    brute = itertools.product(
+                        *(sorted(set(itertools.permutations(row))) for row in tab.rows)
+                    )
+                    assert row_equiv_class(tab) == [Tableau(rows) for rows in brute], tab
+                    checked += 1
+    assert checked > 1000
 
 
 def test_standard_counts_match_enumeration():
