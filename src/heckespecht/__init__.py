@@ -34,8 +34,6 @@ from .homs import (
     restriction_is_zero,
     specht_membership,
     theta_on_generator,
-    transfer_column_removal,
-    transfer_row_removal,
 )
 from .partitions import (
     conjugate,
@@ -44,8 +42,6 @@ from .partitions import (
     is_2regular,
     nu_composition,
     partitions_of,
-    trim_first_column,
-    trim_first_row,
 )
 from .qfield import (
     Cyclotomic,

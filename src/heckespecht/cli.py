@@ -211,18 +211,25 @@ def _dispatch(args, field):
     raise ValueError(f"unknown command {cmd}")
 
 
+_MAP_FORMS = "--xi/--a/--b for a one-node map or --mu/--a/--gamma for adjacent rows"
+
+
 def _build_map(args, field) -> HomSpec:
+    if (args.xi, args.b) != (None, None) and (args.mu, args.gamma) != (None, None):
+        raise ValueError(f"give {_MAP_FORMS}, not both")
     if args.xi is not None:
         if args.b is None:
             raise ValueError("--xi needs --b")
         return one_node_map(field, parse_partition(args.xi), args.a, args.b)
     if args.mu is not None and args.gamma is not None:
         return adjacent_map(field, parse_partition(args.mu), args.a, args.gamma)
-    raise ValueError("give --xi/--a/--b for a one-node map or --mu/--a/--gamma for adjacent rows")
+    raise ValueError(f"give {_MAP_FORMS}")
 
 
 def _load_or_build_map(args, field) -> HomSpec:
     if args.hom_json:
+        if (args.xi, args.a, args.b, args.mu, args.gamma) != (None,) * 5:
+            raise ValueError(f"give --hom-json or {_MAP_FORMS}, not both")
         if args.hom_json == "-":
             data = json.load(sys.stdin)
         else:

@@ -356,87 +356,6 @@ def _intertwiner_dimension(field, mats_a, mats_b) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row and column removal transfers
-
-def transfer_row_removal(hom: HomSpec, first_row: int) -> HomSpec:
-    """Lift a homomorphism across the removal of equal first rows: prepend
-    a first row of the given length to both shapes and shift the
-    coefficient tableaux along the positional bijection."""
-    lam_bar = hom.source
-    mu_bar = check_partition(drop_trailing_zeros(hom.target))
-    if lam_bar and first_row < lam_bar[0]:
-        raise ValueError("first row too short for the source")
-    if mu_bar and first_row < mu_bar[0]:
-        raise ValueError("first row too short for the target")
-    lam = (first_row,) + lam_bar
-    mu = (first_row,) + mu_bar
-    coeffs = {}
-    for tab, rep in hom.coeffs.items():
-        rows = [(1,) * first_row]
-        rows.extend(tuple(v + 1 for v in row) for row in tab.rows)
-        coeffs[Tableau(rows)] = rep
-    return HomSpec(hom.field, lam, mu, coeffs)
-
-
-def restrict_row_removal(hom: HomSpec) -> HomSpec:
-    """Inverse direction: drop equal first rows."""
-    lam = hom.source
-    mu = check_partition(drop_trailing_zeros(hom.target))
-    if not lam or not mu or lam[0] != mu[0]:
-        raise ValueError("first rows must be equal")
-    coeffs = {}
-    for tab, rep in hom.coeffs.items():
-        first = tab.rows[0]
-        if set(first) != {1}:
-            raise ValueError("coefficient tableau has a mixed first row")
-        rows = [tuple(v - 1 for v in row) for row in tab.rows[1:]]
-        coeffs[Tableau(rows)] = rep
-    return HomSpec(hom.field, lam[1:], mu[1:], coeffs)
-
-
-def transfer_column_removal(hom: HomSpec, rows_count: int) -> HomSpec:
-    """Lift a homomorphism across the removal of equal first columns:
-    prepend a full first column of the given height to both shapes."""
-    lam_bar = hom.source
-    mu_bar = check_partition(drop_trailing_zeros(hom.target))
-    if rows_count < max(len(lam_bar), len(mu_bar), 1):
-        raise ValueError("column too short for the shapes")
-    lam = tuple((lam_bar[i] if i < len(lam_bar) else 0) + 1 for i in range(rows_count))
-    mu = tuple((mu_bar[i] if i < len(mu_bar) else 0) + 1 for i in range(rows_count))
-    coeffs = {}
-    for tab, rep in hom.coeffs.items():
-        if any(v > rows_count for row in tab.rows for v in row):
-            raise ValueError("tableau entry exceeds the new row count")
-        rows = []
-        for i in range(rows_count):
-            old = tab.rows[i] if i < len(tab.rows) else ()
-            rows.append((i + 1,) + old)
-        coeffs[Tableau(rows)] = rep
-    return HomSpec(hom.field, lam, mu, coeffs)
-
-
-def restrict_column_removal(hom: HomSpec) -> HomSpec:
-    lam = hom.source
-    mu = check_partition(drop_trailing_zeros(hom.target))
-    if len(lam) != len(mu):
-        raise ValueError("first columns must be equal")
-    coeffs = {}
-    for tab, rep in hom.coeffs.items():
-        for i, row in enumerate(tab.rows, start=1):
-            if not row or row[0] != i:
-                raise ValueError("coefficient tableau has a non-canonical first column")
-        rows = [row[1:] for row in tab.rows]
-        rows = [row for row in rows if row]
-        coeffs[Tableau(rows)] = rep
-    return HomSpec(
-        hom.field,
-        drop_trailing_zeros(x - 1 for x in lam),
-        drop_trailing_zeros(x - 1 for x in mu),
-        coeffs,
-    )
-
-
-# ---------------------------------------------------------------------------
 # the linear conditions for one-node homomorphisms
 
 def _merge_rewrite(field: FieldSpec, mu, entries, d: int):

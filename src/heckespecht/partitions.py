@@ -37,10 +37,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return check_partition(int(p) for p in text.split(","))
 
 
-def format_parts(parts) -> str:
-    return ",".join(str(p) for p in parts)
-
-
 def drop_trailing_zeros(parts) -> tuple[int, ...]:
     parts = tuple(parts)
     n = len(parts)
@@ -104,27 +100,6 @@ def nu_composition(mu, d: int, t: int) -> tuple[int, ...]:
     out[d - 1] = mu[d - 1] + mu[d] - t
     out[d] = t
     return tuple(out)
-
-
-def trim_first_row(lam, mu):
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if not lam or not mu or lam[0] != mu[0]:
-        raise ValueError("first rows must be equal")
-    return lam[1:], mu[1:]
-
-
-def trim_first_column(lam, mu):
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if len(lam) != len(mu):
-        raise ValueError("first columns must be equal")
-    if not lam:
-        raise ValueError("nothing to trim")
-    return (
-        drop_trailing_zeros(x - 1 for x in lam),
-        drop_trailing_zeros(x - 1 for x in mu),
-    )
 
 
 def is_2regular(lam) -> bool:

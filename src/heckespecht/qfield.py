@@ -31,32 +31,33 @@ from math import gcd
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials, ascending coefficient tuples
+# polynomials as ascending coefficient tuples, over the integers (p = 0)
+# or over F_p
 
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _trim(coeffs, p=0):
+    out = [c % p for c in coeffs] if p else list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def _poly_div_monic(a, b):
-    """Exact division of a by a monic b over the integers."""
+def _divmod(a, b, p=0):
+    """Quotient and remainder of a by b: over F_p, or over the integers
+    for p = 0, where b must be monic."""
     a = list(a)
     db = len(b) - 1
-    if db < 0 or b[-1] != 1:
+    if not p and (db < 0 or b[-1] != 1):
         raise ValueError("divisor must be monic")
+    inv_lead = pow(b[-1], -1, p) if p else 1
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
+        c = a[i] * inv_lead % p if p else a[i]
         if c == 0:
             continue
         q[i - db] = c
         for j in range(db + 1):
             a[i - db + j] -= c * b[j]
-    if any(a[:db]):
-        raise ValueError("division is not exact")
-    return _trim(q)
+    return _trim(q, p), _trim(a[:db], p)
 
 
 @lru_cache(maxsize=64)
@@ -68,33 +69,10 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     poly = tuple([-1] + [0] * (e - 1) + [1])
     for d in range(1, e):
         if e % d == 0:
-            poly = _poly_div_monic(poly, cyclotomic_polynomial(d))
+            poly, rem = _divmod(poly, cyclotomic_polynomial(d))
+            if rem:
+                raise ValueError("division is not exact")
     return poly
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_p, used for the extension-field machinery
-
-def _pmod_trim(coeffs, p):
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _pmod_divmod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv_lead) % p
-        if c == 0:
-            continue
-        q[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    return _pmod_trim(q, p), _pmod_trim(a[:db], p)
 
 
 def _pmod_monic_polys(degree, p):
@@ -104,7 +82,7 @@ def _pmod_monic_polys(degree, p):
 
 def poly_is_irreducible_mod_p(poly, p: int) -> bool:
     """Exhaustive trial-division irreducibility check, desk scale only."""
-    poly = _pmod_trim(poly, p)
+    poly = _trim(poly, p)
     deg = len(poly) - 1
     if deg <= 0:
         return False
@@ -112,7 +90,7 @@ def poly_is_irreducible_mod_p(poly, p: int) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for g in _pmod_monic_polys(d, p):
-            _, r = _pmod_divmod(poly, g, p)
+            _, r = _divmod(poly, g, p)
             if not r:
                 return False
     return True
@@ -129,9 +107,9 @@ def _first_irreducible_factor(e: int, p: int):
     while r != 1:
         r = (r * p) % e
         d += 1
-    phi = _pmod_trim(cyclotomic_polynomial(e), p)
+    phi = _trim(cyclotomic_polynomial(e), p)
     for g in _pmod_monic_polys(d, p):
-        q, rem = _pmod_divmod(phi, g, p)
+        q, rem = _divmod(phi, g, p)
         if not rem and poly_is_irreducible_mod_p(g, p):
             return g
     raise ValueError(f"no degree-{d} factor of Phi_{e} over F_{p}")
@@ -513,12 +491,12 @@ class PrimeExtension(FieldSpec):
     def __init__(self, p: int, modulus, q=None, label: str | None = None):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        modulus = _pmod_trim(modulus, p)
+        modulus = _trim(modulus, p)
         if len(modulus) < 2:
             raise ValueError("modulus must have positive degree")
         if modulus[-1] != 1:
             inv = pow(modulus[-1], -1, p)
-            modulus = _pmod_trim([c * inv for c in modulus], p)
+            modulus = _trim([c * inv for c in modulus], p)
         if not poly_is_irreducible_mod_p(modulus, p):
             raise ValueError("modulus is reducible")
         self.p = p

@@ -23,18 +23,6 @@ def perm_identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def perm_mul(u, v):
-    """Apply u, then v (right action composition)."""
-    return tuple(v[x - 1] for x in u)
-
-
-def perm_inverse(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w, start=1):
-        out[x - 1] = i
-    return tuple(out)
-
-
 def perm_length(w) -> int:
     """Coxeter length as the inversion count of the one-line word."""
     n = len(w)
@@ -85,10 +73,6 @@ class Tableau:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)
-
-    @property
-    def size(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def content(self) -> tuple[int, ...]:
         """The type: entry v occurs content()[v-1] times."""

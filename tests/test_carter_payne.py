@@ -12,9 +12,9 @@ from heckespecht.carter_payne import (
     trivial_hom_exists,
     verify_cp,
 )
-from heckespecht.homs import hom_space_dim, restriction_into_specht, transfer_row_removal
+from heckespecht.homs import hom_space_dim, restriction_into_specht
 from heckespecht.partitions import partitions_of
-from heckespecht.qfield import Cyclotomic, QuantumProfile, spec_for_profile
+from heckespecht.qfield import Cyclotomic, QuantumProfile, parse_field, spec_for_profile
 from heckespecht.tableaux import OneNodeCode
 
 
@@ -231,23 +231,26 @@ def test_one_node_at_e2_gives_lower_bound_only():
                 assert hom_space_dim(c2, inst.lam, inst.mu) == 0, inst
 
 
-def test_row_transfer_consistency_sample(cyclo3):
-    # lifting a landing one-node map across a first-row prepend keeps it landing
-    hom = one_node_map(cyclo3, (2, 1), 1, 2)
-    for width in (3, 4):
-        lifted = transfer_row_removal(hom, width)
-        assert restriction_into_specht(lifted)
-
-
-def test_row_transfer_preserves_membership_both_ways(cyclo3, cyclo4):
-    # sampled one-node instances up to n = 7 after the lift
-    for field in (cyclo3, cyclo4):
-        prof = field.profile()
-        for xi, a, b in [((2, 1), 1, 2), ((2, 1, 1), 1, 3), ((2, 2, 1), 1, 3), ((3, 1), 1, 2)]:
-            hom = one_node_map(field, xi, a, b)
-            before = restriction_into_specht(hom)
-            width = max(hom.source[0], xi[0]) + 1
-            if sum(xi) + width > 7:
-                width = max(hom.source[0], xi[0])
-            lifted = transfer_row_removal(hom, width)
-            assert restriction_into_specht(lifted) == before, (field.name, xi, a, b)
+def test_row_and_column_removal_preserve_landing():
+    # the one-node map on a shape with a first row of width w prepended, or
+    # with a first column of height k prepended, lands exactly when the map
+    # on the trimmed shape does; the enlarged sizes are kept to n <= 8
+    checks = landing = 0
+    for name in ("cyclotomic:e=2", "cyclotomic:e=3", "cyclotomic:e=4", "p=2,q=1"):
+        field = parse_field(name)
+        for n in range(2, 6):
+            for inst in one_node_instances(n):
+                xi, a, b = inst.mu, inst.a, inst.b
+                lands = restriction_into_specht(one_node_map(field, xi, a, b))
+                lifts = [
+                    one_node_map(field, (w,) + xi, a + 1, b + 1)
+                    for w in (inst.lam[0], inst.lam[0] + 1) if n + w <= 8
+                ] + [
+                    one_node_map(field, tuple(x + 1 for x in xi) + (1,) * (k - len(xi)), a, b)
+                    for k in (len(xi), len(xi) + 1) if n + k <= 8
+                ]
+                for hom in lifts:
+                    assert restriction_into_specht(hom) == lands, (name, xi, a, b, hom.source)
+                checks += len(lifts)
+                landing += lands * len(lifts)
+    assert checks == 184 and 0 < landing < checks

@@ -98,6 +98,39 @@ def test_cp_verify_rejects_field_mismatch(capsys, tmp_path):
     assert "cyclotomic:e=3" in err
 
 
+@pytest.mark.parametrize("command", ["cp-map", "cp-verify"])
+@pytest.mark.parametrize("flags", [
+    ("--xi", "2,1", "--a", "1", "--b", "2", "--mu", "2,2", "--gamma", "1"),
+    ("--xi", "2,1", "--a", "1", "--b", "2", "--gamma", "1"),
+    ("--mu", "2,2", "--a", "1", "--gamma", "1", "--b", "3"),
+    ("--mu", "2,2", "--a", "1", "--gamma", "1", "--xi", "2,1"),
+])
+def test_mixed_map_flags_exit_2(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, "--field", "cyclotomic:e=3", *flags)
+    assert (code, out) == (2, "")
+    assert "--xi/--a/--b" in err and "--mu/--a/--gamma" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--xi", "2,1", "--a", "1", "--b", "2"),
+    ("--mu", "2,2", "--a", "1", "--gamma", "1"),
+    ("--a", "1",),
+    ("--gamma", "1",),
+])
+def test_cp_verify_rejects_hom_json_with_map_flags(capsys, tmp_path, flags):
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "cp-map", "--field", "cyclotomic:e=3",
+        "--xi", "2,1", "--a", "1", "--b", "2",
+    )
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(json.loads(out)["result"]))
+    code, out, err = run_cli(
+        capsys, "cp-verify", "--field", "cyclotomic:e=3", "--hom-json", str(path), *flags
+    )
+    assert (code, out) == (2, "")
+    assert "--hom-json" in err and "--xi/--a/--b" in err and "--mu/--a/--gamma" in err
+
+
 def test_cp_eligible_outside_scope(capsys):
     code, out, _ = run_cli(
         capsys, "cp-eligible", "--field", "cyclotomic:e=3",

@@ -27,14 +27,10 @@ from heckespecht.homs import (
     push_through,
     restriction_into_specht,
     restriction_is_zero,
-    restrict_column_removal,
-    restrict_row_removal,
     semistandard_scope,
     specht_membership,
     theta_image_of_x,
     theta_on_generator,
-    transfer_column_removal,
-    transfer_row_removal,
 )
 from heckespecht.partitions import check_partition, drop_trailing_zeros, dominates, partitions_of
 from heckespecht.qfield import Cyclotomic, FieldSpec, QuantumProfile, parse_field, qint
@@ -544,43 +540,6 @@ def test_one_node_conditions_on_constructed_map(cyclo3, cyclo4):
             for tab, rep in hom.coeffs.items()
         }
         assert one_node_conditions_check(field, mu, coeffs) is expect
-
-
-def test_row_transfer_round_trip(cyclo3):
-    hom = one_node_map(cyclo3, (2, 1), 1, 2)
-    lifted = transfer_row_removal(hom, 3)
-    assert lifted.source == (3, 3)
-    assert lifted.target == (3, 2, 1)
-    assert restrict_row_removal(lifted) == hom
-    assert restriction_into_specht(hom) == restriction_into_specht(lifted)
-
-
-def test_row_transfer_membership_preserved_at_e2():
-    c2 = Cyclotomic(2)
-    hom = one_node_map(c2, (1, 1), 1, 2)
-    lifted = transfer_row_removal(hom, 2)
-    assert (lifted.source, lifted.target) == ((2, 2), (2, 1, 1))
-    assert restriction_into_specht(hom)
-    assert restriction_into_specht(lifted)
-
-
-def test_column_transfer_round_trip(cyclo3):
-    hom = one_node_map(cyclo3, (2, 1), 1, 2)
-    lifted = transfer_column_removal(hom, 3)
-    assert lifted.source == (4, 1, 1)
-    assert lifted.target == (3, 2, 1)
-    assert restrict_column_removal(lifted) == hom
-    assert restriction_into_specht(lifted)
-
-
-def test_transfer_preconditions(cyclo3):
-    hom = one_node_map(cyclo3, (2, 1), 1, 2)
-    with pytest.raises(ValueError):
-        transfer_row_removal(hom, 1)  # shorter than both first rows
-    with pytest.raises(ValueError):
-        restrict_row_removal(hom)  # first rows differ: (3,) vs (2,1)
-    with pytest.raises(ValueError):
-        transfer_column_removal(hom, 0)
 
 
 def test_hom_spec_json_round_trip(cyclo4):

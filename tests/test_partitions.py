@@ -5,14 +5,11 @@ from heckespecht.partitions import (
     conjugate,
     dominates,
     drop_trailing_zeros,
-    format_parts,
     hook_length,
     is_2regular,
     nu_composition,
     parse_partition,
     partitions_of,
-    trim_first_column,
-    trim_first_row,
 )
 
 
@@ -80,16 +77,6 @@ def test_nu_composition():
         nu_composition((3, 2), 2, 0)
 
 
-def test_trims():
-    assert trim_first_row((3, 2), (3, 1, 1)) == ((2,), (1, 1))
-    with pytest.raises(ValueError):
-        trim_first_row((3, 2), (2, 2, 1))
-    assert trim_first_column((3, 2), (2, 2)) == ((2, 1), (1, 1))
-    assert trim_first_column((3, 1), (2, 2)) == ((2,), (1, 1))
-    with pytest.raises(ValueError):
-        trim_first_column((3, 1), (2, 1, 1))
-
-
 def test_is_2regular():
     assert is_2regular((3, 2, 1))
     assert not is_2regular((2, 2))
@@ -105,7 +92,6 @@ def test_partition_validation_and_parsing():
     assert parse_partition("") == ()
     with pytest.raises(ValueError):
         parse_partition("2,3")
-    assert format_parts((3, 2, 1)) == "3,2,1"
     assert drop_trailing_zeros((3, 2, 0, 0)) == (3, 2)
 
 
