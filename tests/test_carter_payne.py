@@ -231,6 +231,30 @@ def test_one_node_at_e2_gives_lower_bound_only():
                 assert hom_space_dim(c2, inst.lam, inst.mu) == 0, inst
 
 
+def test_row_transfer_consistency_sample(cyclo3):
+    # prepending a first row to a landing one-node map keeps it landing
+    hom = one_node_map(cyclo3, (2, 1), 1, 2)
+    assert restriction_into_specht(hom)
+    for width in (3, 4):
+        lifted = one_node_map(cyclo3, (width, 2, 1), 2, 3)
+        assert (lifted.source, lifted.target) == ((width, 3), (width, 2, 1))
+        assert restriction_into_specht(lifted)
+
+
+def test_row_transfer_preserves_membership_both_ways(cyclo3, cyclo4):
+    # sampled one-node instances up to n = 7 after prepending a first row
+    for field in (cyclo3, cyclo4):
+        for xi, a, b in [((2, 1), 1, 2), ((2, 1, 1), 1, 3), ((2, 2, 1), 1, 3), ((3, 1), 1, 2)]:
+            hom = one_node_map(field, xi, a, b)
+            before = restriction_into_specht(hom)
+            width = max(hom.source[0], xi[0]) + 1
+            if sum(xi) + width > 7:
+                width = max(hom.source[0], xi[0])
+            lifted = one_node_map(field, (width,) + xi, a + 1, b + 1)
+            assert (lifted.source, lifted.target) == ((width,) + hom.source, (width,) + xi)
+            assert restriction_into_specht(lifted) == before, (field.name, xi, a, b)
+
+
 def test_row_and_column_removal_preserve_landing():
     # the one-node map on a shape with a first row of width w prepended, or
     # with a first column of height k prepended, lands exactly when the map

@@ -542,6 +542,16 @@ def test_one_node_conditions_on_constructed_map(cyclo3, cyclo4):
         assert one_node_conditions_check(field, mu, coeffs) is expect
 
 
+def test_row_transfer_membership_preserved_at_e2():
+    # at e = 2 the one-node map and its first-row enlargement both land
+    c2 = Cyclotomic(2)
+    hom = one_node_map(c2, (1, 1), 1, 2)
+    lifted = one_node_map(c2, (2, 1, 1), 2, 3)
+    assert (lifted.source, lifted.target) == ((2, 2), (2, 1, 1))
+    assert restriction_into_specht(hom)
+    assert restriction_into_specht(lifted)
+
+
 def test_hom_spec_json_round_trip(cyclo4):
     hom = one_node_map(cyclo4, (2, 1, 1), 1, 3)
     data = hom.to_json()
