@@ -10,9 +10,10 @@ for zero.
 The symbolic composition rule rewrites a merge map composed with a basis
 homomorphism as an explicit Gaussian-binomial combination of basis
 homomorphisms; the brute-force evaluation path stays available as an
-oracle for it.  Hom-space dimensions come from the semistandard basis
-maps where the semistandard homomorphism theorem holds, and otherwise
-from the exact intertwiner system on spun-out generator matrices.
+oracle for it.  Hom-space dimensions are solved for (lam, mu) or its
+conjugate dual (mu', lam'), whichever is cheaper: over the semistandard
+basis maps where the semistandard homomorphism theorem holds, and
+otherwise from the exact intertwiner system on spun-out generator matrices.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .hecke import (
 from .partitions import (
     check_composition,
     check_partition,
+    conjugate,
     drop_trailing_zeros,
     is_2regular,
     nu_composition,
@@ -43,6 +45,7 @@ from .tableaux import (
     coset_reps,
     enumerate_semistandard,
     perm_of_tableau,
+    permutation_dim,
     row_equiv_class,
 )
 
@@ -290,6 +293,29 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
     """Dimension of the space of module maps from the Specht module of
     lam to the Specht module of mu.
 
+    It equals the dimension for the conjugates (mu', lam'): the dual of a
+    Specht module is that of the conjugate shape twisted by # (Dipper-James;
+    Mathas, ch. 3).  Unless lam is one row, the cheaper side is solved."""
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("partitions must have equal size")
+    if lam != (sum(lam),):
+        dual = conjugate(mu), conjugate(lam)
+        if _route_cost(field, *dual) < _route_cost(field, lam, mu):
+            lam, mu = dual
+    return _direct_dimension(field, lam, mu)
+
+
+def _route_cost(field: FieldSpec, lam, mu):
+    """Off the one-row and semistandard routes last, then by dim M^mu."""
+    cheap = lam == (sum(lam),) or semistandard_scope(field.profile(), lam)
+    return not cheap, permutation_dim(mu)
+
+
+def _direct_dimension(field: FieldSpec, lam, mu) -> int:
+    """``hom_space_dim`` of (lam, mu) solved as given.
+
     Maps out of the trivial one-row module are special-cased: the
     q-symmetric vectors of the permutation module form a line, spanned by
     the all-ones vector, so the dimension is 1 or 0 according to whether
@@ -297,10 +323,6 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
     scope the dimension is solved over the semistandard basis maps;
     outside it, from the exact intertwiner system on spun-out generator
     matrices."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("partitions must have equal size")
     if lam == (sum(mu),):
         ones = ModuleVector(
             field, mu, {d: field.one_rep for d in coset_reps(mu)}

@@ -75,7 +75,15 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return poly
 
 
-def _pmod_monic_polys(degree, p):
+# trial divisors times dividend length (about a second): a larger search
+# is refused, not run for minutes
+SEARCH_LIMIT = 1_000_000
+
+
+def _pmod_monic_polys(degree, p, dividend):
+    if p ** degree * len(dividend) > SEARCH_LIMIT:
+        raise ValueError(f"too large to search: {p}^{degree} trial divisors"
+                         f" of a degree-{len(dividend) - 1} polynomial over F_{p}")
     for tail in itertools.product(range(p), repeat=degree):
         yield tuple(tail) + (1,)
 
@@ -89,7 +97,7 @@ def poly_is_irreducible_mod_p(poly, p: int) -> bool:
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        for g in _pmod_monic_polys(d, p):
+        for g in _pmod_monic_polys(d, p, poly):
             _, r = _divmod(poly, g, p)
             if not r:
                 return False
@@ -108,7 +116,7 @@ def _first_irreducible_factor(e: int, p: int):
         r = (r * p) % e
         d += 1
     phi = _trim(cyclotomic_polynomial(e), p)
-    for g in _pmod_monic_polys(d, p):
+    for g in _pmod_monic_polys(d, p, phi):
         q, rem = _divmod(phi, g, p)
         if not rem and poly_is_irreducible_mod_p(g, p):
             return g

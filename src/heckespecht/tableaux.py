@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
 
 from .partitions import check_composition, check_partition, drop_trailing_zeros
 
@@ -227,6 +228,11 @@ def enumerate_standard(shape) -> list[Tableau]:
 @lru_cache(maxsize=4096)
 def standard_count(shape) -> int:
     return len(enumerate_standard(shape))
+
+
+def permutation_dim(shape) -> int:
+    """dim M^shape, the number of coset representatives, without listing them."""
+    return factorial(sum(shape)) // prod(map(factorial, shape))
 
 
 def row_equiv_class(tab: Tableau) -> list[Tableau]:

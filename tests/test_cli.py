@@ -34,6 +34,16 @@ def test_bad_field_is_domain_error(capsys):
     assert code == 2
 
 
+def test_oversized_extension_search_is_domain_error(capsys):
+    # Phi_23 has degree-11 factors over F_13: 13^11 trial divisors
+    code, out, err = run_cli(
+        capsys, "vanish-run", "--field", "ext:p=13,e=23", "--alpha", "3", "--beta", "1"
+    )
+    assert code == 2
+    assert not out
+    assert "too large to search" in err
+
+
 def test_bad_partition_is_domain_error(capsys):
     code, _, err = run_cli(capsys, "trivial-sub", "--field", "cyclotomic:e=3", "--mu", "1,3")
     assert code == 2

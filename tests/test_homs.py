@@ -32,7 +32,13 @@ from heckespecht.homs import (
     theta_image_of_x,
     theta_on_generator,
 )
-from heckespecht.partitions import check_partition, drop_trailing_zeros, dominates, partitions_of
+from heckespecht.partitions import (
+    check_partition,
+    conjugate,
+    drop_trailing_zeros,
+    dominates,
+    partitions_of,
+)
 from heckespecht.qfield import Cyclotomic, FieldSpec, QuantumProfile, parse_field, qint
 from heckespecht.tableaux import (
     OneNodeCode,
@@ -299,8 +305,61 @@ def test_in_scope_hom_space_dim_spins_nothing(cyclo3, monkeypatch):
     for lam, mu in [((2, 1), (2, 1)), ((3, 2, 1), (2, 2, 2)), ((4, 2), (3, 2, 1))]:
         hom_space_dim(cyclo3, lam, mu)
     assert calls[0] == 0
+    # (2,1,1) is not 2-regular, but its dual pair (3,1) -> (3,1) is in scope
     hom_space_dim(Cyclotomic(2), (2, 1, 1), (2, 1, 1))
+    assert calls[0] == 0
+    # neither (2,1,1) nor the dual source (2,2) is 2-regular: both sides spin
+    hom_space_dim(Cyclotomic(2), (2, 1, 1), (2, 2))
     assert calls[0] == 2
+
+
+@pytest.mark.parametrize("spec, max_n", [
+    ("cyclotomic:e=2", 6), ("cyclotomic:e=3", 5), ("cyclotomic:e=4", 5),
+    ("p=2,q=1", 6), ("p=3,q=2", 6), ("ext:p=2,e=3", 5), ("p=97,q=3", 5),
+])
+def test_conjugate_duality(spec, max_n):
+    # Hom(S^lam, S^mu) and Hom(S^mu', S^lam') have the same dimension,
+    # each solved as given, and hom_space_dim agrees with both
+    field = parse_field(spec)
+    for n in range(1, max_n + 1):
+        shapes = list(partitions_of(n))
+        direct = {
+            (lam, mu): homs._direct_dimension(field, lam, mu)
+            for lam in shapes for mu in shapes
+        }
+        for (lam, mu), dim in direct.items():
+            assert direct[conjugate(mu), conjugate(lam)] == dim, (lam, mu)
+            assert hom_space_dim(field, lam, mu) == dim, (lam, mu)
+
+
+def test_duality_routing(monkeypatch):
+    field = parse_field("cyclotomic:e=3")
+    solved, calls = [], [0]
+    direct = homs._direct_dimension
+
+    def recorded(field, lam, mu):
+        solved.append((lam, mu))
+        return direct(field, lam, mu)
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(homs, "_direct_dimension", recorded)
+    monkeypatch.setattr(homs, "_semistandard_dimension", counted(homs._semistandard_dimension))
+    monkeypatch.setattr(homs, "spin_specht", counted(homs.spin_specht))
+    # the long-column pair goes to the one-row branch of its dual
+    assert hom_space_dim(field, (2, 1, 1, 1, 1), (1,) * 6) == 1
+    assert solved == [((6,), (5, 1))]
+    assert calls[0] == 0
+    # a one-row source is solved as given, without conjugating anything
+    monkeypatch.setattr(homs, "conjugate", counted(homs.conjugate))
+    for mu in partitions_of(6):
+        hom_space_dim(field, (6,), mu)
+        assert solved[-1] == ((6,), mu)
+    assert calls[0] == 0
 
 
 def test_membership_sorts_keys_once(cyclo3, monkeypatch):

@@ -46,6 +46,9 @@ def test_cyclotomic_polynomials():
 def test_irreducibility_check():
     assert poly_is_irreducible_mod_p((1, 1, 1), 2)
     assert not poly_is_irreducible_mod_p((1, 0, 1), 2)  # (x+1)^2 mod 2
+    # a million trial divisors of a quadratic: refused, not searched
+    with pytest.raises(ValueError, match="too large to search"):
+        poly_is_irreducible_mod_p((2, 0, 1), 1000003)
 
 
 def test_qint_and_qfact(cyclo3, f7q2):
