@@ -31,6 +31,8 @@ from .reducibility import classify_range
 from .tableaux import Tableau
 
 BRUTE_FORCE_LIMIT = 9
+CLASSIFY_LIMIT = 45  # classify --n: peak memory about doubles per 5 added to n
+TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,10 +191,12 @@ def _dispatch(args, field):
             [("lambda", args.lam), ("mu", args.mu), ("dimension", dim)],
         )
     if cmd == "compose":
-        tab = Tableau(json.loads(args.tableau))
+        tab = Tableau.from_json(json.loads(args.tableau))
         hom = compose_psi_theta(field, tab, args.d, args.t)
         return hom.to_json(), _hom_rows(hom)
     if cmd == "classify":
+        if args.n > CLASSIFY_LIMIT:
+            raise ValueError(f"--n {args.n} exceeds the size limit {CLASSIFY_LIMIT}")
         reports = classify_range(args.n, field.profile())
         rows = [
             (",".join(str(x) for x in r.partition), r.e, r.p, r.verdict,
@@ -203,6 +207,8 @@ def _dispatch(args, field):
     if cmd == "tables":
         if args.max < 0:
             raise ValueError("--max must be nonnegative")
+        if args.max > TABLES_LIMIT:
+            raise ValueError(f"--max {args.max} exceeds the size limit {TABLES_LIMIT}")
         table = [
             [field.format_rep(rep) for rep in row]
             for row in qbinom_rows(field, args.max, args.max)
@@ -235,11 +241,6 @@ def _load_or_build_map(args, field) -> HomSpec:
         else:
             with open(args.hom_json, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        stored = data.get("fieldSpec")
-        if stored is not None and stored != field.name:
-            raise ValueError(
-                f"homomorphism JSON was written over {stored!r}, not {field.name!r}"
-            )
         return HomSpec.from_json(data, field)
     if args.a is None:
         raise ValueError("give --hom-json or map construction flags")

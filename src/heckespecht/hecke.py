@@ -6,13 +6,13 @@ action follows the three-case multiplication rule for x-generated
 modules: absorb a q on a same-row pair, move to the swapped
 representative when the rows increase, and produce the mixed two-term
 combination otherwise.  Everything else (words, module maps evaluated
-by a prefix walk over reduced words, algebra elements, the Specht
-generator, spinning out a basis with exact Gaussian elimination) is
-built on that single rule.
+by a prefix walk over reduced words, algebra elements, values at the
+Specht generator x T_{w_lam} y_{lam'} with y factored into run sums,
+spinning out a basis with exact Gaussian elimination) is built on it.
 
-The full group-algebra ``HeckeElement`` is also provided; module code
-never expands vectors over the n! basis, but the tests use it as an
-independent multiplication oracle.
+The full group-algebra ``HeckeElement`` and ``y_element`` are also
+provided; module code never expands vectors over the n! basis, but the
+tests use them as independent multiplication oracles.
 """
 
 from __future__ import annotations
@@ -48,15 +48,8 @@ class ModuleVector:
         self.shape = tuple(shape)
         self.coeffs = {} if coeffs is None else coeffs
 
-    def copy(self) -> "ModuleVector":
-        return ModuleVector(self.field, self.shape, dict(self.coeffs))
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, d):
-        rep = self.coeffs.get(tuple(d))
-        return self.field.scalar(self.field.zero_rep if rep is None else rep)
 
     def add(self, other: "ModuleVector") -> "ModuleVector":
         self._check(other)
@@ -84,9 +77,6 @@ class ModuleVector:
             and self.shape == other.shape
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        raise TypeError("ModuleVector is not hashable")
 
     def __repr__(self):
         items = ", ".join(
@@ -184,7 +174,7 @@ class SparseEchelon:
         return [taken.get(pivot, zero) for pivot, _ in self.rows]
 
 
-def _act_dict(field, shape, rowpos, coeffs: dict, i: int) -> dict:
+def _act_dict(field, rowpos, coeffs: dict, i: int) -> dict:
     """Right action of the i-th generator on a coefficient dict."""
     out: dict = {}
     q = field.q_rep
@@ -215,7 +205,7 @@ def act_gen(v: ModuleVector, i: int) -> ModuleVector:
     if not 1 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
     rowpos = shape_row_of_position(v.shape)
-    return ModuleVector(v.field, v.shape, _act_dict(v.field, v.shape, rowpos, v.coeffs, i))
+    return ModuleVector(v.field, v.shape, _act_dict(v.field, rowpos, v.coeffs, i))
 
 
 def act_word(v: ModuleVector, w) -> ModuleVector:
@@ -223,7 +213,7 @@ def act_word(v: ModuleVector, w) -> ModuleVector:
     rowpos = shape_row_of_position(v.shape)
     coeffs = v.coeffs
     for i in reduced_word(tuple(w)):
-        coeffs = _act_dict(v.field, v.shape, rowpos, coeffs, i)
+        coeffs = _act_dict(v.field, rowpos, coeffs, i)
     return ModuleVector(v.field, v.shape, coeffs)
 
 
@@ -244,28 +234,28 @@ def push_through(base: ModuleVector, v) -> ModuleVector:
     base, by ``push_many`` of v alone.  v is anything with a ``coeffs``
     dict keyed by permutations, such as a ``ModuleVector`` or a
     ``HeckeElement`` (then the result is base . v)."""
-    return ModuleVector(base.field, base.shape, push_many([v])(base)[0])
+    return ModuleVector(base.field, base.shape, push_many(v)(base))
 
 
-def push_many(vectors):
-    """push(base) -> the coefficient dicts of the vectors' images under
-    the homomorphism sending the source generator to base.
+def push_many(v):
+    """push(base) -> the coefficient dict of v's image under the
+    homomorphism sending the source generator to base.
 
-    The union of the vectors' keys is sorted once, by reduced word, and
-    each push visits it in that order: a depth-first walk of the prefix
-    tree of the words, holding the image of base under every prefix of
-    the current word.  So each key w costs one generator action on the
-    image of its parent w s_i, i the last letter of reduced_word(w),
-    shared prefixes are acted out once, and one walk serves every
-    vector; ``act_word`` and ``act_element`` remain the per-key oracles."""
-    coeffs = [v.coeffs for v in vectors]
-    order = sorted((reduced_word(w), w) for w in {w for c in coeffs for w in c})
+    The keys of v are sorted once, by reduced word, and each push visits
+    them in that order: a depth-first walk of the prefix tree of the
+    words, holding the image of base under every prefix of the current
+    word.  So each key w costs one generator action on the image of its
+    parent w s_i, i the last letter of reduced_word(w), shared prefixes
+    are acted out once, and one sort serves every base;
+    ``act_word`` and ``act_element`` remain the per-key oracles."""
+    vc = v.coeffs
+    order = sorted((reduced_word(w), w) for w in vc)
 
-    def push(base: ModuleVector) -> list:
+    def push(base: ModuleVector) -> dict:
         f = base.field
         rowpos = shape_row_of_position(base.shape)
         mul = f.mul
-        outs = [{} for _ in coeffs]
+        out: dict = {}
         path = [base.coeffs]  # path[j]: base pushed by the first j letters
         prev = ()
         for word, key in order:
@@ -276,14 +266,12 @@ def push_many(vectors):
                 keep += 1
             del path[keep + 1:]
             for i in word[keep:]:
-                path.append(_act_dict(f, base.shape, rowpos, path[-1], i))
-            for vc, out in zip(coeffs, outs):
-                c = vc.get(key)
-                if c is not None:
-                    for k, rep in path[-1].items():
-                        _acc(f, out, k, mul(c, rep))
+                path.append(_act_dict(f, rowpos, path[-1], i))
+            c = vc[key]
+            for k, rep in path[-1].items():
+                _acc(f, out, k, mul(c, rep))
             prev = word
-        return outs
+        return out
 
     return push
 
@@ -352,9 +340,6 @@ class HeckeElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        raise TypeError("HeckeElement is not hashable")
-
     def __repr__(self):
         items = ", ".join(
             f"T{d}*{self.field.format_rep(c)}" for d, c in sorted(self.coeffs.items())
@@ -387,24 +372,50 @@ def y_element(field: FieldSpec, shape) -> HeckeElement:
     return HeckeElement(field, sum(shape), out)
 
 
+def _run_sum(field, rowpos, coeffs: dict, letters, step) -> dict:
+    """coeffs . sum_k step^k T_{l_1} T_{l_2} ... T_{l_k} over the prefixes
+    l_1..l_k of the letters, k = 0 (the identity) included."""
+    out = dict(coeffs)
+    power = field.one_rep
+    for i in letters:
+        coeffs = _act_dict(field, rowpos, coeffs, i)
+        power = field.mul(power, step)
+        for k, rep in coeffs.items():
+            _acc(field, out, k, field.mul(power, rep))
+    return out
+
+
 def apply_signed_stabilizer_sum(v: ModuleVector, shape) -> ModuleVector:
-    """v . y for the signed sum y over the row stabiliser of the shape."""
-    return push_through(v, y_element(v.field, shape))
+    """v . y for the signed sum y = sum (-q^-1)^l(w) T_w over the row
+    stabiliser of the shape.  Each w in S_{a..j+1} is u d, u in S_{a..j}
+    and d = s_j s_{j-1} ... s_{j-i+1}, lengths adding; so for each row
+    a..b of the row filling, y is the product over j = a..b-1, in turn,
+    of the run sums sum_{i=0}^{j-a+1} (-q^-1)^i T_j T_{j-1} ... T_{j-i+1}."""
+    f = v.field
+    step = f.neg(f.q_power(-1))
+    rowpos = shape_row_of_position(v.shape)
+    coeffs = v.coeffs
+    for row in t_row(shape).rows:
+        for j in row[:-1]:
+            coeffs = _run_sum(f, rowpos, coeffs, range(j, row[0] - 1, -1), step)
+    return ModuleVector(f, v.shape, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # the Specht generator and spinning
 
+def at_generator(v: ModuleVector, lam) -> ModuleVector:
+    """Value at the Specht generator z = x T_{w_lam} y_{lam'} of lam of
+    the homomorphism out of the permutation module of lam that sends x to
+    v: v . T_{w_lam} . y_{lam'}."""
+    lam = check_partition(lam)
+    return apply_signed_stabilizer_sum(act_word(v, w_lambda(lam)), conjugate(lam))
+
+
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:
     """The canonical generator of the Specht submodule, expanded over the
     coset basis of the permutation module."""
-    return _specht_generator(field, check_partition(lam)).copy()
-
-
-@lru_cache(maxsize=1024)
-def _specht_generator(field: FieldSpec, lam) -> ModuleVector:
-    v = act_word(basis_vector(field, lam), w_lambda(lam))
-    v = apply_signed_stabilizer_sum(v, conjugate(lam))
+    v = at_generator(basis_vector(field, lam), lam)
     if v.is_zero():
         raise AssertionError("Specht generator vanished")
     return v
@@ -430,10 +441,6 @@ class SpechtModule:
         """Row-major matrix of the right action of the i-th generator."""
         return self.matrices[i - 1]
 
-    def coordinates(self, v: ModuleVector):
-        """Coordinates of v in the echelon basis; raises if v is outside."""
-        return self.echelon.coordinates(v.coeffs)
-
 
 def _spin(v: ModuleVector) -> SparseEchelon:
     """Echelon basis of the submodule generated by v: insert v, then the
@@ -450,7 +457,7 @@ def _spin(v: ModuleVector) -> SparseEchelon:
     while pending:
         row = pending.pop()
         for i in range(1, n):
-            image = _act_dict(v.field, v.shape, rowpos, row, i)
+            image = _act_dict(v.field, rowpos, row, i)
             if echelon.insert(image):
                 pending.append(image)
     return echelon
@@ -473,7 +480,7 @@ def _spin_specht(field: FieldSpec, lam) -> SpechtModule:
     rowpos = shape_row_of_position(lam)
     for i in range(1, sum(lam)):
         module.matrices.append([
-            module.echelon.coordinates(_act_dict(field, lam, rowpos, row, i))
+            module.echelon.coordinates(_act_dict(field, rowpos, row, i))
             for _, row in module.echelon.rows
         ])
     return module
@@ -487,20 +494,6 @@ def cyclic_closure_dimension(v: ModuleVector) -> int:
 
 # ---------------------------------------------------------------------------
 # ascending/descending run-sum identity (test hook)
-
-def _prefix_run_sum(v: ModuleVector, lo: int, hi: int, ascending: bool) -> ModuleVector:
-    """Sum over the telescoping words I, T_a, T_a T_b, ... between lo and hi."""
-    acc = v.copy()
-    t = v
-    if ascending:
-        letters = range(lo, hi)
-    else:
-        letters = range(hi - 1, lo - 1, -1)
-    for i in letters:
-        t = act_gen(t, i)
-        acc = acc.add(t)
-    return acc
-
 
 def run_sum_identity_holds(field: FieldSpec, mu, d: int, z: int) -> bool:
     """Direct check that pushing the ascending run sum across a descending
@@ -524,14 +517,12 @@ def run_sum_identity_holds(field: FieldSpec, mu, d: int, z: int) -> bool:
     if not y <= z <= n:
         raise ValueError(f"need {y} <= z <= {n}")
 
-    lhs = basis_vector(field, nu)
-    for i in range(z - 1, x - 1, -1):
-        lhs = act_gen(lhs, i)
-    lhs = _prefix_run_sum(lhs, x, y, ascending=True)
-
-    rhs = basis_vector(field, nu)
-    for i in range(z - 1, y - 1, -1):
-        rhs = act_gen(rhs, i)
-    rhs = _prefix_run_sum(rhs, x, y, ascending=False)
-    rhs = rhs.scale(field.q_power(y - x))
-    return lhs == rhs
+    rowpos = shape_row_of_position(nu)
+    sides = []
+    for top, letters in ((x, range(x, y)), (y, range(y - 1, x - 1, -1))):
+        v = basis_vector(field, nu)
+        for i in range(z - 1, top - 1, -1):
+            v = act_gen(v, i)
+        sides.append(_run_sum(field, rowpos, v.coeffs, letters, field.one_rep))
+    lhs, rhs = sides
+    return lhs == ModuleVector(field, nu, rhs).scale(field.q_power(y - x)).coeffs

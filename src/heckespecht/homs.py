@@ -2,18 +2,19 @@
 
 A homomorphism out of a Specht module is stored as its coefficient
 vector over row-standard (usually semistandard) source tableaux; since
-Specht modules are cyclic, evaluating at the canonical generator is
-faithful, and membership of the image in the target Specht module is
-decided by pushing the value through every one-row-merge map and testing
-for zero.
+Specht modules are cyclic, evaluating at the canonical generator z is
+faithful, and a value lies in the target Specht module when every
+one-row-merge map psi_{d,t} kills it.
 
-The symbolic composition rule rewrites a merge map composed with a basis
-homomorphism as an explicit Gaussian-binomial combination of basis
-homomorphisms; the brute-force evaluation path stays available as an
-oracle for it.  Hom-space dimensions are solved for (lam, mu) or its
-conjugate dual (mu', lam'), whichever is cheaper: over the semistandard
-basis maps where the semistandard homomorphism theorem holds, and
-otherwise from the exact intertwiner system on spun-out generator matrices.
+The symbolic composition rule writes psi_{d,t} o theta_T as a
+Gaussian-binomial combination of basis homomorphisms, so the landing
+solves evaluate that combination at z in M^nu and form no vector of
+M^mu; pushing a vector through psi_{d,t} remains for membership of
+arbitrary vectors and as the rule's oracle.  Hom-space dimensions are
+solved for (lam, mu) or its conjugate dual (mu', lam'), whichever is
+cheaper: over the semistandard basis maps where the semistandard
+homomorphism theorem holds, and otherwise from the exact intertwiner
+system on spun-out generator matrices.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from .hecke import (
     ModuleVector,
     SparseEchelon,
     _acc,
-    act_word,  # re-exported: the per-key oracle for push_through
+    at_generator,
     push_many,
     push_through,
-    specht_generator,
     spin_specht,
 )
+# bound here only for the benchmark tracer, which wraps each function in
+# every module that imports it; nothing in this module calls them
+from .hecke import act_word, specht_generator  # noqa: F401
 from .partitions import (
     check_composition,
     check_partition,
@@ -42,7 +45,6 @@ from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import (
     OneNodeCode,
     Tableau,
-    coset_reps,
     enumerate_semistandard,
     perm_of_tableau,
     permutation_dim,
@@ -112,13 +114,22 @@ class HomSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict, field: FieldSpec | None = None) -> "HomSpec":
+    def from_json(cls, data, field: FieldSpec | None = None) -> "HomSpec":
+        """The homomorphism of its ``to_json`` form, over field if given;
+        raises ValueError on a malformed payload or another field's."""
+        if not isinstance(data, dict) or not all(
+                isinstance(data.get(key), list) for key in ("source", "target", "coefficients")):
+            raise ValueError("homomorphism JSON needs source, target and coefficients lists")
+        stored = data.get("fieldSpec")
         if field is None:
             field = parse_field(data["fieldSpec"])
+        elif stored is not None and stored != field.name:
+            raise ValueError(f"homomorphism JSON was written over {stored!r}, not {field.name!r}")
         coeffs = {}
         for item in data["coefficients"]:
-            tab = Tableau(item["tableau"])
-            coeffs[tab] = field.parse_rep(item["scalar"])
+            if not isinstance(item, dict) or not isinstance(item.get("scalar"), str):
+                raise ValueError(f"a coefficient needs a tableau and a scalar string: {item!r}")
+            coeffs[Tableau.from_json(item.get("tableau"))] = field.parse_rep(item["scalar"])
         return cls(field, tuple(data["source"]), tuple(data["target"]), coeffs)
 
 
@@ -151,8 +162,7 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
 def theta_on_generator(field: FieldSpec, tab: Tableau) -> ModuleVector:
     """Value of the restricted basis homomorphism at the Specht generator
     of the tableau's shape."""
-    lam = check_partition(tab.shape)
-    return push_through(theta_image_of_x(field, tab), specht_generator(field, lam))
+    return at_generator(theta_image_of_x(field, tab), tab.shape)
 
 
 @lru_cache(maxsize=4096)
@@ -177,30 +187,40 @@ def psi_dt(v: ModuleVector, d: int, t: int) -> ModuleVector:
 
 def specht_membership(v: ModuleVector) -> bool:
     """Whether v lies in the Specht submodule of its permutation module:
-    all one-row-merge maps send it to zero."""
-    return _landing_dimension(check_partition(v.shape), [v]) == 1
+    all one-row-merge maps send it to zero.  The keys of v are sorted
+    once for all the merge maps."""
+    push = push_many(v)
+    return _landing_solve(v.field, check_partition(v.shape), 1, lambda d, t: [
+        push(_psi_base(v.field, v.shape, d, t))]) == 1
 
 
-def _landing_dimension(mu, values) -> int:
-    """Dimension of the combinations of the given vectors of the
-    permutation module of mu that lie in its Specht submodule, that is
-    (kernel intersection) that every merge map psi_{d,t} kills.
-
-    One unknown per vector; one equation per merge map and per coset key
-    of the images under it, formed in the order the keys first appear
-    across the images and eliminated at once, so the solve stops at the
-    first merge map that brings the rank to the number of vectors."""
-    field = values[0].field
-    push = push_many(values)
+def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
+    """Dimension of the combinations of size vectors of M^mu in the Specht
+    submodule, which every psi_{d,t} kills; images(d, t) lists the
+    coefficient dicts of the vectors' images under psi_{d,t}.  One
+    equation per merge map and key of its images, eliminated at once, so
+    the solve stops at the first merge map that brings the rank to size."""
     echelon = SparseEchelon(field)
     for d in range(1, len(mu)):
         for t in range(mu[d]):
-            images = push(_psi_base(field, mu, d, t))
-            for k in dict.fromkeys(k for image in images for k in image):
-                row = {j: image[k] for j, image in enumerate(images) if k in image}
-                if echelon.insert(row) and len(echelon) == len(values):
+            found = images(d, t)
+            for k in dict.fromkeys(k for image in found for k in image):
+                row = {j: image[k] for j, image in enumerate(found) if k in image}
+                if echelon.insert(row) and len(echelon) == size:
                     return 0
-    return len(values) - len(echelon)
+    return size - len(echelon)
+
+
+def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> dict:
+    """psi_{d,t} of the value at the Specht generator of lam of the
+    combination of theta_T with the given coefficients, T of type mu: the
+    value of the combination psi_{d,t} o theta_T of maps into M^nu."""
+    merged: dict = {}
+    for tab, c in coeffs.items():
+        for other, rep in compose_psi_theta(field, tab, d, t).coeffs.items():
+            _acc(field, merged, other, field.mul(c, rep))
+    nu = nu_composition(mu, d, t)
+    return at_generator(_row_class_sum(field, merged, nu), lam).coeffs
 
 
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:
@@ -215,10 +235,10 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
     tbar = mu[d] - t
     # positions of the value d+1 in each row; replacements keep rows weakly
     # increasing only if the leftmost occurrences are replaced
-    counts = [sum(1 for v in row if v == d + 1) for row in tab.rows]
-    below = [0] * (len(tab.rows) + 1)
+    counts = [row.count(d + 1) for row in tab.rows]
+    below = [0] * (len(tab.rows) + 1)  # below[i]: the d's in rows i+1, ...
     for i in range(len(tab.rows) - 1, -1, -1):
-        below[i] = below[i + 1] + sum(1 for v in tab.rows[i] if v == d)
+        below[i] = below[i + 1] + tab.rows[i].count(d)
     out: dict = {}
     for combo in _bounded_compositions(tbar, counts):
         rows = []
@@ -228,14 +248,10 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
             if beta:
                 first = row.index(d + 1)
                 row = row[:first] + (d,) * beta + row[first + beta:]
+                coeff = field.mul(coeff, field.q_power(below[i + 1] * beta))
+                coeff = field.mul(coeff, qbinom(field, row.count(d), beta).rep)
             rows.append(row)
-            y_i = sum(1 for v in row if v == d)
-            if beta:
-                x_i = below[i + 1]
-                coeff = field.mul(coeff, field.q_power(x_i * beta))
-                coeff = field.mul(coeff, qbinom(field, y_i, beta).rep)
-        new_tab = Tableau(rows)
-        _acc(field, out, new_tab, coeff)
+        _acc(field, out, Tableau(rows), coeff)
     return HomSpec(field, lam, nu, out)
 
 
@@ -256,9 +272,7 @@ def _bounded_compositions(total, bounds):
 def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
     """Value of the restricted homomorphism at the Specht generator of
     its source."""
-    lam = check_partition(hom.source)
-    base = _row_class_sum(hom.field, hom.coeffs, hom.target)
-    return push_through(base, specht_generator(hom.field, lam))
+    return at_generator(_row_class_sum(hom.field, hom.coeffs, hom.target), hom.source)
 
 
 def restriction_is_zero(hom: HomSpec) -> bool:
@@ -271,10 +285,13 @@ def restriction_into_specht(hom: HomSpec) -> bool:
 
 def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     """(is the restriction zero, does it land in the Specht submodule of
-    the target), from a single evaluation at the generator."""
+    the target), from a single evaluation at the generator; the landing
+    equations come from the merge maps composed with hom symbolically."""
     target = check_partition(drop_trailing_zeros(hom.target))
-    value = evaluate_on_generator(hom)
-    return value.is_zero(), specht_membership(ModuleVector(hom.field, target, value.coeffs))
+    if evaluate_on_generator(hom).is_zero():
+        return True, True
+    return False, _landing_solve(hom.field, target, 1, lambda d, t: [
+        _merged_value(hom.field, hom.coeffs, hom.source, target, d, t)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +312,26 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
 
     It equals the dimension for the conjugates (mu', lam'): the dual of a
     Specht module is that of the conjugate shape twisted by # (Dipper-James;
-    Mathas, ch. 3).  Unless lam is one row, the cheaper side is solved."""
+    Mathas, ch. 3).  The cheaper side is solved."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("partitions must have equal size")
-    if lam != (sum(lam),):
-        dual = conjugate(mu), conjugate(lam)
-        if _route_cost(field, *dual) < _route_cost(field, lam, mu):
-            lam, mu = dual
+    dual = conjugate(mu), conjugate(lam)
+    if _route_cost(field, *dual) < _route_cost(field, lam, mu):
+        lam, mu = dual
     return _direct_dimension(field, lam, mu)
 
 
 def _route_cost(field: FieldSpec, lam, mu):
-    """Off the one-row and semistandard routes last, then by dim M^mu."""
-    cheap = lam == (sum(lam),) or semistandard_scope(field.profile(), lam)
-    return not cheap, permutation_dim(mu)
+    """Off the semistandard route last, then by dim M^mu."""
+    return not semistandard_scope(field.profile(), lam), permutation_dim(mu)
 
 
 def _direct_dimension(field: FieldSpec, lam, mu) -> int:
-    """``hom_space_dim`` of (lam, mu) solved as given.
-
-    Maps out of the trivial one-row module are special-cased: the
-    q-symmetric vectors of the permutation module form a line, spanned by
-    the all-ones vector, so the dimension is 1 or 0 according to whether
-    that vector lies in the Specht submodule.  Within the semistandard
-    scope the dimension is solved over the semistandard basis maps;
-    outside it, from the exact intertwiner system on spun-out generator
-    matrices."""
-    if lam == (sum(mu),):
-        ones = ModuleVector(
-            field, mu, {d: field.one_rep for d in coset_reps(mu)}
-        )
-        return _landing_dimension(mu, [ones])
+    """``hom_space_dim`` of (lam, mu) solved as given: within the
+    semistandard scope over the semistandard basis maps, outside it from
+    the exact intertwiner system on spun-out generator matrices."""
     if semistandard_scope(field.profile(), lam):
         return _semistandard_dimension(field, lam, mu)
     sa = spin_specht(field, lam)
@@ -341,15 +345,11 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
 
     The maps are the combinations of the restricted basis maps theta_T,
     T semistandard of shape lam and type mu, that land in the Specht
-    submodule: the landing dimension of the values
-    v_T = theta_T(generator)."""
+    submodule: the landing dimension of the values v_T = theta_T(z), each
+    merge map applied to them through the composition rule."""
     tabs = enumerate_semistandard(lam, mu)
-    if not tabs:
-        return 0
-    gen = specht_generator(field, lam)
-    return _landing_dimension(
-        mu, [push_through(theta_image_of_x(field, tab, mu), gen) for tab in tabs]
-    )
+    return _landing_solve(field, mu, len(tabs), lambda d, t: [
+        _merged_value(field, {tab: field.one_rep}, lam, mu, d, t) for tab in tabs])
 
 
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:

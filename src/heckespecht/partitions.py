@@ -15,7 +15,7 @@ import itertools
 def check_partition(parts) -> tuple[int, ...]:
     parts = tuple(parts)
     for i, x in enumerate(parts):
-        if not isinstance(x, int) or x <= 0:
+        if type(x) is not int or x <= 0:
             raise ValueError(f"partition parts must be positive integers: {parts}")
         if i and parts[i - 1] < x:
             raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -25,7 +25,7 @@ def check_partition(parts) -> tuple[int, ...]:
 def check_composition(parts) -> tuple[int, ...]:
     parts = tuple(parts)
     for x in parts:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError(f"composition parts must be nonnegative integers: {parts}")
     return parts
 

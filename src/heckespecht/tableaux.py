@@ -71,6 +71,14 @@ class Tableau:
         self.rows = tuple(tuple(r) for r in rows)
         self._hash = hash(self.rows)
 
+    @classmethod
+    def from_json(cls, data) -> "Tableau":
+        """The tableau of a JSON list of rows of positive integers (not booleans)."""
+        if not isinstance(data, list) or not all(
+                isinstance(row, list) and all(type(v) is int and v > 0 for v in row) for row in data):
+            raise ValueError(f"a tableau is a list of rows of positive integers, not {data!r}")
+        return cls(data)
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(r) for r in self.rows)

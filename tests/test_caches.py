@@ -17,7 +17,7 @@ from heckespecht import (
     specht_generator,
     spin_specht,
 )
-from heckespecht.hecke import _specht_generator, _spin_specht
+from heckespecht.hecke import _spin_specht
 
 
 def package_caches():
@@ -36,7 +36,7 @@ def package_caches():
 def test_every_cache_is_bounded():
     caches = package_caches()
     assert {name for name, _ in caches} >= {
-        "hecke._specht_generator", "hecke._spin_specht", "homs._psi_base",
+        "hecke._spin_specht", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux.standard_count"}
     for name, cache in caches:
@@ -79,5 +79,6 @@ def test_fields_differing_only_in_q_keep_their_own_entries():
     for field in (plain, shifted):
         assert qbinom(field, 2, 1) == qbinom_sum_oracle(field, 2, 1)
         assert specht_generator(field, (2, 1)).field == field
+        assert spin_specht(field, (2, 1)).field == field
     assert qbinom.cache_info().currsize == 2
-    assert _specht_generator.cache_info().currsize == 2
+    assert _spin_specht.cache_info().currsize == 2

@@ -12,7 +12,13 @@ from heckespecht.carter_payne import (
     trivial_hom_exists,
     verify_cp,
 )
-from heckespecht.homs import hom_space_dim, restriction_into_specht
+from heckespecht.homs import (
+    evaluate_on_generator,
+    hom_space_dim,
+    restriction_into_specht,
+    restriction_verdicts,
+    specht_membership,
+)
 from heckespecht.partitions import partitions_of
 from heckespecht.qfield import Cyclotomic, QuantumProfile, parse_field, spec_for_profile
 from heckespecht.tableaux import OneNodeCode
@@ -152,6 +158,34 @@ def test_verify_evaluates_generator_once(cyclo4, monkeypatch):
     monkeypatch.setattr(homs, "evaluate_on_generator", counting)
     assert verify_cp(one_node_map(cyclo4, (2, 1, 1), 1, 3)) == CPVerification(True, True)
     assert len(calls) == 1
+
+
+def _built_maps(field, max_n):
+    """Every one-node and adjacent-rows map that builds, 2 <= n <= max_n."""
+    for n in range(2, max_n + 1):
+        for mu in partitions_of(n):
+            for a in range(1, len(mu)):
+                builds = [(one_node_map, mu, a, b) for b in range(a + 1, len(mu) + 1)]
+                builds += [(adjacent_map, mu, a, g) for g in range(1, mu[a] + 1)]
+                for build, *args in builds:
+                    try:
+                        yield build(field, *args)
+                    except ValueError:
+                        pass
+
+
+@pytest.mark.parametrize("spec", ["p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3"])
+def test_symbolic_landing_matches_membership_of_the_value(spec):
+    # the verdict composes the merge maps with the map symbolically; the
+    # oracle pushes the value at the generator through every merge map
+    field = parse_field(spec)
+    seen = set()
+    for hom in _built_maps(field, 6):
+        value = evaluate_on_generator(hom)
+        verdicts = restriction_verdicts(hom)
+        assert verdicts == (value.is_zero(), specht_membership(value)), hom
+        seen.add(verdicts)
+    assert {(False, True), (False, False)} <= seen
 
 
 def test_predicted_dims(cyclo3, cyclo4):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -108,6 +109,27 @@ def test_cp_verify_rejects_field_mismatch(capsys, tmp_path):
     assert "cyclotomic:e=3" in err
 
 
+HOM_JSON = {"source": [3], "target": [2, 1], "fieldSpec": "cyclotomic:e=3",
+            "coefficients": [{"tableau": [[1, 1, 2]], "scalar": "1"}]}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    *((("compose", "--tableau", text, "--d", "1", "--t", "0"), None)
+      for text in ("5", "null", '{"a":1}', '[[1,"a"]]', "[[1,2],[1.5]]", "[[true,2]]")),
+    *((("cp-verify", "--hom-json", "-"), payload) for payload in (
+        {**HOM_JSON, "coefficients": {"tableau": [[1, 1, 2]], "scalar": "1"}},
+        {**HOM_JSON, "coefficients": [{"tableau": 5, "scalar": "1"}]},
+        {**HOM_JSON, "coefficients": [{"tableau": [[1, 1, 2]], "scalar": 1}]},
+        [],
+    )),
+])
+def test_malformed_json_is_domain_error(capsys, monkeypatch, argv, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["cp-map", "cp-verify"])
 @pytest.mark.parametrize("flags", [
     ("--xi", "2,1", "--a", "1", "--b", "2", "--mu", "2,2", "--gamma", "1"),
@@ -194,6 +216,20 @@ def test_classify_outputs(capsys):
     assert lines[0] == "# field=cyclotomic:e=3,e=3,p=0"
     assert lines[1] == "partition,e,p,verdict,witness,note"
     assert lines[3] == '"2,1",3,0,reducible,"1,1;1,2;2,1",'
+
+
+@pytest.mark.parametrize("argv, worker", [
+    (("classify", "--n", "46"), "classify_range"),
+    (("tables", "--max", "1001"), "qbinom_rows"),
+])
+def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worker):
+    def refuse(*args):
+        raise AssertionError("an oversized input must be refused before any work")
+
+    monkeypatch.setattr(cli, worker, refuse)
+    code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
+    assert (code, out) == (2, "")
+    assert "exceeds the size limit" in err
 
 
 def test_tables(capsys):

@@ -9,14 +9,18 @@ from heckespecht.hecke import (
     HeckeElement,
     ModuleVector,
     act_element,
+    act_word,
+    apply_signed_stabilizer_sum,
+    at_generator,
     basis_vector,
     spin_specht,
     specht_generator,
+    y_element,
 )
 from heckespecht.homs import (
     HomSpec,
     _intertwiner_dimension,
-    _landing_dimension,
+    _landing_solve,
     _semistandard_dimension,
     _psi_base,
     compose_psi_theta,
@@ -50,6 +54,7 @@ from heckespecht.tableaux import (
     perm_identity,
     perm_times_s,
     reduced_word,
+    w_lambda,
 )
 
 
@@ -134,6 +139,23 @@ def test_push_through_matches_per_key_oracle(field_name, request):
                 for t in range(mu[d]):
                     base = _psi_base(field, mu, d, t)
                     assert push_through(base, v) == _push_oracle(base, v), (mu, d, t)
+
+
+@pytest.mark.parametrize("field_name", ["f7q2", "cyclo3", "ext23"])
+def test_factored_values_match_per_key_oracle(field_name, request):
+    # v_T = theta_T(x) . T_{w_lam} . y_{lam'}, with y as a product of run
+    # sums, against pushing every key of y_element through the prefix walk
+    field = request.getfixturevalue(field_name)
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            y = y_element(field, conjugate(lam))
+            for mu in partitions_of(n):
+                for tab in enumerate_row_standard(lam, mu):
+                    x = theta_image_of_x(field, tab, mu)
+                    v = act_word(x, w_lambda(lam))
+                    expect = push_through(v, y)
+                    assert apply_signed_stabilizer_sum(v, conjugate(lam)) == expect, tab
+                    assert at_generator(x, lam) == expect, tab
 
 
 def _prefix_nodes(keys) -> set:
@@ -348,18 +370,15 @@ def test_duality_routing(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(homs, "_direct_dimension", recorded)
-    monkeypatch.setattr(homs, "_semistandard_dimension", counted(homs._semistandard_dimension))
     monkeypatch.setattr(homs, "spin_specht", counted(homs.spin_specht))
-    # the long-column pair goes to the one-row branch of its dual
+    # the long-column pair goes to the semistandard route of its dual
     assert hom_space_dim(field, (2, 1, 1, 1, 1), (1,) * 6) == 1
     assert solved == [((6,), (5, 1))]
     assert calls[0] == 0
-    # a one-row source is solved as given, without conjugating anything
-    monkeypatch.setattr(homs, "conjugate", counted(homs.conjugate))
+    # a one-row source is solved as given: n! >= dim M^mu
     for mu in partitions_of(6):
         hom_space_dim(field, (6,), mu)
         assert solved[-1] == ((6,), mu)
-    assert calls[0] == 0
 
 
 def test_membership_sorts_keys_once(cyclo3, monkeypatch):
@@ -374,20 +393,13 @@ def test_membership_sorts_keys_once(cyclo3, monkeypatch):
     monkeypatch.setattr(hecke, "reduced_word", counted)
     assert specht_membership(v)
     assert sorted(looked_up) == sorted(v.coeffs)
-    # the in-scope solve: each value v_T sorts the generator's keys once,
-    # then the landing solve sorts the union of the values' keys once for
-    # all the merge maps, not once per value
-    lam, mu = (2, 1, 1, 1, 1), (1,) * 6
-    gen = specht_generator(cyclo3, lam)
-    values = [
-        push_through(theta_image_of_x(cyclo3, tab, mu), gen)
-        for tab in enumerate_semistandard(lam, mu)
-    ]
-    union = {w for value in values for w in value.coeffs}
-    looked_up.clear()
-    _semistandard_dimension(cyclo3, lam, mu)
-    assert sorted(looked_up) == sorted([*union] + [*gen.coeffs] * len(values))
-    assert len(looked_up) == 1320  # 720 union keys and 5 * 120 generator keys
+    # the in-scope solve composes the merge maps symbolically: it pushes
+    # no vector of M^mu through a psi_{d,t} base
+    built = []
+    monkeypatch.setattr(homs, "_psi_base", lambda *args: built.append(args))
+    assert _semistandard_dimension(cyclo3, (2, 1, 1, 1, 1), (1,) * 6) == 1
+    assert _semistandard_dimension(cyclo3, (3, 2, 1), (2, 2, 1, 1)) == 0
+    assert built == []
 
 
 ROADMAP_FIELDS = (
@@ -428,7 +440,8 @@ def test_landing_dimension_matches_spun_module(spec):
                 for _, row in spin_specht(field, mu).echelon.rows:
                     span.insert(dict(row))
                 outside = sum(span.insert(dict(v.coeffs)) for v in values)
-                got = _landing_dimension(mu, values)
+                got = _landing_solve(field, mu, len(values), lambda d, t: [
+                    psi_dt(v, d, t).coeffs for v in values])
                 assert got == len(values) - outside, (mu, values)
                 checks += 1
                 partial += 0 < got < len(values)
