@@ -33,7 +33,6 @@ from .homs import (
     restriction_into_specht,
     restriction_is_zero,
     specht_membership,
-    theta_on_generator,
 )
 from .partitions import (
     conjugate,
@@ -71,13 +70,11 @@ from .reducibility import (
     is_ep_reducible,
 )
 from .tableaux import (
-    OneNodeCode,
     Tableau,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
     enumerate_standard,
-    one_node_codes,
     perm_of_tableau,
     row_equiv_class,
     standard_count,

@@ -142,6 +142,9 @@ def _dispatch(args, field):
     """Returns (json result object, csv/text rows)."""
     cmd = args.command
     if cmd == "qbinom":
+        cells = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # as many as tables --max TABLES_LIMIT
+        if args.alpha * args.beta > cells:
+            raise ValueError(f"--alpha times --beta exceeds the size limit {cells}")
         value = str(qbinom(field, args.alpha, args.beta))
         return (
             {"alpha": args.alpha, "beta": args.beta, "value": value},

@@ -43,7 +43,6 @@ from .partitions import (
 )
 from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import (
-    OneNodeCode,
     Tableau,
     enumerate_semistandard,
     perm_of_tableau,
@@ -157,12 +156,6 @@ def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVecto
     elif drop_trailing_zeros(target) != drop_trailing_zeros(tab.content()):
         raise ValueError("target does not match the tableau type")
     return _row_class_sum(field, {tab: field.one_rep}, target)
-
-
-def theta_on_generator(field: FieldSpec, tab: Tableau) -> ModuleVector:
-    """Value of the restricted basis homomorphism at the Specht generator
-    of the tableau's shape."""
-    return at_generator(theta_image_of_x(field, tab), tab.shape)
 
 
 @lru_cache(maxsize=4096)
@@ -381,9 +374,9 @@ def _intertwiner_dimension(field, mats_a, mats_b) -> int:
 # the linear conditions for one-node homomorphisms
 
 def _merge_rewrite(field: FieldSpec, mu, entries, d: int):
-    """Rewrite the image of a one-node basis homomorphism under the d-th
-    top merge map as (coefficient, code of a semistandard target tableau),
-    or None when it vanishes."""
+    """Rewrite the image of a one-node basis homomorphism, given by the
+    row ends of its tableau, under the d-th top merge map as (coefficient,
+    row ends of a semistandard target tableau), or None when it vanishes."""
     s = len(mu) - 1
     lam_d = mu[0] + 1 if d == 1 else mu[d - 1]
     r = entries.index(d + 1) + 1
@@ -431,27 +424,27 @@ def _merge_rewrite(field: FieldSpec, mu, entries, d: int):
     return coeff, new
 
 
-def one_node_conditions_check(field: FieldSpec, mu, coeffs) -> bool:
-    """Whether a coefficient assignment over one-node codes satisfies the
-    linear conditions equivalent to the restricted map landing in the
-    Specht submodule of the target.
+def one_node_conditions_check(hom: HomSpec) -> bool:
+    """Whether the one-node map hom satisfies the linear conditions
+    equivalent to its restriction landing in the Specht submodule of the
+    target.
 
-    mu is the full base partition (last part 1); coeffs maps code entry
-    tuples to scalars."""
-    mu = check_partition(mu)
-    if mu[-1] != 1:
-        raise ValueError("base partition must end in 1")
-    clean = {}
-    for entries, rep in coeffs.items():
-        code = OneNodeCode(mu, entries)
-        if not code.is_semistandard():
-            raise ValueError(f"code {code.entries} is not semistandard")
-        if hasattr(rep, "rep"):
-            rep = rep.rep
-        clean[code.entries] = rep
+    hom maps the Specht module of (mu_1 + 1, mu_2, ..., mu_s) into the
+    permutation module of mu = (mu_1, ..., mu_s, 1), as
+    ``one_node_map(field, mu, 1, len(mu))`` builds it, over semistandard
+    tableaux.  Such a tableau holds only a in row a except for its last
+    entry, so the conditions read it by its row ends."""
+    field, mu = hom.field, check_partition(hom.target)
+    if len(mu) < 2 or mu[-1] != 1 or hom.source != (mu[0] + 1,) + mu[1:-1]:
+        raise ValueError(f"not a one-node map: {hom.source} -> M^{mu}")
+    ends = {}
+    for tab, rep in hom.coeffs.items():
+        if not tab.is_semistandard():
+            raise ValueError(f"tableau {tab} is not semistandard")
+        ends[tuple(row[-1] for row in tab.rows)] = rep
     for d in range(1, len(mu)):
         groups: dict = {}
-        for entries, rep in clean.items():
+        for entries, rep in ends.items():
             rewritten = _merge_rewrite(field, mu, entries, d)
             if rewritten is None:
                 continue

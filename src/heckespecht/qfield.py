@@ -75,8 +75,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return poly
 
 
-# trial divisors times dividend length (about a second): a larger search
-# is refused, not run for minutes
+# trial divisors times dividend length, or the order of q in a field
+# (about a second): a larger search is refused, not run for minutes
 SEARCH_LIMIT = 1_000_000
 
 
@@ -106,8 +106,13 @@ def poly_is_irreducible_mod_p(poly, p: int) -> bool:
 
 def _first_irreducible_factor(e: int, p: int):
     """First (lexicographically smallest) irreducible factor of Phi_e over
-    F_p.  Requires p not dividing e; every factor then has degree equal to
-    the multiplicative order of p mod e."""
+    F_p.  Requires p not dividing e; every factor then has degree d equal
+    to the multiplicative order of p mod e, so the first monic degree-d
+    divisor is irreducible."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if e % p == 0:
         raise ValueError("p must not divide e for the automatic modulus")
     d = 1
@@ -117,8 +122,7 @@ def _first_irreducible_factor(e: int, p: int):
         d += 1
     phi = _trim(cyclotomic_polynomial(e), p)
     for g in _pmod_monic_polys(d, p, phi):
-        q, rem = _divmod(phi, g, p)
-        if not rem and poly_is_irreducible_mod_p(g, p):
+        if not _divmod(phi, g, p)[1]:
             return g
     raise ValueError(f"no degree-{d} factor of Phi_{e} over F_{p}")
 
@@ -298,6 +302,8 @@ class FieldSpec:
             else:
                 e, acc = 1, self.q_rep
                 while acc != self.one_rep:
+                    if e == SEARCH_LIMIT:
+                        raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
                     acc = self.mul(acc, self.q_rep)
                     e += 1
             self._profile = QuantumProfile(e, self.p)

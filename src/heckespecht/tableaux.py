@@ -4,8 +4,7 @@ attached to them.
 Permutations are tuples in one-line notation with 1-based values:
 ``w[i-1]`` is the image of i under the right action.  Tableaux are stored
 as immutable row tuples.  Everything enumerates in a fixed deterministic
-order (lexicographic on reading words), which also realises the total
-order used to triangularise one-node coefficient systems.
+order (lexicographic on reading words).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
-from .partitions import check_composition, check_partition, drop_trailing_zeros
+from .partitions import check_composition, check_partition
 
 
 # ---------------------------------------------------------------------------
@@ -282,103 +281,3 @@ def coset_reps(shape) -> tuple[tuple[int, ...], ...]:
     """Minimal coset representatives for the row stabiliser of the given
     shape: reading words of row-standard fillings by 1..n, sorted."""
     return tuple(_fillings(shape, (1,) * sum(check_composition(shape)), columns=False))
-
-
-# ---------------------------------------------------------------------------
-# one-node codes
-
-class OneNodeCode:
-    """Compact code for semistandard tableaux arising from one-node moves.
-
-    The base is a partition mu = (mu_1, ..., mu_s, 1) and the shape is
-    lam = (mu_1 + 1, mu_2, ..., mu_s).  Row a of the tableau is constant
-    equal to a except for its last entry, recorded as entries[a-1]."""
-
-    __slots__ = ("base", "entries")
-
-    def __init__(self, base, entries):
-        base = check_partition(base)
-        if not base or base[-1] != 1:
-            raise ValueError("base must end in a part equal to 1")
-        s = len(base) - 1
-        entries = tuple(entries)
-        if len(entries) != s:
-            raise ValueError(f"expected {s} entries, got {len(entries)}")
-        if sorted(entries) != list(range(2, s + 2)):
-            raise ValueError("entries must be a permutation of 2..s+1")
-        for a, v in enumerate(entries, start=1):
-            if v < a:
-                raise ValueError(f"entry {v} in slot {a} is too small")
-        self.base = base
-        self.entries = entries
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        mu = self.base
-        return drop_trailing_zeros((mu[0] + 1,) + mu[1:-1])
-
-    def is_semistandard(self) -> bool:
-        lam = self.shape
-        for a in range(len(lam) - 1):
-            if lam[a] == lam[a + 1] and self.entries[a] >= self.entries[a + 1]:
-                return False
-        return True
-
-    def to_tableau(self) -> Tableau:
-        lam = self.shape
-        rows = []
-        for a, part in enumerate(lam, start=1):
-            row = [a] * (part - 1) + [self.entries[a - 1]]
-            rows.append(row)
-        return Tableau(rows)
-
-    @classmethod
-    def from_tableau(cls, base, tab: Tableau) -> "OneNodeCode":
-        entries = []
-        for a, row in enumerate(tab.rows, start=1):
-            for j, v in enumerate(row[:-1], start=1):
-                if v != a:
-                    raise ValueError("tableau is not in one-node form")
-            entries.append(row[-1])
-        return cls(base, entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneNodeCode)
-            and self.base == other.base
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.entries))
-
-    def __str__(self):
-        ent = ",".join(str(v) for v in self.entries)
-        base = ",".join(str(v) for v in self.base)
-        return f"mu:{ent}|base={base}"
-
-    __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text: str) -> "OneNodeCode":
-        if not text.startswith("mu:") or "|base=" not in text:
-            raise ValueError(f"cannot parse one-node code {text!r}")
-        ent_text, base_text = text[3:].split("|base=", 1)
-        entries = [int(v) for v in ent_text.split(",") if v]
-        base = [int(v) for v in base_text.split(",") if v]
-        return cls(base, entries)
-
-
-def one_node_codes(base) -> list[OneNodeCode]:
-    """All semistandard one-node codes over the given base, in the
-    lexicographic order of their entry sequences.  These are the
-    semistandard tableaux of the code shape and type base, read off at
-    the row ends: each of them is in one-node form."""
-    least = OneNodeCode(base, range(2, len(base) + 1))
-    if len(least.base) == 1:
-        return [least]  # the base (1,): one empty code, no tableau
-    ends = list(itertools.accumulate(least.shape))
-    return [
-        OneNodeCode(least.base, [word[e - 1] for e in ends])
-        for word in _fillings(least.shape, least.base, columns=True)
-    ]

@@ -45,7 +45,6 @@ from heckespecht.qfield import (
 )
 from heckespecht.reducibility import is_ep_reducible
 from heckespecht.tableaux import (
-    OneNodeCode,
     coset_reps,
     enumerate_row_standard,
     standard_count,
@@ -203,11 +202,7 @@ def test_criterion_6_one_node_maps_land():
                         continue
                     seen.add(base)
                     hom = one_node_map(spec, base, 1, len(base))
-                    coeffs = {
-                        OneNodeCode.from_tableau(base, tab).entries: rep
-                        for tab, rep in hom.coeffs.items()
-                    }
-                    symbolic = one_node_conditions_check(spec, base, coeffs)
+                    symbolic = one_node_conditions_check(hom)
                     brute = restriction_into_specht(hom)
                     assert symbolic == brute, (e, base)
                     agreed += 1

@@ -35,14 +35,19 @@ def test_bad_field_is_domain_error(capsys):
     assert code == 2
 
 
-def test_oversized_extension_search_is_domain_error(capsys):
-    # Phi_23 has degree-11 factors over F_13: 13^11 trial divisors
-    code, out, err = run_cli(
-        capsys, "vanish-run", "--field", "ext:p=13,e=23", "--alpha", "3", "--beta", "1"
-    )
+@pytest.mark.parametrize("spec", [
+    "ext:p=13,e=23",  # Phi_23 has degree-11 factors over F_13: 13^11 trial divisors
+    "ext:p=2,e=1",  # e < 2: the order of p mod e is never reached
+    "ext:p=5,e=-3",
+    "p=1000000000039,q=2",  # q = 2 has an order of about 5 * 10^11
+    "ext:p=4,e=6",  # 4 has no order mod 6
+    "ext:p=0,e=3",
+])
+def test_oversized_extension_search_is_domain_error(capsys, spec):
+    code, out, err = run_cli(capsys, "vanish-run", "--field", spec, "--alpha", "3", "--beta", "1")
     assert code == 2
     assert not out
-    assert "too large to search" in err
+    assert err.startswith("error:")
 
 
 def test_bad_partition_is_domain_error(capsys):
@@ -221,6 +226,7 @@ def test_classify_outputs(capsys):
 @pytest.mark.parametrize("argv, worker", [
     (("classify", "--n", "46"), "classify_range"),
     (("tables", "--max", "1001"), "qbinom_rows"),
+    (("qbinom", "--alpha", "8000", "--beta", "1000"), "qbinom"),
 ])
 def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worker):
     def refuse(*args):

@@ -34,23 +34,19 @@ from heckespecht.homs import (
     semistandard_scope,
     specht_membership,
     theta_image_of_x,
-    theta_on_generator,
 )
 from heckespecht.partitions import (
     check_partition,
     conjugate,
-    drop_trailing_zeros,
     dominates,
     partitions_of,
 )
 from heckespecht.qfield import Cyclotomic, FieldSpec, QuantumProfile, parse_field, qint
 from heckespecht.tableaux import (
-    OneNodeCode,
     Tableau,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
-    one_node_codes,
     perm_identity,
     perm_times_s,
     reduced_word,
@@ -72,7 +68,7 @@ def test_theta_identity_embedding(cyclo3):
     tab = Tableau([[1, 1], [2]])
     img = theta_image_of_x(cyclo3, tab)
     assert img.coeffs == {perm_identity(3): cyclo3.one_rep}
-    value = theta_on_generator(cyclo3, tab)
+    value = evaluate_on_generator(HomSpec(cyclo3, (2, 1), (2, 1), {tab: cyclo3.one_rep}))
     assert value == specht_generator(cyclo3, (2, 1))
 
 
@@ -459,7 +455,7 @@ def test_semistandard_values_linearly_independent(cyclo3):
                 vectors = [
                     push_through(theta_image_of_x(cyclo3, tab, mu), gen) for tab in tabs
                 ]
-                assert _rank(cyclo3, vectors) == len(tabs), (lam, mu)
+                assert _rank(cyclo3, [v.coeffs for v in vectors]) == len(tabs), (lam, mu)
 
 
 def test_membership_reduces_to_top_merges_for_one_node_maps(cyclo3, cyclo4):
@@ -482,11 +478,13 @@ def test_membership_reduces_to_top_merges_for_one_node_maps(cyclo3, cyclo4):
                 assert top_only == specht_membership(value), (field.name, mu)
 
 
-def _rank(field, vectors):
+def _rank(field, rows):
+    """Rank of the dict rows by plain elimination, independent of
+    SparseEchelon."""
     pivots = {}
     rank = 0
-    for vec in vectors:
-        row = dict(vec.coeffs)
+    for row in rows:
+        row = dict(row)
         while row:
             piv = min(row)
             if piv not in pivots:
@@ -512,23 +510,15 @@ def test_one_node_conditions_match_membership(cyclo3, cyclo4):
             for mu in partitions_of(n):
                 if mu[-1] != 1 or len(mu) < 2:
                     continue
-                lam = drop_trailing_zeros((mu[0] + 1,) + mu[1:-1])
-                codes = one_node_codes(mu)
-                if not codes:
+                lam = (mu[0] + 1,) + mu[1:-1]
+                tabs = enumerate_semistandard(lam, mu)
+                if not tabs:
                     continue
                 built = one_node_map(field, mu, 1, len(mu))
-                coeffs = {
-                    OneNodeCode.from_tableau(mu, tab).entries: rep
-                    for tab, rep in built.coeffs.items()
-                }
-                assert one_node_conditions_check(field, mu, coeffs) == restriction_into_specht(built)
+                assert one_node_conditions_check(built) == restriction_into_specht(built)
                 for _ in range(3):
-                    sample = {c.entries: field.int_rep(rng.randrange(5)) for c in codes}
-                    hom = HomSpec(
-                        field, lam, mu,
-                        {c.to_tableau(): sample[c.entries] for c in codes},
-                    )
-                    assert one_node_conditions_check(field, mu, sample) == restriction_into_specht(hom)
+                    hom = HomSpec(field, lam, mu, {tab: field.int_rep(rng.randrange(5)) for tab in tabs})
+                    assert one_node_conditions_check(hom) == restriction_into_specht(hom)
 
 
 def test_one_node_condition_system_solution_dimension(cyclo3, cyclo4):
@@ -542,15 +532,16 @@ def test_one_node_condition_system_solution_dimension(cyclo3, cyclo4):
             for mu in partitions_of(n):
                 if mu[-1] != 1 or len(mu) < 2:
                     continue
-                codes = one_node_codes(mu)
-                if not codes:
+                tabs = enumerate_semistandard((mu[0] + 1,) + mu[1:-1], mu)
+                ends = [tuple(row[-1] for row in tab.rows) for tab in tabs]
+                if not ends:
                     continue
                 s = len(mu) - 1
                 rows = []
                 for d in range(1, s + 1):
                     groups: dict = {}
-                    for idx, code in enumerate(codes):
-                        rewritten = _merge_rewrite(field, mu, code.entries, d)
+                    for idx, entries in enumerate(ends):
+                        rewritten = _merge_rewrite(field, mu, entries, d)
                         if rewritten is None:
                             continue
                         coeff, target = rewritten
@@ -564,41 +555,24 @@ def test_one_node_condition_system_solution_dimension(cyclo3, cyclo4):
                         else:
                             cell[idx] = new
                     rows.extend(r for r in groups.values() if r)
-                rank = _sparse_rank(field, rows)
+                rank = _rank(field, rows)
                 eligible = (mu[0] + s) % e == 0
-                assert len(codes) - rank == (1 if eligible else 0), (e, mu)
-
-
-def _sparse_rank(field, rows):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            piv = min(row)
-            if piv not in pivots:
-                inv = field.inv(row[piv])
-                pivots[piv] = {k: field.mul(inv, c) for k, c in row.items()}
-                rank += 1
-                break
-            c = field.neg(row[piv])
-            for k, rep in pivots[piv].items():
-                old = row.get(k)
-                new = field.mul(c, rep) if old is None else field.add(old, field.mul(c, rep))
-                if field.is_zero(new):
-                    row.pop(k, None)
-                else:
-                    row[k] = new
-    return rank
+                assert len(ends) - rank == (1 if eligible else 0), (e, mu)
 
 
 def test_one_node_conditions_trivial_cases(cyclo3):
-    assert one_node_conditions_check(cyclo3, (2, 1, 1), {})
-    zeros = {c.entries: cyclo3.zero_rep for c in one_node_codes((2, 1, 1))}
-    assert one_node_conditions_check(cyclo3, (2, 1, 1), zeros)
-    for base, entries in [((2, 2), (2,)), ((2, 1, 1), (2, 2)), ((1, 1, 1, 1), (3, 4, 2))]:
+    lam, mu = (3, 1), (2, 1, 1)
+    assert one_node_conditions_check(HomSpec(cyclo3, lam, mu, {}))
+    zeros = {tab: cyclo3.zero_rep for tab in enumerate_semistandard(lam, mu)}
+    assert one_node_conditions_check(HomSpec(cyclo3, lam, mu, zeros))
+    one = cyclo3.one_rep
+    for hom in [
+        HomSpec(cyclo3, (3,), (2, 2), {}),  # target must end in 1
+        HomSpec(cyclo3, (1, 1, 1), (1, 1, 1), {Tableau([[1], [2], [3]]): one}),  # source must be (2, 1)
+        HomSpec(cyclo3, (2, 1, 1), (1, 1, 1, 1), {Tableau([[1, 3], [4], [2]]): one}),  # not semistandard
+    ]:
         with pytest.raises(ValueError):
-            one_node_conditions_check(cyclo3, base, {entries: cyclo3.one_rep})
+            one_node_conditions_check(hom)
 
 
 def test_one_node_conditions_on_constructed_map(cyclo3, cyclo4):
@@ -606,12 +580,7 @@ def test_one_node_conditions_on_constructed_map(cyclo3, cyclo4):
     # condition holds: here mu_1 + s = 4
     mu = (2, 1, 1)
     for field, expect in ((cyclo3, False), (cyclo4, True)):
-        hom = one_node_map(field, mu, 1, 3)
-        coeffs = {
-            OneNodeCode.from_tableau(mu, tab).entries: rep
-            for tab, rep in hom.coeffs.items()
-        }
-        assert one_node_conditions_check(field, mu, coeffs) is expect
+        assert one_node_conditions_check(one_node_map(field, mu, 1, 3)) is expect
 
 
 def test_row_transfer_membership_preserved_at_e2():

@@ -1,17 +1,13 @@
 import itertools
 from math import factorial
 
-import pytest
-
 from heckespecht.partitions import check_composition, partitions_of
 from heckespecht.tableaux import (
-    OneNodeCode,
     Tableau,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
     enumerate_standard,
-    one_node_codes,
     perm_identity,
     perm_length,
     perm_of_tableau,
@@ -172,41 +168,12 @@ def test_standard_counts_match_enumeration():
         assert len(enumerate_standard(lam)) == expect
 
 
-def test_one_node_codes():
-    codes = one_node_codes((2, 1, 1))
-    assert [c.entries for c in codes] == [(2, 3), (3, 2)]
-    assert str(codes[0]) == "mu:2,3|base=2,1,1"
-    assert OneNodeCode.parse("mu:3,2|base=2,1,1") == codes[1]
-
-
-def test_one_node_code_round_trip():
-    for n in range(2, 9):
-        for mu in partitions_of(n):
-            if mu[-1] != 1 or len(mu) < 2:
-                continue
-            for code in one_node_codes(mu):
-                tab = code.to_tableau()
-                assert tab.is_semistandard()
-                assert OneNodeCode.from_tableau(mu, tab) == code
-
-
-def test_one_node_code_validation():
-    with pytest.raises(ValueError):
-        OneNodeCode((2, 2), (2,))  # base must end in 1
-    with pytest.raises(ValueError):
-        OneNodeCode((2, 1, 1), (2, 2))
-    with pytest.raises(ValueError):
-        OneNodeCode((1, 1, 1, 1), (3, 4, 2))  # slot 3 cannot hold 2
-
-
 def test_enumeration_is_sorted_by_reading_word():
     for lam, mu in [((3, 1), (2, 1, 1)), ((2, 2), (1, 1, 1, 1)), ((2, 0, 2), (1, 2, 1))]:
         for tabs in (enumerate_semistandard(lam, mu), enumerate_row_standard(lam, mu)):
             words = [t.reading_word() for t in tabs]
             assert words == sorted(words)
         assert list(coset_reps(lam)) == sorted(coset_reps(lam))
-    words = [c.to_tableau().reading_word() for c in one_node_codes((2, 2, 1, 1, 1))]
-    assert len(words) > 1 and words == sorted(words)
 
 
 def _compositions(n, max_parts):
@@ -244,21 +211,23 @@ def test_coset_reps_are_the_minimal_length_representatives():
             assert coset_reps(shape) == tuple(sorted(least.values())), shape
 
 
-def test_one_node_codes_match_the_permutation_filter():
-    bases = [(1,), (2,), (2, 2), (3, 1, 1)]
-    bases += [mu for n in range(2, 10) for mu in partitions_of(n) if mu[-1] == 1 and len(mu) > 1]
-    for base in bases:
-        s = len(base) - 1
-        expect = []
-        try:
-            for perm in itertools.permutations(range(2, s + 2)):
-                if all(v >= a for a, v in enumerate(perm, start=1)):
-                    code = OneNodeCode(base, perm)
-                    if code.is_semistandard():
-                        expect.append(code)
-        except ValueError:
-            with pytest.raises(ValueError):
-                one_node_codes(base)
-        else:
-            expect.sort(key=lambda c: c.entries)
-            assert one_node_codes(base) == expect, base
+def test_one_node_tableaux_are_read_by_row_ends():
+    # the semistandard tableaux of shape (mu_1 + 1, mu_2, ..., mu_s) and
+    # type mu = (mu_1, ..., mu_s, 1) hold a in row a except at its end,
+    # and their row ends are the permutations of 2..s+1 with entry a in
+    # slot a at least a, increasing along rows of equal length
+    for n in range(2, 10):
+        for mu in partitions_of(n):
+            if mu[-1] != 1 or len(mu) < 2:
+                continue
+            lam = (mu[0] + 1,) + mu[1:-1]
+            tabs = enumerate_semistandard(lam, mu)
+            for tab in tabs:
+                assert all(set(row[:-1]) <= {a} for a, row in enumerate(tab.rows, start=1)), tab
+            s = len(lam)
+            expect = [
+                perm for perm in itertools.permutations(range(2, s + 2))
+                if all(v >= a for a, v in enumerate(perm, start=1))
+                and all(lam[a] > lam[a + 1] or perm[a] < perm[a + 1] for a in range(s - 1))
+            ]
+            assert [tuple(row[-1] for row in tab.rows) for tab in tabs] == expect, mu
