@@ -17,7 +17,6 @@ from .hecke import (
     HeckeElement,
     ModuleVector,
     SpechtModule,
-    act_element,
     act_gen,
     act_word,
     basis_vector,

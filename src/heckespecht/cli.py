@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import sys
 
@@ -25,7 +26,7 @@ from .carter_payne import (
     verify_cp,
 )
 from .homs import HomSpec, compose_psi_theta, hom_space_dim
-from .partitions import parse_partition
+from .partitions import nu_composition, parse_partition
 from .qfield import parse_field, qbinom, qbinom_rows, quantum_char, vanish_run
 from .reducibility import classify_range
 from .tableaux import Tableau
@@ -33,6 +34,7 @@ from .tableaux import Tableau
 BRUTE_FORCE_LIMIT = 9
 CLASSIFY_LIMIT = 45  # classify --n: peak memory about doubles per 5 added to n
 TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max
+CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,9 +144,8 @@ def _dispatch(args, field):
     """Returns (json result object, csv/text rows)."""
     cmd = args.command
     if cmd == "qbinom":
-        cells = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # as many as tables --max TABLES_LIMIT
-        if args.alpha * args.beta > cells:
-            raise ValueError(f"--alpha times --beta exceeds the size limit {cells}")
+        if args.alpha * max(args.beta, 1) > CELLS_LIMIT:  # alpha rows, even at beta 0
+            raise ValueError(f"--alpha times --beta exceeds the size limit {CELLS_LIMIT}")
         value = str(qbinom(field, args.alpha, args.beta))
         return (
             {"alpha": args.alpha, "beta": args.beta, "value": value},
@@ -195,6 +196,15 @@ def _dispatch(args, field):
         )
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
+        mu = tab.content()
+        nu_composition(mu, args.d, args.t)
+        # ways[s]: tuples c_i <= row i's count of d+1, over the rows so far, of sum s
+        ways = [1] + [0] * (mu[args.d] - args.t)
+        for bound in (row.count(args.d + 1) for row in tab.rows):
+            below = [0, *itertools.accumulate(ways)]
+            ways = [below[s + 1] - below[max(0, s - bound)] for s in range(len(ways))]
+        if ways[-1] > CELLS_LIMIT:
+            raise ValueError(f"the term count {ways[-1]} exceeds the size limit {CELLS_LIMIT}")
         hom = compose_psi_theta(field, tab, args.d, args.t)
         return hom.to_json(), _hom_rows(hom)
     if cmd == "classify":

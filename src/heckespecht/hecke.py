@@ -6,9 +6,9 @@ action follows the three-case multiplication rule for x-generated
 modules: absorb a q on a same-row pair, move to the swapped
 representative when the rows increase, and produce the mixed two-term
 combination otherwise.  Everything else (words, module maps evaluated
-by a prefix walk over reduced words, algebra elements, values at the
-Specht generator x T_{w_lam} y_{lam'} with y factored into run sums,
-spinning out a basis with exact Gaussian elimination) is built on it.
+one reduced word per key, algebra elements, values at the Specht
+generator x T_{w_lam} y_{lam'} with y factored into run sums, spinning
+out a basis with exact Gaussian elimination) is built on it.
 
 The full group-algebra ``HeckeElement`` and ``y_element`` are also
 provided; module code never expands vectors over the n! basis, but the
@@ -217,63 +217,20 @@ def act_word(v: ModuleVector, w) -> ModuleVector:
     return ModuleVector(v.field, v.shape, coeffs)
 
 
-def act_element(v: ModuleVector, h: "HeckeElement") -> ModuleVector:
-    if v.field != h.field:
-        raise ValueError("vector and element over different fields")
-    out: dict = {}
-    f = v.field
-    for w, c in h.coeffs.items():
-        moved = act_word(v, w)
-        for k, rep in moved.coeffs.items():
-            _acc(f, out, k, f.mul(c, rep))
-    return ModuleVector(f, v.shape, out)
-
-
 def push_through(base: ModuleVector, v) -> ModuleVector:
     """Image of v under the homomorphism sending the source generator to
-    base, by ``push_many`` of v alone.  v is anything with a ``coeffs``
-    dict keyed by permutations, such as a ``ModuleVector`` or a
-    ``HeckeElement`` (then the result is base . v)."""
-    return ModuleVector(base.field, base.shape, push_many(v)(base))
-
-
-def push_many(v):
-    """push(base) -> the coefficient dict of v's image under the
-    homomorphism sending the source generator to base.
-
-    The keys of v are sorted once, by reduced word, and each push visits
-    them in that order: a depth-first walk of the prefix tree of the
-    words, holding the image of base under every prefix of the current
-    word.  So each key w costs one generator action on the image of its
-    parent w s_i, i the last letter of reduced_word(w), shared prefixes
-    are acted out once, and one sort serves every base;
-    ``act_word`` and ``act_element`` remain the per-key oracles."""
-    vc = v.coeffs
-    order = sorted((reduced_word(w), w) for w in vc)
-
-    def push(base: ModuleVector) -> dict:
-        f = base.field
-        rowpos = shape_row_of_position(base.shape)
-        mul = f.mul
-        out: dict = {}
-        path = [base.coeffs]  # path[j]: base pushed by the first j letters
-        prev = ()
-        for word, key in order:
-            keep = 0
-            for a, b in zip(prev, word):
-                if a != b:
-                    break
-                keep += 1
-            del path[keep + 1:]
-            for i in word[keep:]:
-                path.append(_act_dict(f, rowpos, path[-1], i))
-            c = vc[key]
-            for k, rep in path[-1].items():
-                _acc(f, out, k, mul(c, rep))
-            prev = word
-        return out
-
-    return push
+    base: the sum over v's keys w of c_w . base . T_w, one ``act_word``
+    per key.  v is anything with a field and a ``coeffs`` dict keyed by
+    permutations, such as a ``ModuleVector`` or a ``HeckeElement`` (then
+    the result is base . v)."""
+    if base.field != v.field:
+        raise ValueError("base and v over different fields")
+    f = base.field
+    out: dict = {}
+    for w, c in v.coeffs.items():
+        for k, rep in act_word(base, w).coeffs.items():
+            _acc(f, out, k, f.mul(c, rep))
+    return ModuleVector(f, base.shape, out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .hecke import (
     SparseEchelon,
     _acc,
     at_generator,
-    push_many,
     push_through,
     spin_specht,
 )
@@ -121,7 +120,9 @@ class HomSpec:
             raise ValueError("homomorphism JSON needs source, target and coefficients lists")
         stored = data.get("fieldSpec")
         if field is None:
-            field = parse_field(data["fieldSpec"])
+            if not isinstance(stored, str):
+                raise ValueError("homomorphism JSON needs a fieldSpec string")
+            field = parse_field(stored)
         elif stored is not None and stored != field.name:
             raise ValueError(f"homomorphism JSON was written over {stored!r}, not {field.name!r}")
         coeffs = {}
@@ -180,11 +181,9 @@ def psi_dt(v: ModuleVector, d: int, t: int) -> ModuleVector:
 
 def specht_membership(v: ModuleVector) -> bool:
     """Whether v lies in the Specht submodule of its permutation module:
-    all one-row-merge maps send it to zero.  The keys of v are sorted
-    once for all the merge maps."""
-    push = push_many(v)
-    return _landing_solve(v.field, check_partition(v.shape), 1, lambda d, t: [
-        push(_psi_base(v.field, v.shape, d, t))]) == 1
+    all one-row-merge maps send it to zero."""
+    return _landing_solve(v.field, check_partition(v.shape), 1,
+                          lambda d, t: [psi_dt(v, d, t).coeffs]) == 1
 
 
 def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:

@@ -6,9 +6,11 @@ import pytest
 
 from heckespecht import cli
 from heckespecht.cli import main
-from heckespecht.homs import HomSpec
+from heckespecht.homs import HomSpec, _bounded_compositions
+from heckespecht.partitions import nu_composition, partitions_of
 from heckespecht.qfield import parse_field, qbinom
 from heckespecht.reducibility import ReducibilityReport
+from heckespecht.tableaux import enumerate_row_standard
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +229,9 @@ def test_classify_outputs(capsys):
     (("classify", "--n", "46"), "classify_range"),
     (("tables", "--max", "1001"), "qbinom_rows"),
     (("qbinom", "--alpha", "8000", "--beta", "1000"), "qbinom"),
+    (("qbinom", "--alpha", "30000000", "--beta", "0"), "qbinom"),
+    (("compose", "--tableau", json.dumps([[1, 2, 2, 2, 2, 2]] * 10), "--d", "1", "--t", "25"),
+     "compose_psi_theta"),
 ])
 def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worker):
     def refuse(*args):
@@ -236,6 +241,39 @@ def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worke
     code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
     assert (code, out) == (2, "")
     assert "exceeds the size limit" in err
+
+
+def test_compose_guard_counts_every_term(capsys, monkeypatch):
+    # with no room left every compose is refused, naming its term count:
+    # the number of tuples compose_psi_theta would list
+    monkeypatch.setattr(cli, "CELLS_LIMIT", 0)
+    for lam in partitions_of(4):
+        for mu in partitions_of(4):
+            for tab in enumerate_row_standard(lam, mu):
+                for d in range(1, len(mu)):
+                    counts = [row.count(d + 1) for row in tab.rows]
+                    for t in range(mu[d]):
+                        terms = len(list(_bounded_compositions(mu[d] - t, counts)))
+                        _, _, err = run_cli(capsys, "compose", "--field", "p=7,q=2", "--tableau",
+                                            json.dumps(tab.to_lists()), "--d", str(d), "--t", str(t))
+                        assert f"term count {terms} exceeds" in err, (tab, d, t)
+
+
+def test_compose_under_the_size_limit_runs(capsys, monkeypatch):
+    # eight rows of [1,2,2,2,2,2] at --d 1 --t 20 list 135954 terms, under
+    # the limit, where ten rows at --t 25 list 4395456
+    built = []
+
+    def compose(field, tab, d, t):
+        built.append(tab)
+        return HomSpec(field, tab.shape, nu_composition(tab.content(), d, t), {})
+
+    monkeypatch.setattr(cli, "compose_psi_theta", compose)
+    argv = ("compose", "--field", "p=7,q=2", "--tableau", json.dumps([[1, 2, 2, 2, 2, 2]] * 8),
+            "--d", "1", "--t", "20")
+    assert run_cli(capsys, *argv)[0] == 0 and len(built) == 1
+    monkeypatch.setattr(cli, "CELLS_LIMIT", 0)
+    assert "term count 135954 exceeds" in run_cli(capsys, *argv)[2]
 
 
 def test_tables(capsys):

@@ -12,11 +12,11 @@ from heckespecht.hecke import (
     ModuleVector,
     SparseEchelon,
     _acc,
-    act_element,
     act_gen,
     act_word,
     apply_signed_stabilizer_sum,
     basis_vector,
+    push_through,
     run_sum_identity_holds,
     specht_generator,
     spin_specht,
@@ -65,7 +65,7 @@ def test_act_word_identity_and_coset_moves(f7q2):
         assert moved.coeffs == {d: f7q2.one_rep}
 
 
-def test_act_element_kills_same_row_pair(cyclo3):
+def test_push_through_kills_same_row_pair(cyclo3):
     # I - q^{-1} T_1 annihilates any vector whose keys keep 1, 2 in one row
     h = HeckeElement.from_perm(cyclo3, perm_identity(4)).add(
         HeckeElement.from_perm(cyclo3, perm_times_s(perm_identity(4), 1)).scale(
@@ -73,7 +73,16 @@ def test_act_element_kills_same_row_pair(cyclo3):
         )
     )
     v = basis_vector(cyclo3, (2, 2))
-    assert act_element(v, h).is_zero()
+    assert push_through(v, h).is_zero()
+
+
+def test_vectors_of_different_modules_do_not_mix(cyclo3, f7q2):
+    v = basis_vector(cyclo3, (2, 1))
+    with pytest.raises(ValueError, match="different fields"):
+        push_through(v, basis_vector(f7q2, (2, 1)))
+    for other in (basis_vector(f7q2, (2, 1)), basis_vector(cyclo3, (1, 2))):
+        with pytest.raises(ValueError, match="vectors live in different modules"):
+            v.add(other)
 
 
 @pytest.mark.parametrize("field_name", ["cyclo3", "f7q2"])
@@ -135,18 +144,18 @@ def test_signed_stabilizer_sum_matches_element(f7q2, cyclo3):
             h = y_element(field, conjugate(lam))
             for d in coset_reps(lam)[:6]:
                 v = basis_vector(field, lam, d)
-                assert apply_signed_stabilizer_sum(v, conjugate(lam)) == act_element(v, h)
+                assert apply_signed_stabilizer_sum(v, conjugate(lam)) == push_through(v, h)
 
 
 @pytest.mark.parametrize("field_name", ["f7q2", "cyclo3", "ext23"])
 def test_specht_generator_matches_per_key_oracle(field_name, request):
     # the generator is x-vector . T_{w_lambda} . y_{lambda'}; the library
-    # pushes y through the prefix walk, the oracle acts one word per key
+    # factors y into run sums, the oracle acts one word per key
     field = request.getfixturevalue(field_name)
     for n in range(1, 7):
         for lam in partitions_of(n):
             v = act_word(basis_vector(field, lam), w_lambda(lam))
-            expect = act_element(v, y_element(field, conjugate(lam)))
+            expect = push_through(v, y_element(field, conjugate(lam)))
             assert specht_generator(field, lam) == expect, (field.name, lam)
 
 

@@ -6,9 +6,7 @@ import pytest
 from heckespecht.carter_payne import one_node_map
 from heckespecht import hecke, homs
 from heckespecht.hecke import (
-    HeckeElement,
     ModuleVector,
-    act_element,
     act_word,
     apply_signed_stabilizer_sum,
     at_generator,
@@ -22,7 +20,6 @@ from heckespecht.homs import (
     _intertwiner_dimension,
     _landing_solve,
     _semistandard_dimension,
-    _psi_base,
     compose_psi_theta,
     evaluate_on_generator,
     hom_space_dim,
@@ -48,8 +45,6 @@ from heckespecht.tableaux import (
     enumerate_row_standard,
     enumerate_semistandard,
     perm_identity,
-    perm_times_s,
-    reduced_word,
     w_lambda,
 )
 
@@ -103,12 +98,6 @@ def test_membership_rejects_plain_basis_vector(cyclo3):
     assert specht_membership(ModuleVector(cyclo3, (2, 1), {}))
 
 
-def _push_oracle(base: ModuleVector, v: ModuleVector) -> ModuleVector:
-    """push_through by the group algebra: base times v's keys as an
-    element, one act_word per key."""
-    return act_element(base, HeckeElement(base.field, sum(v.shape), v.coeffs))
-
-
 def _graded_vector(field, shape) -> ModuleVector:
     """Every coset basis vector of the shape, the k-th with coefficient
     q^(k^2); outside the Specht submodule for every shape with two or more
@@ -118,29 +107,18 @@ def _graded_vector(field, shape) -> ModuleVector:
 
 
 @pytest.mark.parametrize("field_name", ["f97q3", "cyclo3", "ext23"])
-def test_push_through_matches_per_key_oracle(field_name, request):
+def test_graded_vectors_lie_outside_specht(field_name, request):
     field = request.getfixturevalue(field_name)
     for n in range(1, 6):
-        for lam in partitions_of(n):
-            gen = specht_generator(field, lam)
-            for mu in partitions_of(n):
-                for tab in enumerate_row_standard(lam, mu):
-                    base = theta_image_of_x(field, tab, mu)
-                    assert push_through(base, gen) == _push_oracle(base, gen), (lam, tab)
         for mu in partitions_of(n):
-            v = _graded_vector(field, mu)
             if len(mu) > 1:
-                assert not specht_membership(v), (field.name, mu)
-            for d in range(1, len(mu)):
-                for t in range(mu[d]):
-                    base = _psi_base(field, mu, d, t)
-                    assert push_through(base, v) == _push_oracle(base, v), (mu, d, t)
+                assert not specht_membership(_graded_vector(field, mu)), (field.name, mu)
 
 
 @pytest.mark.parametrize("field_name", ["f7q2", "cyclo3", "ext23"])
 def test_factored_values_match_per_key_oracle(field_name, request):
     # v_T = theta_T(x) . T_{w_lam} . y_{lam'}, with y as a product of run
-    # sums, against pushing every key of y_element through the prefix walk
+    # sums, against pushing y_element through one act_word per key
     field = request.getfixturevalue(field_name)
     for n in range(1, 6):
         for lam in partitions_of(n):
@@ -152,42 +130,6 @@ def test_factored_values_match_per_key_oracle(field_name, request):
                     expect = push_through(v, y)
                     assert apply_signed_stabilizer_sum(v, conjugate(lam)) == expect, tab
                     assert at_generator(x, lam) == expect, tab
-
-
-def _prefix_nodes(keys) -> set:
-    """Non-identity prefixes of the keys' reduced words, as permutations."""
-    nodes = set()
-    for w in keys:
-        u = perm_identity(len(w))
-        for i in reduced_word(w):
-            u = perm_times_s(u, i)
-            nodes.add(u)
-    return nodes
-
-
-def test_push_through_one_action_per_prefix(cyclo3, monkeypatch):
-    calls = [0]
-    act = hecke._act_dict
-
-    def counted(*args):
-        calls[0] += 1
-        return act(*args)
-
-    monkeypatch.setattr(hecke, "_act_dict", counted)
-    cases = [
-        (theta_image_of_x(cyclo3, Tableau([[1, 1, 2], [2, 3]]), (2, 2, 1)),
-         specht_generator(cyclo3, (3, 2))),
-        (_psi_base(cyclo3, (2, 2, 1), 1, 1), _graded_vector(cyclo3, (2, 2, 1))),
-        (_psi_base(cyclo3, (3, 2, 1), 2, 0), specht_generator(cyclo3, (3, 2, 1))),
-    ]
-    for base, v in cases:
-        calls[0] = 0
-        push_through(base, v)
-        nodes = _prefix_nodes(v.coeffs)
-        assert calls[0] == len(nodes)
-        assert calls[0] <= len(coset_reps(v.shape)) - 1
-        # a word per key would pay for every letter of every key
-        assert calls[0] < sum(len(reduced_word(w)) for w in v.coeffs)
 
 
 def test_compose_single_row_example(f97q3):
@@ -377,18 +319,7 @@ def test_duality_routing(monkeypatch):
         assert solved[-1] == ((6,), mu)
 
 
-def test_membership_sorts_keys_once(cyclo3, monkeypatch):
-    v = specht_generator(cyclo3, (3, 2, 1))  # in S^mu: every merge map runs
-    looked_up = []
-    word = hecke.reduced_word
-
-    def counted(w):
-        looked_up.append(w)
-        return word(w)
-
-    monkeypatch.setattr(hecke, "reduced_word", counted)
-    assert specht_membership(v)
-    assert sorted(looked_up) == sorted(v.coeffs)
+def test_semistandard_solve_builds_no_psi_base(cyclo3, monkeypatch):
     # the in-scope solve composes the merge maps symbolically: it pushes
     # no vector of M^mu through a psi_{d,t} base
     built = []
@@ -616,3 +547,8 @@ def test_hom_spec_validation(cyclo3):
         HomSpec(cyclo3, (2, 1), (3,), {Tableau([[1, 1], [2]]): cyclo3.one_rep})
     with pytest.raises(ValueError):
         HomSpec(cyclo3, (2, 1), (2, 1), {Tableau([[2, 1], [1]]): cyclo3.one_rep})
+    payload = HomSpec(cyclo3, (2, 1), (2, 1), {Tableau([[1, 1], [2]]): cyclo3.one_rep}).to_json()
+    del payload["fieldSpec"]
+    for bad in (payload, dict(payload, fieldSpec=3)):
+        with pytest.raises(ValueError):
+            HomSpec.from_json(bad)

@@ -1,7 +1,9 @@
 import ast
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heckespecht"
 
 
 def test_library_example_runs():
@@ -20,3 +22,19 @@ def test_library_example_runs():
     verdict, dim = values[:2]
     assert verdict.nonzero and verdict.lands_in_specht  # nonzero, lands in S^(2,1,1)
     assert dim == 1
+
+
+def test_library_imports_only_the_standard_library():
+    # "No dependencies outside the standard library": every absolute import
+    # of the package names a standard module or the package itself
+    allowed = set(sys.stdlib_module_names) | {"heckespecht"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
