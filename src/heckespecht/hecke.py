@@ -10,6 +10,14 @@ one reduced word per key, algebra elements, values at the Specht
 generator x T_{w_lam} y_{lam'} with y factored into run sums, spinning
 out a basis with exact Gaussian elimination) is built on it.
 
+The landing solves read a value at the Specht generator off its
+column-canonical keys instead (``generator_keys``), with no run sums:
+T_i y = -y for s_i inside a column block of lam, so swapping i and i+1
+across rows of a key only flips the sign of its image under y, and a key
+holding i and i+1 in one row is killed by y once q != -1.  So each key
+folds onto one canonical key, with a sign, or drops out.  At q = -1 the
+whole value is returned, from the run sums.
+
 The full group-algebra ``HeckeElement`` and ``y_element`` are also
 provided; module code never expands vectors over the n! basis, but the
 tests use them as independent multiplication oracles.
@@ -367,6 +375,52 @@ def at_generator(v: ModuleVector, lam) -> ModuleVector:
     v: v . T_{w_lam} . y_{lam'}."""
     lam = check_partition(lam)
     return apply_signed_stabilizer_sum(act_word(v, w_lambda(lam)), conjugate(lam))
+
+
+def generator_keys(v: ModuleVector, lam) -> dict:
+    """The coefficients of ``at_generator(v, lam)`` at its column-canonical
+    keys, those whose values in each row a..b of the row filling of lam'
+    lie in distinct rows and rise down the rows; when q = -1, the whole
+    value.
+
+    For s_i with i, i+1 in one such block, T_i y = -y.  So when i and i+1
+    lie in different rows of a key d, e_{d s_i} y = -e_d y, and when they
+    share a row, (q + 1) e_d y = 0.  Once q != -1, e_d y is therefore 0
+    when two values of a block share a row of d, and otherwise the sign
+    of the relabelling times e_D y, D the canonical key that relabels each
+    block to rise down the rows.  From D every step is an ascent, so e_D y
+    is the sum of (-q^-1)^l(w) e_{D w}: disjoint supports for distinct D,
+    with coefficient 1 at D.  The value is thus zero exactly when the
+    returned dict is empty, and each of its other coefficients is a
+    multiple of a returned one, so linear conditions on the values keep
+    their span."""
+    lam = check_partition(lam)
+    f = v.field
+    if f.is_zero(f.add(f.q_rep, f.one_rep)):
+        return at_generator(v, lam).coeffs
+    rowpos = shape_row_of_position(v.shape)
+    blocks = [row for row in t_row(conjugate(lam)).rows if len(row) > 1]
+    out: dict = {}
+    for d, c in act_word(v, w_lambda(lam)).coeffs.items():
+        key = None
+        odd = False
+        for block in blocks:
+            spots = [d.index(val) for val in block]
+            rows = [rowpos[p] for p in spots]
+            if len(set(rows)) < len(rows):
+                break
+            # the rows of a key are runs of increasing positions, so rising
+            # down the rows is rising positions
+            ordered = sorted(spots)
+            if spots != ordered:
+                if key is None:
+                    key = list(d)
+                for val, p in zip(block, ordered):
+                    key[p] = val
+                odd ^= sum(a > b for i, a in enumerate(spots) for b in spots[i + 1:]) % 2
+        else:
+            _acc(f, out, d if key is None else tuple(key), f.neg(c) if odd else c)
+    return out
 
 
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:

@@ -8,7 +8,8 @@ one-row-merge map psi_{d,t} kills it.
 
 The symbolic composition rule writes psi_{d,t} o theta_T as a
 Gaussian-binomial combination of basis homomorphisms, so the landing
-solves evaluate that combination at z in M^nu and form no vector of
+solves read that combination's value at z in M^nu off its
+column-canonical keys (``hecke.generator_keys``) and form no vector of
 M^mu; pushing a vector through psi_{d,t} remains for membership of
 arbitrary vectors and as the rule's oracle.  Hom-space dimensions are
 solved for (lam, mu) or its conjugate dual (mu', lam'), whichever is
@@ -26,6 +27,7 @@ from .hecke import (
     SparseEchelon,
     _acc,
     at_generator,
+    generator_keys,
     push_through,
     spin_specht,
 )
@@ -212,7 +214,7 @@ def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> di
         for other, rep in compose_psi_theta(field, tab, d, t).coeffs.items():
             _acc(field, merged, other, field.mul(c, rep))
     nu = nu_composition(mu, d, t)
-    return at_generator(_row_class_sum(field, merged, nu), lam).coeffs
+    return generator_keys(_row_class_sum(field, merged, nu), lam)
 
 
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:
@@ -268,7 +270,9 @@ def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
 
 
 def restriction_is_zero(hom: HomSpec) -> bool:
-    return evaluate_on_generator(hom).is_zero()
+    """Whether the restriction is zero: its value at the Specht generator
+    has no column-canonical key (``generator_keys``)."""
+    return not generator_keys(_row_class_sum(hom.field, hom.coeffs, hom.target), hom.source)
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:
@@ -280,7 +284,7 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     the target), from a single evaluation at the generator; the landing
     equations come from the merge maps composed with hom symbolically."""
     target = check_partition(drop_trailing_zeros(hom.target))
-    if evaluate_on_generator(hom).is_zero():
+    if restriction_is_zero(hom):
         return True, True
     return False, _landing_solve(hom.field, target, 1, lambda d, t: [
         _merged_value(hom.field, hom.coeffs, hom.source, target, d, t)]) == 1

@@ -325,15 +325,17 @@ class FieldSpec:
         return out
 
     def q_power(self, k: int):
-        """q^k, read from the list of the powers of q below its order (1
-        when q = 1, else the profile's e), made on first use."""
-        table = self._qpow
-        if not table:
-            order = 1 if self.q_rep == self.one_rep else self.profile().e
-            table.append(self.one_rep)
-            while len(table) < order:
-                table.append(self.mul(table[-1], self.q_rep))
-        return table[k % len(table)]
+        """q^k: k is reduced modulo the order of q (1 when q = 1, else the
+        profile's e), and each reduced exponent asked for is memoised, so
+        the memo never holds more powers than were asked for."""
+        order = self._qorder
+        if order is None:
+            order = self._qorder = 1 if self.q_rep == self.one_rep else self.profile().e
+        k %= order
+        rep = self._qpow.get(k)
+        if rep is None:
+            rep = self._qpow[k] = self.power(self.q_rep, k)
+        return rep
 
     def parse_scalar(self, text: str) -> Scalar:
         return Scalar(self, self.parse_rep(text))
@@ -354,7 +356,8 @@ class PrimeField(FieldSpec):
         self.one_rep = 1 % p
         self.qm1_rep = self.sub(q, self.one_rep)
         self.name = f"p={p},q={q}"
-        self._qpow = []
+        self._qpow = {}
+        self._qorder = None
         self._profile = None
 
     def int_rep(self, k: int):
@@ -408,7 +411,8 @@ class Cyclotomic(FieldSpec):
         self.q_rep = self._norm(qv, 1)
         self.qm1_rep = self.sub(self.q_rep, self.one_rep)
         self.name = f"cyclotomic:e={e}"
-        self._qpow = []
+        self._qpow = {}
+        self._qorder = None
         self._profile = QuantumProfile(e, 0)
 
     def _norm(self, num, den):
@@ -543,7 +547,8 @@ class PrimeExtension(FieldSpec):
             if q != default_q:
                 label += f",q={';'.join(str(c) for c in q)}"
         self.name = label
-        self._qpow = []
+        self._qpow = {}
+        self._qorder = None
         self._profile = None
 
     def int_rep(self, k: int):

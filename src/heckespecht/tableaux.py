@@ -261,19 +261,12 @@ def _orderings(row) -> list[tuple[int, ...]]:
 
 def perm_of_tableau(tab: Tableau) -> tuple[int, ...]:
     """The minimal coset representative attached to a tableau of type mu:
-    the reading word of the row-sorted preimage tableau."""
-    mu_rows: list[list[int]] = [[] for _ in range(max((v for r in tab.rows for v in r), default=0))]
-    k = 1
-    for row in tab.rows:
-        for v in row:
-            if v < 1 or v > len(mu_rows):
-                raise ValueError("malformed tableau entry")
-            mu_rows[v - 1].append(k)
-            k += 1
-    out = []
-    for row in mu_rows:
-        out.extend(sorted(row))
-    return tuple(out)
+    the reading word of the row-sorted preimage tableau, that is the
+    positions 1..n of tab's reading word, stably sorted by their entries."""
+    word = tab.reading_word()
+    if word and min(word) < 1:
+        raise ValueError("malformed tableau entry")
+    return tuple(sorted(range(1, len(word) + 1), key=lambda k: word[k - 1]))
 
 
 @lru_cache(maxsize=4096)

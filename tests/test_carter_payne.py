@@ -143,14 +143,16 @@ def test_verify_examples(cyclo3, cyclo4):
 def test_verify_evaluates_generator_once(cyclo4, monkeypatch):
     from heckespecht import homs
 
+    # one zero test of the value at the generator; the landing equations
+    # then come from the merge maps, not from that value
     calls = []
-    original = homs.evaluate_on_generator
+    original = homs.restriction_is_zero
 
     def counting(hom):
         calls.append(hom)
         return original(hom)
 
-    monkeypatch.setattr(homs, "evaluate_on_generator", counting)
+    monkeypatch.setattr(homs, "restriction_is_zero", counting)
     assert verify_cp(one_node_map(cyclo4, (2, 1, 1), 1, 3)) == CPVerification(True, True)
     assert len(calls) == 1
 
@@ -201,6 +203,14 @@ def test_predicted_matches_solver_one_node(cyclo3, cyclo4):
                 want = predicted_hom_dim(inst.lam, inst.mu, prof)
                 got = hom_space_dim(field, inst.lam, inst.mu)
                 assert got == want, (field.name, inst)
+
+
+@pytest.mark.parametrize("spec", ["cyclotomic:e=3", "p=7,q=2"])
+@pytest.mark.parametrize("lam, mu", [((5, 3, 2, 1), (4, 3, 2, 2)), ((5, 4, 3, 1), (4, 4, 3, 2))])
+def test_predicted_matches_solver_past_n6(spec, lam, mu):
+    # node-moving pairs with n = 11 and n = 13, each a single landing solve
+    field = parse_field(spec)
+    assert hom_space_dim(field, lam, mu) == predicted_hom_dim(lam, mu, field.profile()) == 1
 
 
 def test_predicted_matches_solver_one_node_char_p():

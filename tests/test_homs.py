@@ -11,6 +11,7 @@ from heckespecht.hecke import (
     apply_signed_stabilizer_sum,
     at_generator,
     basis_vector,
+    generator_keys,
     spin_specht,
     specht_generator,
     y_element,
@@ -333,6 +334,36 @@ ROADMAP_FIELDS = (
     "cyclotomic:e=2", "cyclotomic:e=3", "cyclotomic:e=4",
     "p=2,q=1", "p=3,q=2", "ext:p=2,e=3", "p=97,q=3",
 )
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_generator_keys_match_the_full_value(spec):
+    # every theta_U(x), n <= 5, and seeded random vectors of M^mu and of the
+    # reversed composition; off q = -1 the keys are the full value's
+    # coefficients at its column-canonical keys, and none exactly when it is 0
+    field = parse_field(spec)
+    minus_one = field.is_zero(field.add(field.q_rep, field.one_rep))
+    rng = random.Random(spec)
+    seen = set()
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                vectors = [theta_image_of_x(field, tab, mu) for tab in enumerate_row_standard(lam, mu)]
+                for shape in (mu, mu[::-1]):
+                    reps = coset_reps(shape)
+                    vectors.append(ModuleVector(field, shape, {
+                        d: field.q_power(rng.randrange(4))
+                        for d in rng.sample(reps, min(3, len(reps)))}))
+                for v in vectors:
+                    full = at_generator(v, lam).coeffs
+                    keys = generator_keys(v, lam)
+                    seen.add(bool(full))
+                    if minus_one:
+                        assert keys == full, (lam, v)
+                        continue
+                    assert bool(keys) == bool(full), (lam, v)
+                    assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
+    assert seen == {False, True}
 
 
 def _random_values(field, mu, rng) -> list:

@@ -20,7 +20,7 @@ from heckespecht import (
     vanish_run,
     vanish_run_direct,
 )
-from heckespecht.qfield import cyclotomic_polynomial, poly_is_irreducible_mod_p
+from heckespecht.qfield import cyclotomic_polynomial, poly_is_irreducible_mod_p, qbinom_rows
 
 
 def test_quantum_char_examples(cyclo3, f7q2):
@@ -292,6 +292,18 @@ def test_qbinom_keeps_q_table_within_the_order_of_q():
     assert len(spec._qpow) <= 3
     # by q-Lucas, [3m + 1, 2] = C(m, 0) [1, 2] = 0 at a primitive cube root of 1
     assert value.is_zero()
+
+
+def test_q_power_memo_keeps_only_the_exponents_asked_for():
+    # q = 5 has order 999982 mod 999983: a table of every power of q would
+    # hold about 10^6 reps for a query that needs a dozen
+    spec = PrimeField(999983, 5)
+    assert spec.q_power(-1) == spec.inv(5)
+    rows = list(qbinom_rows(spec, 12, 12))
+    assert set(spec._qpow) == {999981, *range(12)}
+    assert rows == [
+        tuple(qbinom_sum_oracle(spec, a, b).rep for b in range(a + 1)) for a in range(13)
+    ]
 
 
 @pytest.mark.parametrize(
