@@ -1,6 +1,6 @@
 """Exact Specht module homomorphisms for Hecke algebras of symmetric groups."""
 
-from . import hecke, homs, qfield, tableaux
+import sys
 
 from .carter_payne import (
     CPInstance,
@@ -86,8 +86,13 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the library: each is a bounded lru_cache."""
-    for module in (hecke, homs, qfield, tableaux):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
+    """Empty every memo of the library: each is a bounded lru_cache, found
+    in every loaded module of the package (one not yet imported holds
+    none).  The command line's parser is kept: it is built once per
+    process and memoises no result."""
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(f"{__name__}.") or module is None:
+            continue
+        for attr, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and (name, attr) != (f"{__name__}.cli", "_parser"):
                 obj.cache_clear()

@@ -46,7 +46,10 @@ def drop_trailing_zeros(parts) -> tuple[int, ...]:
 
 
 def partitions_of(n: int, max_part: int | None = None):
-    """All partitions of n in descending lexicographic order."""
+    """All partitions of n with parts at most max_part, in descending
+    lexicographic order.  Each is the successor of the one before: the
+    last part above 1 drops by one, and it and the 1s after it are
+    refilled greedily with parts no larger than the new value."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -54,17 +57,38 @@ def partitions_of(n: int, max_part: int | None = None):
         return
     if max_part is None or max_part > n:
         max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    parts = []
+    rest, size = n, max_part
+    while True:
+        parts += [size] * (rest // size)
+        if rest % size:
+            parts.append(rest % size)
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        size = parts.pop() - 1
+        rest = size + 1 + ones
 
 
 def conjugate(shape) -> tuple[int, ...]:
+    """Column lengths of a partition (trailing zeros allowed), in one
+    pass from the last row up: columns lam_{r+1}+1 .. lam_r have r rows."""
     shape = drop_trailing_zeros(shape)
-    if not shape:
-        return ()
-    width = max(shape)
-    return tuple(sum(1 for part in shape if part >= j) for j in range(1, width + 1))
+    out = []
+    prev = 0
+    for r in range(len(shape), 0, -1):
+        part = shape[r - 1]
+        if part < prev:
+            raise ValueError(f"not a partition: {shape}")
+        out += [r] * (part - prev)
+        prev = part
+    return tuple(out)
 
 
 def dominates(lam, nu) -> bool:

@@ -76,7 +76,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 # trial divisors times dividend length, or the order of q in a field
-# (about a second): a larger search is refused, not run for minutes
+# (about a second to find by multiplication): a larger search is refused,
+# not run for minutes
 SEARCH_LIMIT = 1_000_000
 
 
@@ -297,17 +298,20 @@ class FieldSpec:
         """(e, p), e found as the multiplicative order of q (e = p when
         q = 1).  Cyclotomic fields preset the profile."""
         if self._profile is None:
-            if self.q_rep == self.one_rep:
-                e = self.p
-            else:
-                e, acc = 1, self.q_rep
-                while acc != self.one_rep:
-                    if e == SEARCH_LIMIT:
-                        raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
-                    acc = self.mul(acc, self.q_rep)
-                    e += 1
+            e = self.p if self.q_rep == self.one_rep else self._q_order()
             self._profile = QuantumProfile(e, self.p)
         return self._profile
+
+    def _q_order(self) -> int:
+        """The multiplicative order of q, by repeated multiplication;
+        refused past SEARCH_LIMIT."""
+        e, acc = 1, self.q_rep
+        while acc != self.one_rep:
+            if e == SEARCH_LIMIT:
+                raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
+            acc = self.mul(acc, self.q_rep)
+            e += 1
+        return e
 
     def power(self, rep, k: int):
         """rep^k by square-and-multiply over the bits of |k| from the top,
@@ -359,6 +363,26 @@ class PrimeField(FieldSpec):
         self._qpow = {}
         self._qorder = None
         self._profile = None
+
+    def _q_order(self) -> int:
+        """The order of q divides p - 1: start there and divide out each
+        prime factor r of p - 1 while q^(e/r) = 1.  Refused past
+        SEARCH_LIMIT, as the repeated multiplication is."""
+        p, q = self.p, self.q_rep
+        e = rest = p - 1
+        r = 2
+        while rest > 1:
+            if r * r > rest:
+                r = rest  # what is left is prime
+            if rest % r == 0:
+                while rest % r == 0:
+                    rest //= r
+                while e % r == 0 and pow(q, e // r, p) == 1:
+                    e //= r
+            r += 1
+        if e > SEARCH_LIMIT:
+            raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
+        return e
 
     def int_rep(self, k: int):
         return k % self.p

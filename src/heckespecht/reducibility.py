@@ -10,6 +10,8 @@ caveat.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .partitions import check_partition, conjugate, partitions_of
 from .qfield import QuantumProfile, nu_ep
 
@@ -61,27 +63,52 @@ class ReducibilityReport:
         )
 
 
-def _hook_witness(lam, mark):
+@lru_cache(maxsize=256)
+def _valuation_table(profile: QuantumProfile, n: int) -> tuple[int, ...]:
+    """nu_ep(profile, h) at index h for h = 1..n (index 0 unused): every
+    hook of a partition of n is at most n."""
+    return (0, *(nu_ep(profile, h) for h in range(1, n + 1)))
+
+
+def _hook_witness(lam, marks):
     """First node triple ((a,i), (a,j), (b,i)) whose hook mark at (a,i)
     is positive and differs from the marks at both partners, in row-major
     order of the hooked node, then of the row and column partners; None
-    if there is none.  Every hook comes from one conjugate of lam."""
+    if there is none.  marks[h] is the mark of a hook of length h; every
+    hook comes from one conjugate of lam.
+
+    The first row partner is node 1 of the row if its mark is not v, else
+    the row's first change of mark; the first column partner likewise,
+    with each column's first change found at most once.  Marks are read
+    row by row, and down a column only when it is searched, so an early
+    witness leaves the rest of the diagram unread."""
+    if not lam:
+        return None
     conj = conjugate(lam)
-    marks = [
-        [mark(part - a + conj[i] - i - 1) for i in range(part)]
-        for a, part in enumerate(lam)
-    ]
-    for a, row in enumerate(marks):
+    col_change = [None] * lam[0]  # first b whose mark differs from row 1's, or conj[i]
+    for a, part in enumerate(lam):
+        row = [marks[part - a + c - i - 1] for i, c in enumerate(conj[:part])]
+        if not a:
+            top = row
+        first = row[0]
+        row_change = next((j for j, v in enumerate(row) if v != first), None)
+        if row_change is None:
+            continue  # one mark along the row: no row partner
         for i, v in enumerate(row):
             if v <= 0:
                 continue
-            for j, other in enumerate(row):
-                if j == i or other == v:
+            if top[i] != v:
+                b = 0
+            else:
+                b = col_change[i]
+                if b is None:
+                    k = conj[i] - i - 1
+                    b = col_change[i] = next(
+                        (b for b in range(1, conj[i]) if marks[lam[b] - b + k] != v), conj[i])
+                if b == conj[i]:
                     continue
-                for b in range(conj[i]):
-                    if b == a or marks[b][i] == v:
-                        continue
-                    return ((a + 1, i + 1), (a + 1, j + 1), (b + 1, i + 1))
+            j = 0 if first != v else row_change
+            return ((a + 1, i + 1), (a + 1, j + 1), (b + 1, i + 1))
     return None
 
 
@@ -92,7 +119,7 @@ def is_ep_reducible(lam, profile: QuantumProfile) -> ReducibilityReport:
     if not profile.finite:
         raise ValueError("the criterion needs a finite quantum characteristic")
     caveat = E2_CAVEAT if profile.e == 2 else None
-    witness = _hook_witness(lam, lambda h: nu_ep(profile, h))
+    witness = _hook_witness(lam, _valuation_table(profile, sum(lam)))
     return ReducibilityReport(lam, profile.e, profile.p, witness is not None, witness, caveat)
 
 
@@ -104,7 +131,7 @@ def hook_divisibility_witness(lam, profile: QuantumProfile):
     if not profile.finite:
         return None
     e = profile.e
-    return _hook_witness(lam, lambda h: h % e == 0)
+    return _hook_witness(lam, [h % e == 0 for h in range(sum(lam) + 1)])
 
 
 def classify_range(n: int, profile: QuantumProfile):

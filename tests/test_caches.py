@@ -18,6 +18,7 @@ from heckespecht import (
     spin_specht,
 )
 from heckespecht.hecke import _spin_specht
+from heckespecht.reducibility import _valuation_table, classify_range
 
 
 def package_caches():
@@ -38,7 +39,7 @@ def test_every_cache_is_bounded():
     assert {name for name, _ in caches} >= {
         "hecke._spin_specht", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
-        "tableaux.coset_reps", "tableaux.standard_count"}
+        "tableaux.coset_reps", "tableaux.standard_count", "reducibility._valuation_table"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
 
@@ -64,6 +65,8 @@ def test_sweep_past_the_smallest_bound():
         assert info.currsize <= info.maxsize, name
     clear_caches()
     assert _sweep(fields) == first
+    classify_range(6, fields[0].profile())
+    assert _valuation_table.cache_info().currsize == 1
     clear_caches()
     for name, cache in package_caches():
         # the CLI's parser is built once per process and memoises no result

@@ -225,6 +225,37 @@ def test_classify_outputs(capsys):
     assert lines[3] == '"2,1",3,0,reducible,"1,1;1,2;2,1",'
 
 
+@pytest.mark.parametrize("name", ["p=3,q=1", "cyclotomic:e=2"])
+def test_classify_text_and_csv_follow_the_json_reports(capsys, name):
+    # the text and CSV rows are generated lazily from the same reports
+    argv = ("classify", "--field", name, "--n", "7")
+    _, out, _ = run_cli(capsys, "--format", "json", *argv)
+    reports = json.loads(out)["result"]
+    assert len(reports) == len(list(partitions_of(7))) == 15
+    expect = [
+        (",".join(map(str, r["partition"])), r["verdict"],
+         ";".join(f"{i},{j}" for i, j in r["witness"] or ()), r["caveat"] or "")
+        for r in reports
+    ]
+    assert any(note for *_, note in expect) == (name == "cyclotomic:e=2")
+
+    _, out, _ = run_cli(capsys, *argv)
+    header, *lines = out.splitlines()
+    assert header.startswith(f"field {name} (e=")
+    assert lines == [
+        f"{part}: {verdict}" + (f"  witness {witness}" if witness else "")
+        + (f"  [{note}]" if note else "")
+        for part, verdict, witness, note in expect
+    ]
+
+    _, out, _ = run_cli(capsys, "--format", "csv", *argv)
+    comment, *rows = out.splitlines()
+    assert comment.startswith(f"# field={name},e=")
+    header, *rows = csv.reader(rows)
+    assert header == ["partition", "e", "p", "verdict", "witness", "note"]
+    assert [(part, verdict, witness, note) for part, _e, _p, verdict, witness, note in rows] == expect
+
+
 @pytest.mark.parametrize("argv, worker", [
     (("classify", "--n", "46"), "classify_range"),
     (("tables", "--max", "1001"), "qbinom_rows"),

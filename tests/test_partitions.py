@@ -99,3 +99,32 @@ def test_partition_enumeration_order():
     assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     counts = [len(list(partitions_of(n))) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
+def _partitions_reference(n, top):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions_reference(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(21):
+        assert list(partitions_of(n)) == list(_partitions_reference(n, n)), n
+        for max_part in range(n + 2):
+            expect = list(_partitions_reference(n, max_part))
+            assert list(partitions_of(n, max_part)) == expect, (n, max_part)
+
+
+def test_conjugate_counts_parts_at_least_j():
+    for n in range(15):
+        for lam in partitions_of(n):
+            expect = tuple(sum(1 for part in lam if part >= j) for j in range(1, n + 1))
+            expect = drop_trailing_zeros(expect)
+            assert conjugate(lam) == expect, lam
+            assert conjugate(lam + (0, 0)) == expect, lam
+    for bad in ((1, 2), (2, 0, 1), (-1,), (3, -1)):
+        with pytest.raises(ValueError):
+            conjugate(bad)

@@ -20,7 +20,14 @@ from heckespecht import (
     vanish_run,
     vanish_run_direct,
 )
-from heckespecht.qfield import cyclotomic_polynomial, poly_is_irreducible_mod_p, qbinom_rows
+from heckespecht import qfield
+from heckespecht.qfield import (
+    FieldSpec,
+    _is_prime,
+    cyclotomic_polynomial,
+    poly_is_irreducible_mod_p,
+    qbinom_rows,
+)
 
 
 def test_quantum_char_examples(cyclo3, f7q2):
@@ -316,3 +323,30 @@ def test_q_power_is_power_of_q(name, order):
     for k in range(-50, 51):
         assert spec.q_power(k) == spec.power(spec.q_rep, k), k
     assert len(spec._qpow) == order
+
+
+def test_prime_field_order_matches_multiplication():
+    for p in range(2, 200):
+        if not _is_prime(p):
+            continue
+        assert PrimeField(p, 1).profile() == QuantumProfile(p, p)
+        for q in range(2, p):
+            field = PrimeField(p, q)
+            assert field.profile() == QuantumProfile(FieldSpec._q_order(field), p), (p, q)
+
+
+def test_order_of_q_near_the_search_limit(monkeypatch):
+    assert PrimeField(999983, 5).profile() == QuantumProfile(999982, 999983)
+    # 2 is a primitive root mod 1000003: order 1000002, past the limit
+    with pytest.raises(ValueError, match="the order of q exceeds the search limit 1000000"):
+        PrimeField(1000003, 2).profile()
+    # q = 3 has order 48 mod 97: refused exactly past the limit, both ways
+    for limit, refused in ((48, False), (47, True)):
+        monkeypatch.setattr(qfield, "SEARCH_LIMIT", limit)
+        field = PrimeField(97, 3)
+        for order in (field._q_order, lambda: FieldSpec._q_order(field)):
+            if refused:
+                with pytest.raises(ValueError, match=f"exceeds the search limit {limit}"):
+                    order()
+            else:
+                assert order() == 48

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from heckespecht import clear_caches, reducibility
 from heckespecht.carter_payne import trivial_hom_exists
 from heckespecht.partitions import conjugate, hook_length, partitions_of
 from heckespecht.qfield import QuantumProfile, nu_ep
@@ -196,14 +197,36 @@ def _first_triple_scan(lam, mark):
     return None
 
 
+SCAN_PROFILES = ((2, 0), (3, 0), (4, 0), (2, 3), (3, 2), (5, 5), (2, 2))
+
+
 def test_witnesses_match_first_triple_scan():
-    for e, p in ((2, 0), (3, 0), (4, 0), (2, 3), (3, 2), (5, 5), (2, 2)):
+    # through classify_range, the path the CLI takes: one valuation table
+    # per n, shared by every report
+    for e, p in SCAN_PROFILES:
         prof = QuantumProfile(e, p)
-        for n in range(1, 11):
-            for lam in partitions_of(n):
-                report = is_ep_reducible(lam, prof)
+        for n in range(1, 13):
+            reports = classify_range(n, prof)
+            assert [r.partition for r in reports] == list(partitions_of(n))
+            for report in reports:
+                lam = report.partition
                 expect = _first_triple_scan(lam, lambda h: nu_ep(prof, h))
                 assert report.witness == expect, (e, p, lam)
                 assert report.reducible == (expect is not None)
                 expect = _first_triple_scan(lam, lambda h: int(h % e == 0))
                 assert hook_divisibility_witness(lam, prof) == expect, (e, p, lam)
+
+
+def test_classify_range_reads_one_valuation_per_hook_length(monkeypatch):
+    calls = []
+
+    def counted(profile, h):
+        calls.append(h)
+        return nu_ep(profile, h)
+
+    monkeypatch.setattr(reducibility, "nu_ep", counted)
+    for e, p in SCAN_PROFILES:
+        clear_caches()
+        calls.clear()
+        classify_range(20, QuantumProfile(e, p))
+        assert len(calls) <= 20, (e, p)
