@@ -2,7 +2,9 @@
 
 Every invocation resolves the coefficient field first and echoes the
 derived pair (e, p) alongside the result, in the selected output format
-(text, json or csv).  Inputs are validated strictly; malformed
+(text, json or csv).  Each subcommand computes only its JSON result;
+text and CSV are rendered from it by one rule (``_rows``), so the three
+formats show the same fields.  Inputs are validated strictly; malformed
 partitions, out-of-range indices and unknown flags exit with status 2,
 unexpected internal failures with status 1.
 """
@@ -32,9 +34,9 @@ from .reducibility import classify_range
 from .tableaux import Tableau
 
 BRUTE_FORCE_LIMIT = 9
-# classify --n, --format json, on a 2-vCPU VM: n = 40 takes 1.3 s and
-# 74 MB peak RSS, n = 45 takes 3.4 s and 151 MB (text and CSV: 1.5 s and
-# 60 MB, 3.4-3.7 s and 124 MB)
+# classify --n, --format json, on a 2-vCPU VM: n = 40 takes 0.9 s and
+# 71 MB peak RSS, n = 45 takes 2.5-3.4 s and 149 MB (text and CSV, which
+# render one report at a time: 0.8 s and 32 MB, 1.8-2.2 s and 57 MB)
 CLASSIFY_LIMIT = 45
 TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max
 CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
@@ -130,73 +132,48 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result, rows = _dispatch(args, field)
+        result = _dispatch(args, field)
     except OutsideProvenScope as exc:
-        result, rows = "outside proven scope", [("verdict", "outside proven scope")]
-        return _emit(args, profile, result, rows, note=str(exc))
+        return _emit(args, profile, "outside proven scope", note=str(exc))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
-    return _emit(args, profile, result, rows)
+    return _emit(args, profile, result)
 
 
 def _dispatch(args, field):
-    """Returns (json result object, csv/text rows)."""
+    """The JSON result; text and CSV are rendered from it by _rows."""
     cmd = args.command
     if cmd == "qbinom":
         if args.alpha * max(args.beta, 1) > CELLS_LIMIT:  # alpha rows, even at beta 0
             raise ValueError(f"--alpha times --beta exceeds the size limit {CELLS_LIMIT}")
-        value = str(qbinom(field, args.alpha, args.beta))
-        return (
-            {"alpha": args.alpha, "beta": args.beta, "value": value},
-            [("alpha", args.alpha), ("beta", args.beta), ("value", value)],
-        )
+        return {"alpha": args.alpha, "beta": args.beta,
+                "value": str(qbinom(field, args.alpha, args.beta))}
     if cmd == "vanish-run":
         verdict = vanish_run(field.profile(), args.alpha, args.beta)
-        return (
-            {"alpha": args.alpha, "beta": args.beta, "vanishes": verdict},
-            [("alpha", args.alpha), ("beta", args.beta), ("vanishes", _b(verdict))],
-        )
+        return {"alpha": args.alpha, "beta": args.beta, "vanishes": verdict}
     if cmd == "trivial-sub":
         mu = parse_partition(args.mu)
-        verdict = trivial_hom_exists(mu, field.profile())
-        return (
-            {"mu": list(mu), "trivial_submodule": verdict},
-            [("mu", args.mu), ("trivial_submodule", _b(verdict))],
-        )
+        return {"mu": list(mu), "trivial_submodule": trivial_hom_exists(mu, field.profile())}
     if cmd == "cp-eligible":
         inst = CPInstance(parse_partition(args.mu), args.a, args.b, args.gamma)
         verdict = cp_eligible(inst, field.profile())
-        return (
-            {"mu": list(inst.mu), "lambda": list(inst.lam), "a": args.a, "b": args.b,
-             "gamma": args.gamma, "eligible": verdict},
-            [("mu", args.mu), ("a", args.a), ("b", args.b), ("gamma", args.gamma),
-             ("eligible", _b(verdict))],
-        )
+        return {"mu": list(inst.mu), "lambda": list(inst.lam), "a": args.a, "b": args.b,
+                "gamma": args.gamma, "eligible": verdict}
     if cmd == "cp-map":
-        hom = _build_map(args, field)
-        return hom.to_json(), _hom_rows(hom)
+        return _build_map(args, field).to_json()
     if cmd == "cp-verify":
         hom = _load_or_build_map(args, field)
         _guard(sum(hom.source), args.force)
-        verdict = verify_cp(hom)
-        return (
-            verdict.to_json(),
-            [("nonzero", _b(verdict.nonzero)),
-             ("lands_in_specht", _b(verdict.lands_in_specht))],
-        )
+        return verify_cp(hom).to_json()
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
         _guard(sum(lam), args.force)
-        dim = hom_space_dim(field, lam, mu)
-        return (
-            {"lambda": list(lam), "mu": list(mu), "dimension": dim},
-            [("lambda", args.lam), ("mu", args.mu), ("dimension", dim)],
-        )
+        return {"lambda": list(lam), "mu": list(mu), "dimension": hom_space_dim(field, lam, mu)}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
         mu = tab.content()
@@ -208,19 +185,12 @@ def _dispatch(args, field):
             ways = [below[s + 1] - below[max(0, s - bound)] for s in range(len(ways))]
         if ways[-1] > CELLS_LIMIT:
             raise ValueError(f"the term count {ways[-1]} exceeds the size limit {CELLS_LIMIT}")
-        hom = compose_psi_theta(field, tab, args.d, args.t)
-        return hom.to_json(), _hom_rows(hom)
+        return compose_psi_theta(field, tab, args.d, args.t).to_json()
     if cmd == "classify":
         if args.n > CLASSIFY_LIMIT:
             raise ValueError(f"--n {args.n} exceeds the size limit {CLASSIFY_LIMIT}")
-        reports = classify_range(args.n, field.profile())
-        # a generator: only the text and CSV emitters read the rows
-        rows = (
-            (",".join(map(str, r.partition)), r.e, r.p, r.verdict,
-             _witness_text(r.witness), r.caveat or "")
-            for r in reports
-        )
-        return [r.to_json() for r in reports], rows
+        # a generator: one report's dict at a time; only JSON lists them all
+        return (r.to_json() for r in classify_range(args.n, field.profile()))
     if cmd == "tables":
         if args.max < 0:
             raise ValueError("--max must be nonnegative")
@@ -230,7 +200,7 @@ def _dispatch(args, field):
             [field.format_rep(rep) for rep in row]
             for row in qbinom_rows(field, args.max, args.max)
         ]
-        return {"max": args.max, "qbinom": table}, table
+        return {"max": args.max, "qbinom": table}
     raise ValueError(f"unknown command {cmd}")
 
 
@@ -271,61 +241,66 @@ def _guard(n: int, force: bool):
         )
 
 
-def _hom_rows(hom: HomSpec):
-    return [
-        (str(tab), hom.field.format_rep(rep))
-        for tab, rep in sorted(hom.coeffs.items(), key=lambda item: item[0].reading_word())
-    ]
-
-
-def _witness_text(witness):
-    if not witness:
-        return ""
-    return ";".join(f"{i},{j}" for i, j in witness)
-
-
-def _b(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _emit(args, profile, result, rows, note=None) -> int:
-    field_name = args.field
-    e, p = profile.e, profile.p
+def _emit(args, profile, result, note=None) -> int:
+    field_name, e, p = args.field, profile.e, profile.p
     if args.format == "json":
-        payload = {
-            "field": field_name,
-            "e": e,
-            "p": p,
-            "command": args.command,
-            "result": result,
-        }
+        payload = {"field": field_name, "e": e, "p": p, "command": args.command,
+                   "result": list(result) if args.command == "classify" else result}
         if note:
             payload["note"] = note
         print(json.dumps(payload))
         return 0
+    rows = _rows(args.command, result)
     if args.format == "csv":
         print(f"# field={field_name},e={e},p={p}")
         if note:
             print(f"# note={note}")
         _emit_csv(args.command, rows)
-        return 0
-    print(f"field {field_name} (e={e}, p={p})")
-    if note:
-        print(note)
-    _emit_text(args.command, rows)
+    else:
+        print(f"field {field_name} (e={e}, p={p})")
+        if note:
+            print(note)
+        _emit_text(args.command, rows)
     return 0
+
+
+def _rows(command, result):
+    """The text and CSV rows of a JSON result: (key, cell) pairs of a flat
+    dict, classify's report rows, (tableau, scalar) pairs of a map, or the
+    tables triangle."""
+    if isinstance(result, str):  # the out-of-scope verdict
+        return [("verdict", result)]
+    if command == "classify":
+        return (
+            (",".join(map(str, r["partition"])), r["e"], r["p"], r["verdict"],
+             ";".join(f"{i},{j}" for i, j in r["witness"] or ()), r["caveat"] or "")
+            for r in result
+        )
+    if command == "tables":
+        return result["qbinom"]
+    if command in ("cp-map", "compose"):
+        return [(json.dumps(c["tableau"], separators=(",", ":")), c["scalar"])
+                for c in result["coefficients"]]
+    return [(key, _cell(value)) for key, value in result.items()]
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+_CSV_HEADERS = {"classify": ("partition", "e", "p", "verdict", "witness", "note"),
+                "cp-map": ("tableau", "scalar"), "compose": ("tableau", "scalar")}
 
 
 def _emit_csv(command, rows):
     out = csv.writer(sys.stdout, lineterminator="\n")
-    if command == "classify":
-        out.writerow(("partition", "e", "p", "verdict", "witness", "note"))
-        out.writerows(rows)
-    elif command == "tables":
+    if command == "tables":
         out.writerow(["alpha\\beta", *range(len(rows))])
         out.writerows([a, *row] for a, row in enumerate(rows))
-    elif command in ("cp-map", "compose"):
-        out.writerow(("tableau", "scalar"))
+    elif command in _CSV_HEADERS:
+        out.writerow(_CSV_HEADERS[command])
         out.writerows(rows)
     else:
         out.writerow([k for k, _ in rows])

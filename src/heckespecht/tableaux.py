@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
-from .partitions import check_composition, check_partition
+from .partitions import check_composition, check_partition, conjugate
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,16 @@ def enumerate_standard(shape) -> list[Tableau]:
 
 @lru_cache(maxsize=4096)
 def standard_count(shape) -> int:
-    return len(enumerate_standard(shape))
+    """dim S^shape by the hook length formula: n! over the product of the
+    hook lengths.  Column c (0-based) of height conj[c] holds the cells
+    (a, c), a < conj[c], with hook shape[a] - c + conj[c] - a - 1."""
+    shape = check_partition(shape)
+    hooks = prod(
+        part - c + height - a - 1
+        for c, height in enumerate(conjugate(shape))
+        for a, part in enumerate(shape[:height])
+    )
+    return factorial(sum(shape)) // hooks
 
 
 def permutation_dim(shape) -> int:

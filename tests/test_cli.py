@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -349,6 +350,82 @@ def test_csv_rows_as_wide_as_the_header(capsys, argv):
         assert [len(row) for row in rows] == [a + 2 for a in range(len(header) - 1)]
     else:
         assert [len(row) for row in rows] == [len(header)] * len(rows)
+
+
+# one query per subcommand; a subcommand without one fails the test below
+RENDER_CASES = {
+    "qbinom": ("--field", "cyclotomic:e=2", "--alpha", "4", "--beta", "2"),
+    "vanish-run": ("--field", "p=7,q=2", "--alpha", "20", "--beta", "3"),
+    "trivial-sub": ("--field", "cyclotomic:e=3", "--mu", " 2, 2,1"),
+    "cp-eligible": ("--field", "cyclotomic:e=4", "--mu", "2,1,1", "--a", "1", "--b", "3"),
+    "cp-map": ("--field", "cyclotomic:e=4", "--xi", "2,1,1", "--a", "1", "--b", "3"),
+    "cp-verify": ("--field", "cyclotomic:e=4", "--xi", "2,1,1", "--a", "1", "--b", "3"),
+    "hom-dim": ("--field", "cyclotomic:e=3", "--lambda", "3", "--mu", "2,1"),
+    "compose": ("--field", "p=97,q=3", "--tableau", "[[1,2,3],[2,3]]", "--d", "2", "--t", "1"),
+    "classify": ("--field", "cyclotomic:e=2", "--n", "5"),
+    "tables": ("--field", "cyclotomic:e=3", "--max", "4"),
+}
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_text_and_csv_render_the_json_result(capsys, command):
+    argv = (command, *RENDER_CASES[command])
+    outs = {}
+    for fmt in ("json", "text", "csv"):
+        code, outs[fmt], _ = run_cli(capsys, "--format", fmt, *argv)
+        assert code == 0, fmt
+    result = json.loads(outs["json"])["result"]
+    _, *lines = outs["text"].splitlines()
+    comment, *csv_lines = outs["csv"].splitlines()
+    assert comment.startswith("# field=")
+    header, *rows = csv.reader(csv_lines)
+    if command == "classify":
+        expect = [
+            (",".join(map(str, r["partition"])), str(r["e"]), str(r["p"]), r["verdict"],
+             ";".join(f"{i},{j}" for i, j in r["witness"] or ()), r["caveat"] or "")
+            for r in result
+        ]
+        assert lines == [
+            f"{part}: {verdict}" + (f"  witness {w}" if w else "") + (f"  [{note}]" if note else "")
+            for part, _e, _p, verdict, w, note in expect
+        ]
+        assert header == ["partition", "e", "p", "verdict", "witness", "note"]
+        assert [tuple(row) for row in rows] == expect
+    elif command == "tables":
+        table = result["qbinom"]
+        assert lines == [f"[{a}] " + "  ".join(row) for a, row in enumerate(table)]
+        assert header == ["alpha\\beta", *map(str, range(len(table)))]
+        assert rows == [[str(a), *row] for a, row in enumerate(table)]
+    elif command in ("cp-map", "compose"):
+        expect = [(json.dumps(c["tableau"]).replace(" ", ""), c["scalar"])
+                  for c in result["coefficients"]]
+        assert expect
+        assert lines == [f"{tab} -> {scalar}" for tab, scalar in expect]
+        assert header == ["tableau", "scalar"]
+        assert [tuple(row) for row in rows] == expect
+    else:
+        assert lines == [f"{key}: {_cell(value)}" for key, value in result.items()]
+        assert header == list(result)
+        assert rows == [[_cell(value) for value in result.values()]]
+
+
+def test_text_shows_lambda_and_canonical_partitions(capsys):
+    _, out, _ = run_cli(capsys, "cp-eligible", *RENDER_CASES["cp-eligible"])
+    assert "lambda: 3,1" in out.splitlines()
+    _, out, _ = run_cli(capsys, "trivial-sub", *RENDER_CASES["trivial-sub"])
+    assert "mu: 2,2,1" in out.splitlines()
 
 
 def test_out_of_scope_note_in_every_format(capsys):

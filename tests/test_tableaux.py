@@ -166,6 +166,10 @@ def test_standard_counts_match_enumeration():
     assert standard_count((3, 2, 1)) == 16
     for lam, expect in [((4,), 1), ((3, 1), 3), ((2, 1, 1), 3), ((2, 2), 2)]:
         assert len(enumerate_standard(lam)) == expect
+    # the hook length formula against the enumeration, every partition of n <= 8
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert standard_count(lam) == len(enumerate_standard(lam)), lam
 
 
 def test_enumeration_is_sorted_by_reading_word():
