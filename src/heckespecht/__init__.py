@@ -57,7 +57,6 @@ from .qfield import (
     qbinom_sum_oracle,
     qfact,
     qint,
-    quantum_char,
     spec_for_profile,
     vanish_run,
     vanish_run_direct,
@@ -70,11 +69,11 @@ from .reducibility import (
 )
 from .tableaux import (
     Tableau,
+    coset_rep,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
     enumerate_standard,
-    perm_of_tableau,
     row_equiv_class,
     standard_count,
     t_col,

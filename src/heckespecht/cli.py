@@ -29,7 +29,7 @@ from .carter_payne import (
 )
 from .homs import HomSpec, compose_psi_theta, hom_space_dim
 from .partitions import nu_composition, parse_partition
-from .qfield import parse_field, qbinom, qbinom_rows, quantum_char, vanish_run
+from .qfield import parse_field, qbinom, qbinom_rows, vanish_run
 from .reducibility import classify_range
 from .tableaux import Tableau
 
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         field = parse_field(args.field)
-        profile = quantum_char(field)
+        profile = field.profile()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -176,15 +176,20 @@ def _dispatch(args, field):
         return {"lambda": list(lam), "mu": list(mu), "dimension": hom_space_dim(field, lam, mu)}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
-        mu = tab.content()
-        nu_composition(mu, args.d, args.t)
-        # ways[s]: tuples c_i <= row i's count of d+1, over the rows so far, of sum s
-        ways = [1] + [0] * (mu[args.d] - args.t)
+        word = tab.reading_word()
+        moving = word.count(args.d + 1)  # mu[d]
+        # ways[s]: tuples c_i <= row i's count of d+1, over the rows so far, of
+        # sum s; a t out of range counts one term, and nu_composition refuses it
+        ways = [1] + [0] * (moving - args.t if 0 <= args.t < moving else 0)
         for bound in (row.count(args.d + 1) for row in tab.rows):
             below = [0, *itertools.accumulate(ways)]
             ways = [below[s + 1] - below[max(0, s - bound)] for s in range(len(ways))]
         if ways[-1] > CELLS_LIMIT:
             raise ValueError(f"the term count {ways[-1]} exceeds the size limit {CELLS_LIMIT}")
+        top = max(word, default=0)
+        if top > CELLS_LIMIT:  # the type, content(), has a part for every value up to top
+            raise ValueError(f"the tableau entry {top} exceeds the size limit {CELLS_LIMIT}")
+        nu_composition(tab.content(), args.d, args.t)
         return compose_psi_theta(field, tab, args.d, args.t).to_json()
     if cmd == "classify":
         if args.n > CLASSIFY_LIMIT:

@@ -1,22 +1,24 @@
 """The Hecke algebra action on permutation modules and Specht modules.
 
-A permutation-module vector is a sparse map from minimal coset
-representatives (one-line permutation tuples) to scalars.  The generator
-action follows the three-case multiplication rule for x-generated
-modules: absorb a q on a same-row pair, move to the swapped
-representative when the rows increase, and produce the mixed two-term
-combination otherwise.  Everything else (words, module maps evaluated
-one reduced word per key, algebra elements, values at the Specht
-generator x T_{w_lam} y_{lam'} with y factored into run sums, spinning
-out a basis with exact Gaussian elimination) is built on it.
+A permutation-module vector of M^nu is a sparse map from row words to
+scalars: the basis vector x T_d, d a minimal coset representative, has
+the key whose k-th letter is the row of nu that holds k in the
+row-standard tableau of d (``tableaux.coset_rep`` goes back to d).  The
+generator T_i reads letters i and i+1, by the three-case multiplication
+rule for x-generated modules: absorb a q when they are equal, swap them
+when they increase, and produce the mixed two-term combination
+otherwise.  Everything else (words, module maps evaluated one reduced
+word per key, algebra elements, values at the Specht generator
+x T_{w_lam} y_{lam'} with y factored into run sums, spinning out a basis
+with exact Gaussian elimination) is built on it.
 
 The landing solves read a value at the Specht generator off its
 column-canonical keys instead (``generator_keys``), with no run sums:
-T_i y = -y for s_i inside a column block of lam, so swapping i and i+1
-across rows of a key only flips the sign of its image under y, and a key
-holding i and i+1 in one row is killed by y once q != -1.  So each key
-folds onto one canonical key, with a sign, or drops out.  At q = -1 the
-whole value is returned, from the run sums.
+T_i y = -y for s_i inside a column block of lam, so swapping two
+distinct letters i and i+1 of a key only flips the sign of its image
+under y, and a key whose letters i and i+1 are equal is killed by y once
+q != -1.  So each key folds onto one canonical key, with a sign, or
+drops out.  At q = -1 the whole value is returned, from the run sums.
 
 The full group-algebra ``HeckeElement`` and ``y_element`` are also
 provided; module code never expands vectors over the n! basis, but the
@@ -32,11 +34,10 @@ from functools import lru_cache
 from .partitions import check_composition, check_partition, conjugate
 from .qfield import FieldSpec
 from .tableaux import (
-    perm_identity,
+    coset_rep,
     perm_length,
     perm_times_s,
     reduced_word,
-    shape_row_of_position,
     standard_count,
     t_row,
     w_lambda,
@@ -44,10 +45,12 @@ from .tableaux import (
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors over coset representatives
+# sparse vectors over row words
 
 class ModuleVector:
-    """Element of the permutation module of a composition shape."""
+    """Element of the permutation module of a composition shape, keyed by
+    row words: the basis vector x T_d has the key whose k-th letter is the
+    row of the shape holding k in the row-standard tableau of d."""
 
     __slots__ = ("field", "shape", "coeffs")
 
@@ -93,9 +96,10 @@ class ModuleVector:
         return f"ModuleVector({self.shape}; {{{items}}})"
 
     def to_json(self) -> dict:
-        """Keys rendered as the row-standard tableaux indexing the basis."""
+        """Keys rendered as the row-standard tableaux indexing the basis,
+        in the order of their coset representatives."""
         rows = []
-        for d, c in sorted(self.coeffs.items()):
+        for d, c in sorted((coset_rep(w), c) for w, c in self.coeffs.items()):
             start, tab = 0, []
             for part in self.shape:
                 tab.append(list(d[start:start + part]))
@@ -105,10 +109,12 @@ class ModuleVector:
 
 
 def basis_vector(field: FieldSpec, shape, d=None) -> ModuleVector:
+    """x T_d, the generator x when d is None; the basis vector of d when d
+    is a minimal coset representative."""
     shape = check_composition(shape)
-    n = sum(shape)
-    d = perm_identity(n) if d is None else tuple(d)
-    return ModuleVector(field, shape, {d: field.one_rep})
+    word = tuple(r for r, part in enumerate(shape, start=1) for _ in range(part))
+    x = ModuleVector(field, shape, {word: field.one_rep})
+    return x if d is None else act_word(x, d)
 
 
 def _acc(field, coeffs: dict, key, rep):
@@ -182,28 +188,25 @@ class SparseEchelon:
         return [taken.get(pivot, zero) for pivot, _ in self.rows]
 
 
-def _act_dict(field, rowpos, coeffs: dict, i: int) -> dict:
-    """Right action of the i-th generator on a coefficient dict."""
+def _act_dict(field, coeffs: dict, i: int) -> dict:
+    """Right action of the i-th generator on a coefficient dict, by the
+    rows a, b holding i, i+1 in each key w: q w when a = b, w s_i when
+    a < b, and q w s_i + (q - 1) w when a > b, w s_i swapping the two."""
     out: dict = {}
     q = field.q_rep
     qm1 = field.qm1_rep
     mul = field.mul
-    for d, c in coeffs.items():
-        pi = d.index(i)
-        pj = d.index(i + 1)
-        ri = rowpos[pi]
-        rj = rowpos[pj]
-        if ri == rj:
-            _acc(field, out, d, mul(q, c))
+    for w, c in coeffs.items():
+        a, b = w[i - 1], w[i]
+        if a == b:
+            _acc(field, out, w, mul(q, c))
         else:
-            swapped = list(d)
-            swapped[pi], swapped[pj] = i + 1, i
-            swapped = tuple(swapped)
-            if ri < rj:
+            swapped = w[:i - 1] + (b, a) + w[i + 1:]
+            if a < b:
                 _acc(field, out, swapped, c)
             else:
                 _acc(field, out, swapped, mul(q, c))
-                _acc(field, out, d, mul(qm1, c))
+                _acc(field, out, w, mul(qm1, c))
     return out
 
 
@@ -212,31 +215,30 @@ def act_gen(v: ModuleVector, i: int) -> ModuleVector:
     n = sum(v.shape)
     if not 1 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    rowpos = shape_row_of_position(v.shape)
-    return ModuleVector(v.field, v.shape, _act_dict(v.field, rowpos, v.coeffs, i))
+    return ModuleVector(v.field, v.shape, _act_dict(v.field, v.coeffs, i))
 
 
 def act_word(v: ModuleVector, w) -> ModuleVector:
     """v . T_w along a reduced word of w (the result is word independent)."""
-    rowpos = shape_row_of_position(v.shape)
     coeffs = v.coeffs
     for i in reduced_word(tuple(w)):
-        coeffs = _act_dict(v.field, rowpos, coeffs, i)
+        coeffs = _act_dict(v.field, coeffs, i)
     return ModuleVector(v.field, v.shape, coeffs)
 
 
 def push_through(base: ModuleVector, v) -> ModuleVector:
     """Image of v under the homomorphism sending the source generator to
-    base: the sum over v's keys w of c_w . base . T_w, one ``act_word``
-    per key.  v is anything with a field and a ``coeffs`` dict keyed by
-    permutations, such as a ``ModuleVector`` or a ``HeckeElement`` (then
-    the result is base . v)."""
+    base: the sum of c_d . base . T_d over v's basis elements, one
+    ``act_word`` per key.  v is a ``ModuleVector``, whose row word w names
+    x T_d with d = coset_rep(w), or a ``HeckeElement``, keyed by d itself
+    (then the result is base . v)."""
     if base.field != v.field:
         raise ValueError("base and v over different fields")
     f = base.field
+    words = isinstance(v, ModuleVector)
     out: dict = {}
     for w, c in v.coeffs.items():
-        for k, rep in act_word(base, w).coeffs.items():
+        for k, rep in act_word(base, coset_rep(w) if words else w).coeffs.items():
             _acc(f, out, k, f.mul(c, rep))
     return ModuleVector(f, base.shape, out)
 
@@ -337,13 +339,13 @@ def y_element(field: FieldSpec, shape) -> HeckeElement:
     return HeckeElement(field, sum(shape), out)
 
 
-def _run_sum(field, rowpos, coeffs: dict, letters, step) -> dict:
+def _run_sum(field, coeffs: dict, letters, step) -> dict:
     """coeffs . sum_k step^k T_{l_1} T_{l_2} ... T_{l_k} over the prefixes
     l_1..l_k of the letters, k = 0 (the identity) included."""
     out = dict(coeffs)
     power = field.one_rep
     for i in letters:
-        coeffs = _act_dict(field, rowpos, coeffs, i)
+        coeffs = _act_dict(field, coeffs, i)
         power = field.mul(power, step)
         for k, rep in coeffs.items():
             _acc(field, out, k, field.mul(power, rep))
@@ -358,11 +360,10 @@ def apply_signed_stabilizer_sum(v: ModuleVector, shape) -> ModuleVector:
     of the run sums sum_{i=0}^{j-a+1} (-q^-1)^i T_j T_{j-1} ... T_{j-i+1}."""
     f = v.field
     step = f.neg(f.q_power(-1))
-    rowpos = shape_row_of_position(v.shape)
     coeffs = v.coeffs
     for row in t_row(shape).rows:
         for j in row[:-1]:
-            coeffs = _run_sum(f, rowpos, coeffs, range(j, row[0] - 1, -1), step)
+            coeffs = _run_sum(f, coeffs, range(j, row[0] - 1, -1), step)
     return ModuleVector(f, v.shape, coeffs)
 
 
@@ -379,47 +380,39 @@ def at_generator(v: ModuleVector, lam) -> ModuleVector:
 
 def generator_keys(v: ModuleVector, lam) -> dict:
     """The coefficients of ``at_generator(v, lam)`` at its column-canonical
-    keys, those whose values in each row a..b of the row filling of lam'
-    lie in distinct rows and rise down the rows; when q = -1, the whole
+    keys, those whose letters a..b strictly increase for each row a..b of
+    the row filling of lam' (a column of lam); when q = -1, the whole
     value.
 
-    For s_i with i, i+1 in one such block, T_i y = -y.  So when i and i+1
-    lie in different rows of a key d, e_{d s_i} y = -e_d y, and when they
-    share a row, (q + 1) e_d y = 0.  Once q != -1, e_d y is therefore 0
-    when two values of a block share a row of d, and otherwise the sign
-    of the relabelling times e_D y, D the canonical key that relabels each
-    block to rise down the rows.  From D every step is an ascent, so e_D y
-    is the sum of (-q^-1)^l(w) e_{D w}: disjoint supports for distinct D,
-    with coefficient 1 at D.  The value is thus zero exactly when the
-    returned dict is empty, and each of its other coefficients is a
-    multiple of a returned one, so linear conditions on the values keep
-    their span."""
+    For s_i with i, i+1 in one such block, T_i y = -y.  So when letters i
+    and i+1 of a key w differ, e_{w s_i} y = -e_w y (w s_i swaps them), and
+    when they are equal, (q + 1) e_w y = 0.  Once q != -1, e_w y is
+    therefore 0 when a block repeats a letter, and otherwise the sign of
+    the sort times e_W y, W the canonical key with each block sorted.
+    From W every step is an ascent, so e_W y is the sum of (-q^-1)^l(u)
+    e_{W u}: disjoint supports for distinct W, with coefficient 1 at W.
+    The value is thus zero exactly when the returned dict is empty, and
+    each of its other coefficients is a multiple of a returned one, so
+    linear conditions on the values keep their span."""
     lam = check_partition(lam)
     f = v.field
     if f.is_zero(f.add(f.q_rep, f.one_rep)):
         return at_generator(v, lam).coeffs
-    rowpos = shape_row_of_position(v.shape)
-    blocks = [row for row in t_row(conjugate(lam)).rows if len(row) > 1]
+    blocks = [slice(row[0] - 1, row[-1]) for row in t_row(conjugate(lam)).rows if len(row) > 1]
     out: dict = {}
-    for d, c in act_word(v, w_lambda(lam)).coeffs.items():
-        key = None
+    for w, c in act_word(v, w_lambda(lam)).coeffs.items():
+        key = w
         odd = False
         for block in blocks:
-            spots = [d.index(val) for val in block]
-            rows = [rowpos[p] for p in spots]
+            rows = w[block]
             if len(set(rows)) < len(rows):
                 break
-            # the rows of a key are runs of increasing positions, so rising
-            # down the rows is rising positions
-            ordered = sorted(spots)
-            if spots != ordered:
-                if key is None:
-                    key = list(d)
-                for val, p in zip(block, ordered):
-                    key[p] = val
-                odd ^= sum(a > b for i, a in enumerate(spots) for b in spots[i + 1:]) % 2
+            ordered = tuple(sorted(rows))
+            if rows != ordered:
+                key = key[:block.start] + ordered + key[block.stop:]
+                odd ^= sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
         else:
-            _acc(f, out, d if key is None else tuple(key), f.neg(c) if odd else c)
+            _acc(f, out, key, f.neg(c) if odd else c)
     return out
 
 
@@ -461,14 +454,13 @@ def _spin(v: ModuleVector) -> SparseEchelon:
     row it became; together they span the rows, so acting on each once
     closes the span after 1 + dim * (n - 1) inserts."""
     n = sum(v.shape)
-    rowpos = shape_row_of_position(v.shape)
     echelon = SparseEchelon(v.field)
     first = dict(v.coeffs)
     pending = [first] if echelon.insert(first) else []
     while pending:
         row = pending.pop()
         for i in range(1, n):
-            image = _act_dict(v.field, rowpos, row, i)
+            image = _act_dict(v.field, row, i)
             if echelon.insert(image):
                 pending.append(image)
     return echelon
@@ -488,10 +480,9 @@ def _spin_specht(field: FieldSpec, lam) -> SpechtModule:
         raise AssertionError(
             f"spun dimension {module.dimension} differs from standard count {expected} for {lam}"
         )
-    rowpos = shape_row_of_position(lam)
     for i in range(1, sum(lam)):
         module.matrices.append([
-            module.echelon.coordinates(_act_dict(field, rowpos, row, i))
+            module.echelon.coordinates(_act_dict(field, row, i))
             for _, row in module.echelon.rows
         ])
     return module
@@ -528,12 +519,11 @@ def run_sum_identity_holds(field: FieldSpec, mu, d: int, z: int) -> bool:
     if not y <= z <= n:
         raise ValueError(f"need {y} <= z <= {n}")
 
-    rowpos = shape_row_of_position(nu)
     sides = []
     for top, letters in ((x, range(x, y)), (y, range(y - 1, x - 1, -1))):
         v = basis_vector(field, nu)
         for i in range(z - 1, top - 1, -1):
             v = act_gen(v, i)
-        sides.append(_run_sum(field, rowpos, v.coeffs, letters, field.one_rep))
+        sides.append(_run_sum(field, v.coeffs, letters, field.one_rep))
     lhs, rhs = sides
     return lhs == ModuleVector(field, nu, rhs).scale(field.q_power(y - x)).coeffs

@@ -1,10 +1,13 @@
 """Homomorphisms between permutation and Specht modules.
 
 A homomorphism out of a Specht module is stored as its coefficient
-vector over row-standard (usually semistandard) source tableaux; since
-Specht modules are cyclic, evaluating at the canonical generator z is
-faithful, and a value lies in the target Specht module when every
-one-row-merge map psi_{d,t} kills it.
+vector over row-standard (usually semistandard) source tableaux.  The
+reading word of a tableau of type nu is the row word that keys a basis
+vector of M^nu (``hecke.ModuleVector``), so the image of the generator
+under a basis map is a sum over its row equivalence class with no
+conversion.  Since Specht modules are cyclic, evaluating at the
+canonical generator z is faithful, and a value lies in the target Specht
+module when every one-row-merge map psi_{d,t} kills it.
 
 The symbolic composition rule writes psi_{d,t} o theta_T as a
 Gaussian-binomial combination of basis homomorphisms, so the landing
@@ -46,7 +49,6 @@ from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import (
     Tableau,
     enumerate_semistandard,
-    perm_of_tableau,
     permutation_dim,
     row_equiv_class,
 )
@@ -63,6 +65,10 @@ class HomSpec:
         self.field = field
         self.source = check_partition(source)
         self.target = check_composition(target)
+        # the sorted reading word of the target type, built once a tableau
+        # of that size comes: content() would list every value up to the
+        # largest entry, however large
+        want = None
         clean = {}
         for tab, rep in coeffs.items():
             if hasattr(rep, "rep"):
@@ -73,8 +79,10 @@ class HomSpec:
                 raise ValueError(f"tableau {tab} does not have shape {self.source}")
             if not tab.is_row_standard():
                 raise ValueError(f"tableau {tab} is not row standard")
-            content = tab.content()
-            if drop_trailing_zeros(content) != drop_trailing_zeros(self.target):
+            word = sorted(tab.reading_word())
+            if want is None and len(word) == sum(self.target):
+                want = [v for v, part in enumerate(self.target, start=1) for _ in range(part)]
+            if word != want:
                 raise ValueError(f"tableau {tab} does not have type {self.target}")
             clean[tab] = rep
         self.coeffs = clean
@@ -141,18 +149,19 @@ class HomSpec:
 def _row_class_sum(field: FieldSpec, coeffs: dict, target) -> ModuleVector:
     """Image of the source cyclic generator under the combination of basis
     homomorphisms with the given coefficients over tableaux: each
-    tableau's coefficient times the coset basis vectors of its row
-    equivalence class."""
+    tableau's coefficient times the basis vectors of its row equivalence
+    class; a tableau of type target names the basis vector whose row word
+    is its reading word."""
     out: dict = {}
     for tab, c in coeffs.items():
         for other in row_equiv_class(tab):
-            _acc(field, out, perm_of_tableau(other), c)
+            _acc(field, out, other.reading_word(), c)
     return ModuleVector(field, tuple(target), out)
 
 
 def theta_image_of_x(field: FieldSpec, tab: Tableau, target=None) -> ModuleVector:
     """Image of the source cyclic generator under the basis homomorphism
-    attached to tab: the sum of coset basis vectors over the row
+    attached to tab: the sum of the basis vectors over the row
     equivalence class."""
     if target is None:
         target = tab.content()

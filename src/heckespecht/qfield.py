@@ -760,10 +760,6 @@ def spec_for_profile(e: int, p: int) -> FieldSpec:
 # ---------------------------------------------------------------------------
 # quantum integers, factorials, Gaussian binomials
 
-def quantum_char(spec: FieldSpec) -> QuantumProfile:
-    return spec.profile()
-
-
 def qint(spec: FieldSpec, alpha: int) -> Scalar:
     """[alpha] = 1 + q + ... + q^(alpha-1), with [0] = 0."""
     if alpha < 0:

@@ -4,7 +4,9 @@ attached to them.
 Permutations are tuples in one-line notation with 1-based values:
 ``w[i-1]`` is the image of i under the right action.  Tableaux are stored
 as immutable row tuples.  Everything enumerates in a fixed deterministic
-order (lexicographic on reading words).
+order (lexicographic on reading words).  A row word of a composition nu,
+letter k the row of nu that holds k, is the reading word of a tableau of
+type nu; ``coset_rep`` gives the minimal coset representative it names.
 """
 
 from __future__ import annotations
@@ -163,14 +165,6 @@ def w_lambda(shape) -> tuple[int, ...]:
     return tuple(out)
 
 
-def shape_row_of_position(shape) -> tuple[int, ...]:
-    """Row index of each position of the row filling, 1-based positions."""
-    out = []
-    for r, part in enumerate(shape, start=1):
-        out.extend([r] * part)
-    return tuple(out)
-
-
 def _fillings(shape, mu, columns: bool) -> list[tuple[int, ...]]:
     """Reading words of the fillings of the shape by the multiset of type
     mu with weakly increasing rows and, when columns is set, strictly
@@ -268,13 +262,10 @@ def _orderings(row) -> list[tuple[int, ...]]:
     return out
 
 
-def perm_of_tableau(tab: Tableau) -> tuple[int, ...]:
-    """The minimal coset representative attached to a tableau of type mu:
-    the reading word of the row-sorted preimage tableau, that is the
-    positions 1..n of tab's reading word, stably sorted by their entries."""
-    word = tab.reading_word()
-    if word and min(word) < 1:
-        raise ValueError("malformed tableau entry")
+def coset_rep(word) -> tuple[int, ...]:
+    """The minimal coset representative d of the row word of x T_d (letter
+    k the row that holds k): 1..n stably sorted by row, the reading word of
+    the row-standard tableau that holds k in row word[k-1]."""
     return tuple(sorted(range(1, len(word) + 1), key=lambda k: word[k - 1]))
 
 

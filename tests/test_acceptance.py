@@ -45,6 +45,7 @@ from heckespecht.qfield import (
 )
 from heckespecht.reducibility import is_ep_reducible
 from heckespecht.tableaux import (
+    coset_rep,
     coset_reps,
     enumerate_row_standard,
     standard_count,
@@ -110,7 +111,7 @@ def test_criterion_2_action_soundness():
                             moved = act_gen(basis_vector(field, lam, d), i)
                             expanded = HeckeElement(field, n, {})
                             for key, c in moved.coeffs.items():
-                                expanded = expanded.add(x.times_word(key).scale(c))
+                                expanded = expanded.add(x.times_word(coset_rep(key)).scale(c))
                             assert direct == expanded, (field.name, lam, d, i)
                             checked += 1
         state["detail"] = f"{checked} products over 2 fields, n <= 5"

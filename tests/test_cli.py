@@ -11,7 +11,7 @@ from heckespecht.homs import HomSpec, _bounded_compositions
 from heckespecht.partitions import nu_composition, partitions_of
 from heckespecht.qfield import parse_field, qbinom
 from heckespecht.reducibility import ReducibilityReport
-from heckespecht.tableaux import enumerate_row_standard
+from heckespecht.tableaux import Tableau, enumerate_row_standard
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +273,27 @@ def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worke
     code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
     assert (code, out) == (2, "")
     assert "exceeds the size limit" in err
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (("compose", "--tableau", "[[1,100000000000]]", "--d", "1", "--t", "0"), None,
+     "entry 100000000000 exceeds the size limit"),
+    (("cp-verify", "--hom-json", "-"),
+     {**HOM_JSON, "source": [2], "target": [1, 1],
+      "coefficients": [{"tableau": [[1, 100000000000]], "scalar": "1"}]},
+     "does not have type (1, 1)"),
+], ids=["compose", "cp-verify"])
+def test_huge_tableau_entry_is_refused(capsys, monkeypatch, argv, payload, message):
+    # Tableau.content() lists every value up to the largest entry, so the
+    # entry must be refused before it is called
+    def refuse(self):
+        raise AssertionError("content() of a huge entry")
+
+    monkeypatch.setattr(Tableau, "content", refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_compose_guard_counts_every_term(capsys, monkeypatch):

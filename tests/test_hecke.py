@@ -5,6 +5,8 @@ x-shape elements expanded over the n! basis, multiplied by the defining
 relation, and compared term by term against the coset-basis action.
 """
 
+import json
+
 import pytest
 
 from heckespecht.hecke import (
@@ -23,9 +25,12 @@ from heckespecht.hecke import (
     x_element,
     y_element,
 )
+from heckespecht.homs import psi_dt, theta_image_of_x
 from heckespecht.partitions import conjugate, dominates, partitions_of
 from heckespecht.qfield import Cyclotomic, PrimeField, spec_for_profile
 from heckespecht.tableaux import (
+    Tableau,
+    coset_rep,
     coset_reps,
     perm_identity,
     perm_times_s,
@@ -36,24 +41,26 @@ from heckespecht.tableaux import (
 
 
 def expand_over_group_algebra(v: ModuleVector) -> HeckeElement:
-    """Independent expansion of a coset-basis vector over the n! basis."""
+    """Independent expansion of a module vector over the n! basis: each
+    row word w names the basis vector x T_d, d = coset_rep(w)."""
     x = x_element(v.field, v.shape)
     out = HeckeElement(v.field, sum(v.shape), {})
-    for d, c in v.coeffs.items():
-        out = out.add(x.times_word(d).scale(c))
+    for w, c in v.coeffs.items():
+        out = out.add(x.times_word(coset_rep(w)).scale(c))
     return out
 
 
 def test_act_gen_three_cases(cyclo3):
     v = basis_vector(cyclo3, (2, 1))
     assert act_gen(v, 1) == v.scale(cyclo3.q)
+    assert v.coeffs == {(1, 1, 2): cyclo3.one_rep}
     moved = act_gen(v, 2)
-    assert moved.coeffs == {(1, 3, 2): cyclo3.one_rep}
+    assert moved.coeffs == {(1, 2, 1): cyclo3.one_rep}
     back = act_gen(moved, 2)
     q = cyclo3.q_rep
     assert back.coeffs == {
-        (1, 2, 3): q,
-        (1, 3, 2): cyclo3.sub(q, cyclo3.one_rep),
+        (1, 1, 2): q,
+        (1, 2, 1): cyclo3.sub(q, cyclo3.one_rep),
     }
 
 
@@ -61,8 +68,10 @@ def test_act_word_identity_and_coset_moves(f7q2):
     v = basis_vector(f7q2, (2, 2))
     assert act_word(v, perm_identity(4)) == v
     for d in coset_reps((2, 2)):
-        moved = act_word(v, d)
-        assert moved.coeffs == {d: f7q2.one_rep}
+        # x T_d is one basis vector, keyed by a row word of (2, 2) naming d
+        [(w, c)] = act_word(v, d).coeffs.items()
+        assert c == f7q2.one_rep
+        assert sorted(w) == [1, 1, 2, 2] and coset_rep(w) == d
 
 
 def test_push_through_kills_same_row_pair(cyclo3):
@@ -93,11 +102,11 @@ def test_action_matches_group_algebra_oracle(field_name, request):
             x = x_element(field, lam)
             for d in coset_reps(lam):
                 xd = x.times_word(d)
+                v = basis_vector(field, lam, d)
+                assert expand_over_group_algebra(v) == xd, (lam, d)
                 for i in range(1, n):
                     direct = xd.times_gen(i)
-                    via_action = expand_over_group_algebra(
-                        act_gen(basis_vector(field, lam, d), i)
-                    )
+                    via_action = expand_over_group_algebra(act_gen(v, i))
                     assert direct == via_action, (lam, d, i)
 
 
@@ -130,10 +139,11 @@ def test_x_and_y_eigenvalue_relations(f7q2):
 
 def test_specht_generator_examples(cyclo3):
     g = specht_generator(cyclo3, (3,))
-    assert g.coeffs == {perm_identity(3): cyclo3.one_rep}
+    assert g.coeffs == {(1, 1, 1): cyclo3.one_rep}
     minus_qinv = cyclo3.neg(cyclo3.q_power(-1))
     g = specht_generator(cyclo3, (2, 1))
-    assert g.coeffs == {(1, 3, 2): cyclo3.one_rep, (2, 3, 1): minus_qinv}
+    # the row-standard tableaux [[1, 3], [2]] and [[2, 3], [1]]
+    assert g.coeffs == {(1, 2, 1): cyclo3.one_rep, (2, 1, 1): minus_qinv}
     g = specht_generator(cyclo3, (1, 1))
     assert g.coeffs == {(1, 2): cyclo3.one_rep, (2, 1): minus_qinv}
 
@@ -322,6 +332,32 @@ def test_module_vector_json(cyclo3):
     assert data["shape"] == [2, 1]
     assert data["coefficients"][0]["tableau"] == [[1, 3], [2]]
     assert {item["scalar"] for item in data["coefficients"]} == {"1", "z + 1"}
+
+
+def test_module_vector_json_is_pinned(cyclo3, f7q2):
+    # the rendering of row-word keys as tableaux, in the order of their
+    # coset representatives; the last vector's row words sort the other way
+    vectors = [
+        specht_generator(f7q2, (2, 1, 1)),
+        psi_dt(basis_vector(cyclo3, (1, 1), (2, 1)), 1, 0),
+        theta_image_of_x(cyclo3, Tableau([[1, 3], [2, 2]]), (1, 2, 1)),
+        act_gen(act_gen(basis_vector(cyclo3, (2, 0, 1)), 2), 1),
+        act_gen(act_gen(basis_vector(cyclo3, (1, 1, 1), (3, 2, 1)), 1), 2),
+    ]
+    expected = [
+        '{"shape":[2,1,1],"coefficients":[{"tableau":[[1,4],[2],[3]],"scalar":"1"},'
+        '{"tableau":[[1,4],[3],[2]],"scalar":"3"},{"tableau":[[2,4],[1],[3]],"scalar":"3"},'
+        '{"tableau":[[2,4],[3],[1]],"scalar":"2"},{"tableau":[[3,4],[1],[2]],"scalar":"2"},'
+        '{"tableau":[[3,4],[2],[1]],"scalar":"6"}]}',
+        '{"shape":[2,0],"coefficients":[{"tableau":[[1,2],[]],"scalar":"z"}]}',
+        '{"shape":[1,2,1],"coefficients":[{"tableau":[[1],[3,4],[2]],"scalar":"1"},'
+        '{"tableau":[[2],[3,4],[1]],"scalar":"1"}]}',
+        '{"shape":[2,0,1],"coefficients":[{"tableau":[[2,3],[],[1]],"scalar":"1"}]}',
+        '{"shape":[1,1,1],"coefficients":[{"tableau":[[2],[1],[3]],"scalar":"-z - 1"},'
+        '{"tableau":[[2],[3],[1]],"scalar":"-2*z - 1"},{"tableau":[[3],[1],[2]],"scalar":"-2*z - 1"},'
+        '{"tableau":[[3],[2],[1]],"scalar":"-3*z"}]}',
+    ]
+    assert [json.dumps(v.to_json(), separators=(",", ":")) for v in vectors] == expected
 
 
 def test_run_sum_identity_small():

@@ -15,7 +15,6 @@ from heckespecht import (
     qbinom_sum_oracle,
     qfact,
     qint,
-    quantum_char,
     spec_for_profile,
     vanish_run,
     vanish_run_direct,
@@ -31,14 +30,14 @@ from heckespecht.qfield import (
 
 
 def test_quantum_char_examples(cyclo3, f7q2):
-    assert quantum_char(cyclo3) == QuantumProfile(3, 0)
-    assert quantum_char(PrimeField(5, 1)) == QuantumProfile(5, 5)
-    assert quantum_char(f7q2) == QuantumProfile(3, 7)
+    assert cyclo3.profile() == QuantumProfile(3, 0)
+    assert PrimeField(5, 1).profile() == QuantumProfile(5, 5)
+    assert f7q2.profile() == QuantumProfile(3, 7)
 
 
 def test_quantum_char_extension(ext23):
-    assert quantum_char(ext23) == QuantumProfile(3, 2)
-    assert quantum_char(prime_extension_auto(3, 4)) == QuantumProfile(4, 3)
+    assert ext23.profile() == QuantumProfile(3, 2)
+    assert prime_extension_auto(3, 4).profile() == QuantumProfile(4, 3)
 
 
 def test_cyclotomic_polynomials():
@@ -196,7 +195,7 @@ def test_extension_identity_includes_q():
 
 def test_parse_explicit_extension_modulus():
     spec = parse_field("ext:p=2,mod=1;1;1")
-    assert quantum_char(spec) == QuantumProfile(3, 2)
+    assert spec.profile() == QuantumProfile(3, 2)
     assert parse_field(spec.name) == spec
     with pytest.raises(ValueError):
         parse_field("ext:p=2,mod=1;0;1")  # (x+1)^2 is reducible mod 2

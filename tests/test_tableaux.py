@@ -4,13 +4,13 @@ from math import factorial
 from heckespecht.partitions import check_composition, partitions_of
 from heckespecht.tableaux import (
     Tableau,
+    coset_rep,
     coset_reps,
     enumerate_row_standard,
     enumerate_semistandard,
     enumerate_standard,
     perm_identity,
     perm_length,
-    perm_of_tableau,
     perm_times_s,
     reduced_word,
     row_equiv_class,
@@ -88,7 +88,7 @@ def test_coset_bijection():
             reps = set(coset_reps(mu))
             assert len(reps) == factorial(n) // _stab_order(mu)
             for lam in partitions_of(n):
-                perms = [perm_of_tableau(t) for t in enumerate_tableaux(lam, mu)]
+                perms = [coset_rep(t.reading_word()) for t in enumerate_tableaux(lam, mu)]
                 assert len(set(perms)) == len(perms)
                 assert set(perms) == reps
 
@@ -133,10 +133,10 @@ def test_coset_decomposition_is_length_additive():
 
 
 def test_perm_of_tableau_examples():
-    assert perm_of_tableau(Tableau([[1, 1], [2]])) == perm_identity(3)
-    assert perm_of_tableau(Tableau([[1, 1, 2]])) == perm_identity(3)
+    assert coset_rep(Tableau([[1, 1], [2]]).reading_word()) == perm_identity(3)
+    assert coset_rep(Tableau([[1, 1, 2]]).reading_word()) == perm_identity(3)
     t = Tableau([[1, 2, 1]])
-    assert perm_of_tableau(t) == (1, 3, 2)
+    assert coset_rep(t.reading_word()) == (1, 3, 2)
 
 
 def test_row_equiv_class_sizes():
