@@ -18,7 +18,8 @@ T_i y = -y for s_i inside a column block of lam, so swapping two
 distinct letters i and i+1 of a key only flips the sign of its image
 under y, and a key whose letters i and i+1 are equal is killed by y once
 q != -1.  So each key folds onto one canonical key, with a sign, or
-drops out.  At q = -1 the whole value is returned, from the run sums.
+drops out; a key that meets no descent along w_lam reaches the fold with
+no generator action.  At q = -1 the whole value comes from the run sums.
 
 The full group-algebra ``HeckeElement`` and ``y_element`` are also
 provided; module code never expands vectors over the n! basis, but the
@@ -393,27 +394,64 @@ def generator_keys(v: ModuleVector, lam) -> dict:
     e_{W u}: disjoint supports for distinct W, with coefficient 1 at W.
     The value is thus zero exactly when the returned dict is empty, and
     each of its other coefficients is a multiple of a returned one, so
-    linear conditions on the values keep their span."""
+    linear conditions on the values keep their span.
+
+    A key meeting no strict descent along w_lam (``_generator_plan``) only
+    swaps or absorbs a q per step, so it is folded at once, permuted and
+    times q^(equal pairs); the others are acted on by the word first."""
     lam = check_partition(lam)
     f = v.field
     if f.is_zero(f.add(f.q_rep, f.one_rep)):
         return at_generator(v, lam).coeffs
-    blocks = [slice(row[0] - 1, row[-1]) for row in t_row(conjugate(lam)).rows if len(row) > 1]
+    word, pairs, perm, blocks = _generator_plan(lam)
     out: dict = {}
-    for w, c in act_word(v, w_lambda(lam)).coeffs.items():
-        key = w
-        odd = False
-        for block in blocks:
-            rows = w[block]
-            if len(set(rows)) < len(rows):
+    rest: dict = {}  # the keys that meet a strict descent
+    for w, c in v.coeffs.items():
+        equal = 0
+        for p, r in pairs:
+            if w[p] > w[r]:
+                rest[w] = c
                 break
-            ordered = tuple(sorted(rows))
-            if rows != ordered:
-                key = key[:block.start] + ordered + key[block.stop:]
-                odd ^= sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
+            equal += w[p] == w[r]
         else:
-            _acc(f, out, key, f.neg(c) if odd else c)
+            if equal:
+                c = f.mul(f.q_power(equal), c)
+            _fold_key(f, out, blocks, tuple(map(w.__getitem__, perm)), c)
+    for i in word:
+        rest = _act_dict(f, rest, i)
+    for w, c in rest.items():
+        _fold_key(f, out, blocks, w, c)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _generator_plan(lam):
+    """(reduced word of w_lam, the original positions (p, r) each step
+    compares when every step swaps, the final positions, the column blocks)."""
+    word = reduced_word(w_lambda(lam))
+    pos = list(range(sum(lam)))
+    pairs = []
+    for i in word:
+        pairs.append((pos[i - 1], pos[i]))
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    blocks = tuple(slice(row[0] - 1, row[-1]) for row in t_row(conjugate(lam)).rows if len(row) > 1)
+    return word, tuple(pairs), tuple(pos), blocks
+
+
+def _fold_key(f, out: dict, blocks, w, c) -> None:
+    """Add c e_w y to out at the canonical key of w, each block sorted,
+    times the sign of the sort; nothing when a block repeats a letter."""
+    key = w
+    odd = False
+    for block in blocks:
+        rows = w[block]
+        if len(set(rows)) < len(rows):
+            return
+        ordered = tuple(sorted(rows))
+        if rows != ordered:
+            key = key[:block.start] + ordered + key[block.stop:]
+            odd ^= sum(a > b for i, a in enumerate(rows) for b in rows[i + 1:]) % 2
+    _acc(f, out, key, f.neg(c) if odd else c)
 
 
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:

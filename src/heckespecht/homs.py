@@ -4,25 +4,26 @@ A homomorphism out of a Specht module is stored as its coefficient
 vector over row-standard (usually semistandard) source tableaux.  The
 reading word of a tableau of type nu is the row word that keys a basis
 vector of M^nu (``hecke.ModuleVector``), so the image of the generator
-under a basis map is a sum over its row equivalence class with no
-conversion.  Since Specht modules are cyclic, evaluating at the
+under a basis map sums the words joining one ordering of each row, with
+no tableau built.  Since Specht modules are cyclic, evaluating at the
 canonical generator z is faithful, and a value lies in the target Specht
 module when every one-row-merge map psi_{d,t} kills it.
 
 The symbolic composition rule writes psi_{d,t} o theta_T as a
-Gaussian-binomial combination of basis homomorphisms, so the landing
-solves read that combination's value at z in M^nu off its
-column-canonical keys (``hecke.generator_keys``) and form no vector of
-M^mu; pushing a vector through psi_{d,t} remains for membership of
-arbitrary vectors and as the rule's oracle.  Hom-space dimensions are
-solved for (lam, mu) or its conjugate dual (mu', lam'), whichever is
-cheaper: over the semistandard basis maps where the semistandard
-homomorphism theorem holds, and otherwise from the exact intertwiner
-system on spun-out generator matrices.
+Gaussian-binomial combination of basis homomorphisms (its terms taken
+unchecked, ``_compose_terms``), so the landing solves read that value at
+z in M^nu off its column-canonical keys (``hecke.generator_keys``) and
+form no vector of M^mu; pushing a vector through psi_{d,t} remains for
+membership of arbitrary vectors and as the rule's oracle.  Hom-space
+dimensions are solved for (lam, mu) or its conjugate dual (mu', lam'),
+whichever is cheaper: over the semistandard basis maps where the
+semistandard homomorphism theorem holds, and otherwise from the exact
+intertwiner system on spun-out generator matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .hecke import (
@@ -37,6 +38,7 @@ from .hecke import (
 # bound here only for the benchmark tracer, which wraps each function in
 # every module that imports it; nothing in this module calls them
 from .hecke import act_word, specht_generator  # noqa: F401
+from .tableaux import row_equiv_class  # noqa: F401
 from .partitions import (
     check_composition,
     check_partition,
@@ -46,12 +48,7 @@ from .partitions import (
     nu_composition,
 )
 from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
-from .tableaux import (
-    Tableau,
-    enumerate_semistandard,
-    permutation_dim,
-    row_equiv_class,
-)
+from .tableaux import Tableau, _orderings, enumerate_semistandard, permutation_dim
 
 
 class HomSpec:
@@ -150,12 +147,12 @@ def _row_class_sum(field: FieldSpec, coeffs: dict, target) -> ModuleVector:
     """Image of the source cyclic generator under the combination of basis
     homomorphisms with the given coefficients over tableaux: each
     tableau's coefficient times the basis vectors of its row equivalence
-    class; a tableau of type target names the basis vector whose row word
-    is its reading word."""
+    class, whose row words are the reading words of the class: one
+    ordering of each row, joined, in ``row_equiv_class`` order."""
     out: dict = {}
     for tab, c in coeffs.items():
-        for other in row_equiv_class(tab):
-            _acc(field, out, other.reading_word(), c)
+        for parts in itertools.product(*map(_orderings, tab.rows)):
+            _acc(field, out, sum(parts, ()), c)
     return ModuleVector(field, tuple(target), out)
 
 
@@ -220,7 +217,7 @@ def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> di
     value of the combination psi_{d,t} o theta_T of maps into M^nu."""
     merged: dict = {}
     for tab, c in coeffs.items():
-        for other, rep in compose_psi_theta(field, tab, d, t).coeffs.items():
+        for other, rep in _compose_terms(field, tab, d, t).items():
             _acc(field, merged, other, field.mul(c, rep))
     nu = nu_composition(mu, d, t)
     return generator_keys(_row_class_sum(field, merged, nu), lam)
@@ -232,13 +229,17 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
     homomorphisms into the merged type."""
     if not tab.is_row_standard():
         raise ValueError("tableau must be row standard")
-    lam = tab.shape
-    mu = tab.content()
-    nu = nu_composition(mu, d, t)
-    tbar = mu[d] - t
+    nu = nu_composition(tab.content(), d, t)
+    return HomSpec(field, tab.shape, nu, _compose_terms(field, tab, d, t))
+
+
+def _compose_terms(field: FieldSpec, tab: Tableau, d: int, t: int) -> dict:
+    """``compose_psi_theta``'s {Tableau: rep} terms, unchecked: tab row
+    standard of type mu, 1 <= d < len(mu) and 0 <= t < mu_{d+1}."""
     # positions of the value d+1 in each row; replacements keep rows weakly
     # increasing only if the leftmost occurrences are replaced
     counts = [row.count(d + 1) for row in tab.rows]
+    tbar = sum(counts) - t
     below = [0] * (len(tab.rows) + 1)  # below[i]: the d's in rows i+1, ...
     for i in range(len(tab.rows) - 1, -1, -1):
         below[i] = below[i + 1] + tab.rows[i].count(d)
@@ -255,7 +256,7 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
                 coeff = field.mul(coeff, qbinom(field, row.count(d), beta).rep)
             rows.append(row)
         _acc(field, out, Tableau(rows), coeff)
-    return HomSpec(field, lam, nu, out)
+    return out
 
 
 def _bounded_compositions(total, bounds):

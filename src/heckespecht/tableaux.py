@@ -251,15 +251,16 @@ def row_equiv_class(tab: Tableau) -> list[Tableau]:
     return [Tableau(rows) for rows in itertools.product(*map(_orderings, tab.rows))]
 
 
-def _orderings(row) -> list[tuple[int, ...]]:
-    """The distinct orderings of a row of positive integers, sorted: the
-    fill in which every cell starts a row and no column links cells."""
+@lru_cache(maxsize=4096)
+def _orderings(row) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of a row tuple of positive integers, sorted:
+    the fill in which every cell starts a row and no column links cells."""
     remaining = [0] * (max(row, default=0) + 1)
     for v in row:
         remaining[v] += 1
     out: list[tuple[int, ...]] = []
     _fill([0] * len(row), 0, remaining, [True] * len(row), [-1] * len(row), out)
-    return out
+    return tuple(out)
 
 
 def coset_rep(word) -> tuple[int, ...]:

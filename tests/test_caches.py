@@ -17,7 +17,9 @@ from heckespecht import (
     specht_generator,
     spin_specht,
 )
-from heckespecht.hecke import _spin_specht
+from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
+from heckespecht.homs import theta_image_of_x
+from heckespecht.tableaux import Tableau, _orderings
 from heckespecht.reducibility import _valuation_table, classify_range
 
 
@@ -37,9 +39,10 @@ def package_caches():
 def test_every_cache_is_bounded():
     caches = package_caches()
     assert {name for name, _ in caches} >= {
-        "hecke._spin_specht", "homs._psi_base",
+        "hecke._spin_specht", "hecke._generator_plan", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
-        "tableaux.coset_reps", "tableaux.standard_count", "reducibility._valuation_table"}
+        "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
+        "reducibility._valuation_table"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
 
@@ -85,3 +88,18 @@ def test_fields_differing_only_in_q_keep_their_own_entries():
         assert spin_specht(field, (2, 1)).field == field
     assert qbinom.cache_info().currsize == 2
     assert _spin_specht.cache_info().currsize == 2
+
+
+def test_walk_memos_are_keyed_by_shape_and_row_only():
+    # the plan of w_lam and the orderings of a row serve every field, and
+    # clear_caches empties both
+    clear_caches()
+    tab = Tableau([[1, 1, 2], [2, 3]])
+    for spec in ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3"):
+        field = parse_field(spec)
+        generator_keys(theta_image_of_x(field, tab), (3, 2))
+    assert _generator_plan.cache_info().currsize == 1
+    assert _orderings.cache_info().currsize == 2
+    clear_caches()
+    assert _generator_plan.cache_info().currsize == 0
+    assert _orderings.cache_info().currsize == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heckespecht.carter_payne import one_node_map
-from heckespecht import hecke, homs
+from heckespecht import hecke, homs, tableaux
 from heckespecht.hecke import (
     ModuleVector,
     act_word,
@@ -21,6 +21,7 @@ from heckespecht.homs import (
     HomSpec,
     _intertwiner_dimension,
     _landing_solve,
+    _compose_terms,
     _semistandard_dimension,
     compose_psi_theta,
     evaluate_on_generator,
@@ -46,6 +47,7 @@ from heckespecht.tableaux import (
     coset_rep,
     enumerate_row_standard,
     enumerate_semistandard,
+    row_equiv_class,
     w_lambda,
 )
 
@@ -170,6 +172,27 @@ def test_compose_matches_brute_force(f97q3, cyclo3):
                                         theta_image_of_x(field, s_tab, sym.target).scale(c)
                                     )
                                 assert acc == brute, (lam, mu, tab, d, t)
+
+
+def test_compose_keeps_its_checks(f97q3, cyclo3):
+    # the landing solves take the unchecked terms; the public composition
+    # still refuses a tableau that is not row standard and a t or d out of
+    # range, and lists exactly those terms
+    with pytest.raises(ValueError, match="^tableau must be row standard$"):
+        compose_psi_theta(f97q3, Tableau([[2, 1]]), 1, 0)
+    with pytest.raises(ValueError, match=r"^need 0 <= t < 1, got t=1$"):
+        compose_psi_theta(f97q3, Tableau([[1, 1, 2]]), 1, 1)
+    with pytest.raises(ValueError, match=r"^row 3 outside \(2, 1\)$"):
+        compose_psi_theta(f97q3, Tableau([[1, 1, 2]]), 2, 0)
+    for field in (f97q3, cyclo3):
+        for n in range(1, 6):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    for tab in enumerate_row_standard(lam, mu):
+                        for d in range(1, len(mu)):
+                            for t in range(mu[d]):
+                                assert compose_psi_theta(field, tab, d, t).coeffs == \
+                                    _compose_terms(field, tab, d, t), (tab, d, t)
 
 
 def identity_hom(field: FieldSpec, lam) -> HomSpec:
@@ -371,6 +394,70 @@ def test_generator_keys_match_the_full_value(spec):
                     assert bool(keys) == bool(full), (lam, v)
                     assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_generator_walk_matches_the_full_value(spec, monkeypatch):
+    # seeded vectors over every lam with n <= 6, in M^mu and M^(mu reversed):
+    # the keys that walk w_lam with no strict descent are folded at once,
+    # the others are acted on by the word (_act_dict's first input), and
+    # both kinds occur; the answer is the full value's, by the rule above
+    field = parse_field(spec)
+    minus_one = field.is_zero(field.add(field.q_rep, field.one_rep))
+    rng = random.Random(spec)
+    firsts = []
+    act = hecke._act_dict
+
+    def counted(f, coeffs, i):
+        firsts.append(len(coeffs))
+        return act(f, coeffs, i)
+
+    walked = acted = 0
+    seen = set()
+    for n in range(1, 7):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            for mu in rng.sample(shapes, min(3, len(shapes))):
+                for shape in (mu, mu[::-1]):
+                    reps = _row_words(shape)
+                    v = ModuleVector(field, shape, {
+                        w: field.q_power(rng.randrange(5))
+                        for w in rng.sample(reps, min(6, len(reps)))})
+                    full = at_generator(v, lam).coeffs
+                    seen.add(bool(full))
+                    firsts.clear()
+                    monkeypatch.setattr(hecke, "_act_dict", counted)
+                    keys = generator_keys(v, lam)
+                    monkeypatch.setattr(hecke, "_act_dict", act)
+                    if minus_one:
+                        assert keys == full, (lam, v)
+                        continue
+                    descents = firsts[0] if firsts else 0
+                    acted += descents
+                    walked += len(v.coeffs) - descents
+                    assert bool(keys) == bool(full), (lam, v)
+                    assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
+    assert seen == {False, True}
+    if not minus_one:
+        assert walked > 0 and acted > 0, (walked, acted)
+
+
+def test_row_class_words_are_the_class_reading_words(f97q3):
+    # the row words of _row_class_sum, in order, are the reading words of
+    # row_equiv_class, the tableau-building oracle
+    tabs = [Tableau([[1] * 9 + [2]])]
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                tabs += enumerate_row_standard(lam, mu)
+    for tab in tabs:
+        got = homs._row_class_sum(f97q3, {tab: f97q3.one_rep}, tab.content())
+        assert list(got.coeffs) == [t.reading_word() for t in row_equiv_class(tab)], tab
+        assert set(got.coeffs.values()) == {f97q3.one_rep}
+    for row in ((1, 1, 2, 3), (2,), ()):
+        orderings = tableaux._orderings(row)
+        assert isinstance(orderings, tuple) and all(isinstance(o, tuple) for o in orderings)
+    assert len(tableaux._orderings((1,) * 9 + (2,))) == 10
 
 
 def _random_values(field, mu, rng) -> list:
