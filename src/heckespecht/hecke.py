@@ -8,22 +8,19 @@ generator T_i reads letters i and i+1, by the three-case multiplication
 rule for x-generated modules: absorb a q when they are equal, swap them
 when they increase, and produce the mixed two-term combination
 otherwise.  Everything else (words, module maps evaluated one reduced
-word per key, algebra elements, values at the Specht generator
-x T_{w_lam} y_{lam'} with y factored into run sums, spinning out a basis
-with exact Gaussian elimination) is built on it.
+word per key, algebra elements, values at the Specht generator, spinning
+out a basis with exact Gaussian elimination) is built on it.
 
-The landing solves read a value at the Specht generator off its
-column-canonical keys instead (``generator_keys``), with no run sums:
-T_i y = -y for s_i inside a column block of lam, so swapping two
-distinct letters i and i+1 of a key only flips the sign of its image
-under y, and a key whose letters i and i+1 are equal is killed by y once
-q != -1.  So each key folds onto one canonical key, with a sign, or
-drops out; a key that meets no descent along w_lam reaches the fold with
-no generator action.  At q = -1 the whole value comes from the run sums.
+A value at the Specht generator z = x T_{w_lam} y_{lam'} is read off its
+column-canonical keys (``generator_keys``) at every q: y factors through
+1 + (-q)^-1 T_i for s_i inside a column block, so each key folds onto one
+canonical key, with a sign, or drops out, and z itself is the signed
+column sum of one key.  The whole value, y factored into run sums
+(``at_generator``), is the oracle.
 
-The full group-algebra ``HeckeElement`` and ``y_element`` are also
-provided; module code never expands vectors over the n! basis, but the
-tests use them as independent multiplication oracles.
+The full group-algebra ``HeckeElement`` is also provided; module code
+never expands vectors over the n! basis, but the tests use it as an
+independent multiplication oracle (``y_element`` also signs z).
 """
 
 from __future__ import annotations
@@ -382,27 +379,25 @@ def at_generator(v: ModuleVector, lam) -> ModuleVector:
 def generator_keys(v: ModuleVector, lam) -> dict:
     """The coefficients of ``at_generator(v, lam)`` at its column-canonical
     keys, those whose letters a..b strictly increase for each row a..b of
-    the row filling of lam' (a column of lam); when q = -1, the whole
-    value.
+    the row filling of lam' (a column of lam).
 
-    For s_i with i, i+1 in one such block, T_i y = -y.  So when letters i
-    and i+1 of a key w differ, e_{w s_i} y = -e_w y (w s_i swaps them), and
-    when they are equal, (q + 1) e_w y = 0.  Once q != -1, e_w y is
-    therefore 0 when a block repeats a letter, and otherwise the sign of
-    the sort times e_W y, W the canonical key with each block sorted.
-    From W every step is an ascent, so e_W y is the sum of (-q^-1)^l(u)
-    e_{W u}: disjoint supports for distinct W, with coefficient 1 at W.
-    The value is thus zero exactly when the returned dict is empty, and
-    each of its other coefficients is a multiple of a returned one, so
-    linear conditions on the values keep their span.
+    For s_i with i, i+1 in one such block, y = (1 + (-q)^-1 T_i) y'', the
+    lengths adding, so T_i y = -y and e_w y = 0 when letters i and i+1 of
+    a key w are equal (e_w T_i = q e_w), at every q; when they differ,
+    e_{w s_i} y = -e_w y (w s_i swaps them).  So e_w y is 0 when a block
+    repeats a letter, and otherwise the sign of the sort times e_W y, W
+    the canonical key with each block sorted.  From W every step is an
+    ascent, so e_W y is the sum of (-q^-1)^l(u) e_{W u}: disjoint supports
+    for distinct W, with coefficient 1 at W.  The value is thus zero
+    exactly when the returned dict is empty, and each of its other
+    coefficients is a multiple of a returned one, so linear conditions on
+    the values keep their span.
 
     A key meeting no strict descent along w_lam (``_generator_plan``) only
     swaps or absorbs a q per step, so it is folded at once, permuted and
     times q^(equal pairs); the others are acted on by the word first."""
     lam = check_partition(lam)
     f = v.field
-    if f.is_zero(f.add(f.q_rep, f.one_rep)):
-        return at_generator(v, lam).coeffs
     word, pairs, perm, blocks = _generator_plan(lam)
     out: dict = {}
     rest: dict = {}  # the keys that meet a strict descent
@@ -455,12 +450,14 @@ def _fold_key(f, out: dict, blocks, w, c) -> None:
 
 
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:
-    """The canonical generator of the Specht submodule, expanded over the
-    coset basis of the permutation module."""
-    v = at_generator(basis_vector(field, lam), lam)
-    if v.is_zero():
-        raise AssertionError("Specht generator vanished")
-    return v
+    """The canonical generator z = x T_{w_lam} y_{lam'} of the Specht
+    submodule: x T_{w_lam} is one column-canonical key W, rows 1..c down
+    each column, so z = sum (-q^-1)^l(u) e_{W u} over the column stabiliser."""
+    lam = check_partition(lam)
+    cols = conjugate(lam)
+    key = tuple(r for part in cols for r in range(1, part + 1))
+    return ModuleVector(field, lam, {
+        tuple(key[i - 1] for i in u): rep for u, rep in y_element(field, cols).coeffs.items()})
 
 
 class SpechtModule:

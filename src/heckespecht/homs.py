@@ -12,13 +12,13 @@ module when every one-row-merge map psi_{d,t} kills it.
 The symbolic composition rule writes psi_{d,t} o theta_T as a
 Gaussian-binomial combination of basis homomorphisms (its terms taken
 unchecked, ``_compose_terms``), so the landing solves read that value at
-z in M^nu off its column-canonical keys (``hecke.generator_keys``) and
-form no vector of M^mu; pushing a vector through psi_{d,t} remains for
-membership of arbitrary vectors and as the rule's oracle.  Hom-space
-dimensions are solved for (lam, mu) or its conjugate dual (mu', lam'),
-whichever is cheaper: over the semistandard basis maps where the
-semistandard homomorphism theorem holds, and otherwise from the exact
-intertwiner system on spun-out generator matrices.
+z in M^nu off its column-canonical keys (``hecke.generator_keys``), at
+every q, and form no vector of M^mu; pushing a vector through psi_{d,t}
+remains for membership of arbitrary vectors and as the rule's oracle.
+Hom-space dimensions are solved for (lam, mu) or its conjugate dual
+(mu', lam'), whichever is cheaper: over the semistandard basis maps
+where the semistandard homomorphism theorem holds, and otherwise from
+the exact intertwiner system on spun-out generator matrices.
 """
 
 from __future__ import annotations

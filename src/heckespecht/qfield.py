@@ -129,8 +129,11 @@ def _first_irreducible_factor(e: int, p: int):
 
 
 def _is_prime(p: int) -> bool:
+    """Trial division up to sqrt(p); refused past SEARCH_LIMIT^2."""
     if p < 2:
         return False
+    if p > SEARCH_LIMIT ** 2:
+        raise ValueError(f"{p} exceeds the primality search limit {SEARCH_LIMIT}^2")
     if p % 2 == 0:
         return p == 2
     f = 3

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -42,12 +43,16 @@ def test_bad_field_is_domain_error(capsys):
     "ext:p=13,e=23",  # Phi_23 has degree-11 factors over F_13: 13^11 trial divisors
     "ext:p=2,e=1",  # e < 2: the order of p mod e is never reached
     "ext:p=5,e=-3",
-    "p=1000000000039,q=2",  # q = 2 has an order of about 5 * 10^11
+    "p=1000000000039,q=2",  # past SEARCH_LIMIT^2: primality is not trial-divided
+    "p=1000000000000000003,q=2",  # trial division to sqrt(p) would run for minutes
+    "ext:p=1000000000000000003,mod=1;0;1",
     "ext:p=4,e=6",  # 4 has no order mod 6
     "ext:p=0,e=3",
 ])
 def test_oversized_extension_search_is_domain_error(capsys, spec):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "vanish-run", "--field", spec, "--alpha", "3", "--beta", "1")
+    assert time.perf_counter() - start < 2
     assert code == 2
     assert not out
     assert err.startswith("error:")

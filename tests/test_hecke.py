@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from conftest import ROADMAP_FIELDS
 from heckespecht.hecke import (
     HeckeElement,
     ModuleVector,
@@ -17,6 +18,7 @@ from heckespecht.hecke import (
     act_gen,
     act_word,
     apply_signed_stabilizer_sum,
+    at_generator,
     basis_vector,
     push_through,
     run_sum_identity_holds,
@@ -27,7 +29,7 @@ from heckespecht.hecke import (
 )
 from heckespecht.homs import psi_dt, theta_image_of_x
 from heckespecht.partitions import conjugate, dominates, partitions_of
-from heckespecht.qfield import Cyclotomic, PrimeField, spec_for_profile
+from heckespecht.qfield import Cyclotomic, PrimeField, parse_field, spec_for_profile
 from heckespecht.tableaux import (
     Tableau,
     coset_rep,
@@ -157,16 +159,20 @@ def test_signed_stabilizer_sum_matches_element(f7q2, cyclo3):
                 assert apply_signed_stabilizer_sum(v, conjugate(lam)) == push_through(v, h)
 
 
-@pytest.mark.parametrize("field_name", ["f7q2", "cyclo3", "ext23"])
-def test_specht_generator_matches_per_key_oracle(field_name, request):
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
+def test_specht_generator_matches_per_key_oracle(spec):
     # the generator is x-vector . T_{w_lambda} . y_{lambda'}; the library
-    # factors y into run sums, the oracle acts one word per key
-    field = request.getfixturevalue(field_name)
-    for n in range(1, 7):
+    # signs the column sums of the one key x T_{w_lambda}, the oracles act
+    # one word per key (n <= 6) and by run sums (n <= 7)
+    field = parse_field(spec)
+    for n in range(1, 8):
         for lam in partitions_of(n):
-            v = act_word(basis_vector(field, lam), w_lambda(lam))
-            expect = push_through(v, y_element(field, conjugate(lam)))
-            assert specht_generator(field, lam) == expect, (field.name, lam)
+            got = specht_generator(field, lam)
+            assert got == at_generator(basis_vector(field, lam), lam), (spec, lam)
+            if n <= 6:
+                v = act_word(basis_vector(field, lam), w_lambda(lam))
+                expect = push_through(v, y_element(field, conjugate(lam)))
+                assert got == expect, (spec, lam)
 
 
 def test_dominance_kill(f7q2):

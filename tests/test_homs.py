@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import ROADMAP_FIELDS
 from heckespecht.carter_payne import one_node_map
 from heckespecht import hecke, homs, tableaux
 from heckespecht.hecke import (
@@ -246,7 +247,7 @@ def test_trivial_source_fast_path_matches_intertwiner(cyclo3, cyclo4):
 
 @pytest.mark.parametrize("spec, max_n", [
     ("p=97,q=3", 5), ("cyclotomic:e=3", 6), ("cyclotomic:e=4", 5),
-    ("ext:p=2,e=3", 5), ("p=2,q=1", 6), ("p=3,q=2", 5),
+    ("ext:p=2,e=3", 5), ("p=2,q=1", 6), ("p=3,q=2", 5), ("cyclotomic:e=2", 6),
 ])
 def test_semistandard_dimension_matches_intertwiner(spec, max_n):
     field = parse_field(spec)
@@ -360,19 +361,13 @@ def test_semistandard_solve_builds_no_psi_base(cyclo3, monkeypatch):
     assert built == []
 
 
-ROADMAP_FIELDS = (
-    "cyclotomic:e=2", "cyclotomic:e=3", "cyclotomic:e=4",
-    "p=2,q=1", "p=3,q=2", "ext:p=2,e=3", "p=97,q=3",
-)
-
-
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS)
 def test_generator_keys_match_the_full_value(spec):
     # every theta_U(x), n <= 5, and seeded random vectors of M^mu and of the
-    # reversed composition; off q = -1 the keys are the full value's
-    # coefficients at its column-canonical keys, and none exactly when it is 0
+    # reversed composition; at every q the keys are the full value's
+    # coefficients at its column-canonical keys, none exactly when it is 0,
+    # and the keys times y_{lam'} give back the full value
     field = parse_field(spec)
-    minus_one = field.is_zero(field.add(field.q_rep, field.one_rep))
     rng = random.Random(spec)
     seen = set()
     for n in range(1, 6):
@@ -388,12 +383,15 @@ def test_generator_keys_match_the_full_value(spec):
                     full = at_generator(v, lam).coeffs
                     keys = generator_keys(v, lam)
                     seen.add(bool(full))
-                    if minus_one:
-                        assert keys == full, (lam, v)
-                        continue
-                    assert bool(keys) == bool(full), (lam, v)
-                    assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
+                    _assert_keys_give_the_full_value(field, v, lam, keys, full)
     assert seen == {False, True}
+
+
+def _assert_keys_give_the_full_value(field, v, lam, keys, full):
+    assert bool(keys) == bool(full), (lam, v)
+    assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
+    y = y_element(field, conjugate(lam))
+    assert push_through(ModuleVector(field, v.shape, keys), y).coeffs == full, (lam, v)
 
 
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS)
@@ -403,7 +401,6 @@ def test_generator_walk_matches_the_full_value(spec, monkeypatch):
     # the others are acted on by the word (_act_dict's first input), and
     # both kinds occur; the answer is the full value's, by the rule above
     field = parse_field(spec)
-    minus_one = field.is_zero(field.add(field.q_rep, field.one_rep))
     rng = random.Random(spec)
     firsts = []
     act = hecke._act_dict
@@ -429,17 +426,12 @@ def test_generator_walk_matches_the_full_value(spec, monkeypatch):
                     monkeypatch.setattr(hecke, "_act_dict", counted)
                     keys = generator_keys(v, lam)
                     monkeypatch.setattr(hecke, "_act_dict", act)
-                    if minus_one:
-                        assert keys == full, (lam, v)
-                        continue
                     descents = firsts[0] if firsts else 0
                     acted += descents
                     walked += len(v.coeffs) - descents
-                    assert bool(keys) == bool(full), (lam, v)
-                    assert all(full.get(k) == c for k, c in keys.items()), (lam, v)
+                    _assert_keys_give_the_full_value(field, v, lam, keys, full)
     assert seen == {False, True}
-    if not minus_one:
-        assert walked > 0 and acted > 0, (walked, acted)
+    assert walked > 0 and acted > 0, (walked, acted)
 
 
 def test_row_class_words_are_the_class_reading_words(f97q3):
