@@ -85,10 +85,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the library: each is a bounded lru_cache, found
-    in every loaded module of the package (one not yet imported holds
-    none).  The command line's parser is kept: it is built once per
-    process and memoises no result."""
+    """Empty every memo of the library: each is bounded and has a
+    cache_clear, found in every loaded module of the package (one not yet
+    imported holds none).  The command line's parser is kept: it is built
+    once per process and memoises no result."""
     for name, module in list(sys.modules.items()):
         if not name.startswith(f"{__name__}.") or module is None:
             continue

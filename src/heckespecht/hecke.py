@@ -393,44 +393,55 @@ def generator_keys(v: ModuleVector, lam) -> dict:
     coefficients is a multiple of a returned one, so linear conditions on
     the values keep their span.
 
-    A key meeting no strict descent along w_lam (``_generator_plan``) only
-    swaps or absorbs a q per step, so it is folded at once, permuted and
-    times q^(equal pairs); the others are acted on by the word first."""
+    Up to its first strict descent along w_lam (``_generator_plan``) a
+    key only swaps or absorbs a q per step, so it is moved there at once,
+    permuted and times q^(equal pairs), and acted on by the rest of the
+    word; a key with no strict descent is folded at once, and the word is
+    not run when no key has one."""
     lam = check_partition(lam)
     f = v.field
-    word, pairs, perm, blocks = _generator_plan(lam)
+    word, pairs, perms, blocks = _generator_plan(lam)
     out: dict = {}
-    rest: dict = {}  # the keys that meet a strict descent
+    starts: dict = {}  # step -> the keys whose first strict descent it is
     for w, c in v.coeffs.items():
-        equal = 0
+        j = equal = 0
         for p, r in pairs:
             if w[p] > w[r]:
-                rest[w] = c
                 break
             equal += w[p] == w[r]
+            j += 1
+        if equal:
+            c = f.mul(f.q_power(equal), c)
+        key = tuple(map(w.__getitem__, perms[j]))
+        if j == len(word):
+            _fold_key(f, out, blocks, key, c)
         else:
-            if equal:
-                c = f.mul(f.q_power(equal), c)
-            _fold_key(f, out, blocks, tuple(map(w.__getitem__, perm)), c)
-    for i in word:
-        rest = _act_dict(f, rest, i)
-    for w, c in rest.items():
-        _fold_key(f, out, blocks, w, c)
+            starts.setdefault(j, {})[key] = c
+    if starts:
+        rest: dict = {}
+        for j in range(min(starts), len(word)):
+            for w, c in starts.get(j, {}).items():
+                _acc(f, rest, w, c)
+            rest = _act_dict(f, rest, word[j])
+        for w, c in rest.items():
+            _fold_key(f, out, blocks, w, c)
     return out
 
 
 @lru_cache(maxsize=4096)
 def _generator_plan(lam):
     """(reduced word of w_lam, the original positions (p, r) each step
-    compares when every step swaps, the final positions, the column blocks)."""
+    compares when every step swaps, the positions after each number of
+    such steps, the column blocks)."""
     word = reduced_word(w_lambda(lam))
     pos = list(range(sum(lam)))
-    pairs = []
+    pairs, perms = [], [tuple(pos)]
     for i in word:
         pairs.append((pos[i - 1], pos[i]))
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
+        perms.append(tuple(pos))
     blocks = tuple(slice(row[0] - 1, row[-1]) for row in t_row(conjugate(lam)).rows if len(row) > 1)
-    return word, tuple(pairs), tuple(pos), blocks
+    return word, tuple(pairs), tuple(perms), blocks
 
 
 def _fold_key(f, out: dict, blocks, w, c) -> None:

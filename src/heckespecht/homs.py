@@ -10,11 +10,17 @@ canonical generator z is faithful, and a value lies in the target Specht
 module when every one-row-merge map psi_{d,t} kills it.
 
 The symbolic composition rule writes psi_{d,t} o theta_T as a
-Gaussian-binomial combination of basis homomorphisms (its terms taken
-unchecked, ``_compose_terms``), so the landing solves read that value at
-z in M^nu off its column-canonical keys (``hecke.generator_keys``), at
-every q, and form no vector of M^mu; pushing a vector through psi_{d,t}
-remains for membership of arbitrary vectors and as the rule's oracle.
+Gaussian-binomial combination of basis homomorphisms theta_S (its terms
+taken unchecked, ``_compose_terms``), so the landing solves read that
+value at z in M^nu off its column-canonical keys (``hecke.generator_keys``),
+at every q, and form no vector of M^mu; pushing a vector through
+psi_{d,t} remains for membership of arbitrary vectors and as the rule's
+oracle.  The maps, the merge maps and z are defined over Z[q], so the
+value of each theta_S at z is computed once over Z[q] (``_z_value``) and
+read at each field's q: that memo is keyed by (lam, S.rows) alone, holds
+no field's results, and is bounded by its total stored keys as well as
+by its entries (a value above the per-entry cap is computed per call).
+The per-field ``generator_keys`` of the row-class sum is its oracle.
 Hom-space dimensions are solved for (lam, mu) or its conjugate dual
 (mu', lam'), whichever is cheaper: over the semistandard basis maps
 where the semistandard homomorphism theorem holds, and otherwise from
@@ -47,7 +53,8 @@ from .partitions import (
     is_2regular,
     nu_composition,
 )
-from .qfield import FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
+from .memo import sized_cache
+from .qfield import ZQ, FieldSpec, QuantumProfile, Scalar, parse_field, qbinom, qint
 from .tableaux import Tableau, _orderings, enumerate_semistandard, permutation_dim
 
 
@@ -219,8 +226,34 @@ def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> di
     for tab, c in coeffs.items():
         for other, rep in _compose_terms(field, tab, d, t).items():
             _acc(field, merged, other, field.mul(c, rep))
-    nu = nu_composition(mu, d, t)
-    return generator_keys(_row_class_sum(field, merged, nu), lam)
+    return _value_at_z(field, merged, lam)
+
+
+def _value_at_z(field: FieldSpec, coeffs: dict, lam) -> dict:
+    """``generator_keys`` of the combination of basis maps theta_S with the
+    given coefficients: the sum of c_S times the value of theta_S over
+    Z[q] (``_z_value``), read at the field's q."""
+    out: dict = {}
+    read: dict = {}  # each polynomial read once
+    for tab, c in coeffs.items():
+        for key, poly in _z_value(lam, tab.rows).items():
+            rep = read.get(poly)
+            if rep is None:
+                rep = read[poly] = ZQ.at(field, poly)
+            _acc(field, out, key, field.mul(c, rep))
+    return out
+
+
+# one value of a long row holds up to dim M^nu keys: at most 2^15 keys are
+# kept per value and 2^18 in all, and a larger value is read per call
+@sized_cache(maxsize=8192, maxterms=1 << 18, maxentry=1 << 15)
+def _z_value(lam, rows) -> dict:
+    """``generator_keys`` over Z[q] of the basis map theta_S of the
+    row-standard S with these rows, at the Specht generator of lam: every
+    field's value is this one read at its q, so it is keyed by (lam, rows)
+    alone and holds no field's results."""
+    tab = Tableau(rows)
+    return generator_keys(_row_class_sum(ZQ, {tab: ZQ.one_rep}, tab.content()), lam)
 
 
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:
@@ -282,7 +315,7 @@ def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
 def restriction_is_zero(hom: HomSpec) -> bool:
     """Whether the restriction is zero: its value at the Specht generator
     has no column-canonical key (``generator_keys``)."""
-    return not generator_keys(_row_class_sum(hom.field, hom.coeffs, hom.target), hom.source)
+    return not _value_at_z(hom.field, hom.coeffs, hom.source)
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:

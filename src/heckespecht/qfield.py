@@ -13,7 +13,9 @@ characteristic that the homomorphism criteria need:
                               g an irreducible factor of Phi_e over F_p).
 
 Scalars are kept in a canonical form, so equality is exact and decidable,
-and all values are immutable.  The module also houses the quantum
+and all values are immutable.  ``ZQ`` is the ring Z[q] that every field
+is an image of, with the reps a generator action needs and a map to each
+field.  The module also houses the quantum
 integers, factorials and Gaussian binomials (computed by the Pascal-type
 recurrence, never by division, so they are valid at roots of unity), the
 enumerative sum oracle for the Gaussian binomial, and the small
@@ -28,6 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import neg, sub
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +629,74 @@ class PrimeExtension(FieldSpec):
     def parse_rep(self, text: str):
         coeffs = parse_poly(text, self.degree)
         return tuple(int(c) % self.p for c in coeffs)
+
+
+class PolynomialRing:
+    """Z[q], the ring the Hecke algebra is defined over (Dipper-James);
+    reps are integer coefficient tuples, lowest degree first, with no
+    trailing zero, so () is zero.
+
+    It has the rep interface of a field that the generator action and the
+    fold at the Specht generator use, and no inverse: every field is its
+    image under q -> the field's q (``at``), q = -1 included."""
+
+    zero_rep = ()
+    one_rep = (1,)
+    q_rep = (0, 1)
+    qm1_rep = (-1, 1)
+
+    def add(self, a, b):
+        if len(a) == 1 == len(b):
+            c = a[0] + b[0]
+            return (c,) if c else ()
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def mul(self, a, b):
+        # the leading coefficient of a product over Z is nonzero; every
+        # generator action multiplies by q, a shift, and q - 1, a difference
+        if not a or not b:
+            return ()
+        if a == (0, 1):
+            return (0,) + b
+        if a == (-1, 1):
+            return (-b[0], *map(sub, b, b[1:]), b[-1])
+        if len(a) == 1 == len(b):
+            return (a[0] * b[0],)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return tuple(out)
+
+    def neg(self, a):
+        return tuple(map(neg, a))
+
+    def is_zero(self, a):
+        return not a
+
+    def q_power(self, k: int):
+        if k < 0:
+            raise ValueError("Z[q] has no negative powers of q")
+        return (0,) * k + (1,)
+
+    def at(self, field: FieldSpec, a):
+        """The image of a in field: the sum of c_k q^k, read at its q."""
+        out = field.zero_rep
+        for k, c in enumerate(a):
+            if c:
+                out = field.add(out, field.mul(field.int_rep(c), field.q_power(k)))
+        return out
+
+
+ZQ = PolynomialRing()
 
 
 def prime_extension_auto(p: int, e: int) -> PrimeExtension:

@@ -15,6 +15,7 @@ import itertools
 from functools import lru_cache
 from math import factorial, prod
 
+from .memo import sized_cache
 from .partitions import check_composition, check_partition, conjugate
 
 
@@ -251,7 +252,9 @@ def row_equiv_class(tab: Tableau) -> list[Tableau]:
     return [Tableau(rows) for rows in itertools.product(*map(_orderings, tab.rows))]
 
 
-@lru_cache(maxsize=4096)
+# at most 8! orderings of one row are kept, 2^17 in all: a row of nine
+# distinct letters has 362,880 (about 40 MiB) and is built per call
+@sized_cache(maxsize=4096, maxterms=1 << 17, maxentry=40320)
 def _orderings(row) -> tuple[tuple[int, ...], ...]:
     """The distinct orderings of a row tuple of positive integers, sorted:
     the fill in which every cell starts a row and no column links cells."""

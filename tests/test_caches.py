@@ -1,5 +1,5 @@
-"""Every memo of the library is a bounded lru_cache keyed by its arguments,
-and ``clear_caches`` empties all of them."""
+"""Every memo of the library is bounded and keyed by its arguments, and
+``clear_caches`` empties all of them."""
 
 import importlib
 import pkgutil
@@ -18,7 +18,8 @@ from heckespecht import (
     spin_specht,
 )
 from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
-from heckespecht.homs import theta_image_of_x
+from heckespecht.homs import _value_at_z, _z_value, theta_image_of_x
+from heckespecht.memo import sized_cache
 from heckespecht.tableaux import Tableau, _orderings
 from heckespecht.reducibility import _valuation_table, classify_range
 
@@ -42,9 +43,12 @@ def test_every_cache_is_bounded():
         "hecke._spin_specht", "hecke._generator_plan", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
-        "reducibility._valuation_table"}
+        "reducibility._valuation_table", "homs._z_value"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
+    for cache in (_z_value, _orderings):
+        info = cache.cache_info()
+        assert info.terms <= info.maxterms
 
 
 def _sweep(fields):
@@ -103,3 +107,72 @@ def test_walk_memos_are_keyed_by_shape_and_row_only():
     clear_caches()
     assert _generator_plan.cache_info().currsize == 0
     assert _orderings.cache_info().currsize == 0
+
+
+def test_one_value_over_zq_serves_every_field():
+    # the value of theta_S at z_lam is stored once, over Z[q], keyed by
+    # (lam, S.rows): three fields read the one entry, and clear_caches
+    # empties it
+    clear_caches()
+    tab = Tableau([[1, 1, 2], [2, 3]])
+    values = [_value_at_z(parse_field(spec), {tab: parse_field(spec).one_rep}, (3, 2))
+              for spec in ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3")]
+    assert all(values)
+    info = _z_value.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert info.terms == len(values[0])
+    clear_caches()
+    info = _z_value.cache_info()
+    assert (info.currsize, info.terms, info.hits, info.misses) == (0, 0, 0, 0)
+
+
+def test_an_oversized_value_is_computed_but_not_stored():
+    # theta_S(z) for the one row 1..8 of lam = (8) has 8! keys, above the
+    # per-entry cap: it is built on every call, and the stored terms stay
+    # within their bound
+    field = parse_field("p=7,q=2")
+    clear_caches()
+    small = Tableau([[1, 1, 2]])
+    _value_at_z(field, {small: field.one_rep}, (3,))
+    big = Tableau([list(range(1, 9))])
+    for calls in (1, 2):
+        assert len(_value_at_z(field, {big: field.one_rep}, (8,))) == 40320
+        info = _z_value.cache_info()
+        assert (info.currsize, info.misses, info.terms) == (1, 1 + calls, 3)
+    clear_caches()
+
+
+def test_a_long_row_leaves_no_orderings_stored():
+    clear_caches()
+    _orderings((1, 1, 2))
+    assert len(_orderings(tuple(range(1, 10)))) == 362880
+    info = _orderings.cache_info()
+    assert (info.currsize, info.terms) == (1, 3)
+    clear_caches()
+
+
+def test_sized_cache_evicts_the_least_recent_by_count_and_by_terms():
+    calls = []
+
+    @sized_cache(maxsize=3, maxterms=10, maxentry=6)
+    def block(n):
+        calls.append(n)
+        return tuple(range(n))
+
+    for n in (1, 2, 3):
+        block(n)
+    block(1)  # now the most recent
+    block(4)  # a fourth entry: 2 goes
+    assert block.cache_info()[2:] == (3, 3, 10, 8)
+    block(5)  # 8 + 5 terms: 3 goes
+    assert block.cache_info()[3:] == (3, 10, 10)
+    block(6)  # 10 + 6 terms: 1, 4 and 5 go
+    assert block.cache_info()[3:] == (1, 10, 6)
+    block(7)  # above the per-entry cap: not stored
+    assert block.cache_info()[3:] == (1, 10, 6)
+    calls.clear()
+    for n in (6, 7, 4):
+        block(n)
+    assert calls == [7, 4]
+    block.cache_clear()
+    assert block.cache_info() == (0, 0, 3, 0, 10, 0)

@@ -669,3 +669,66 @@ def test_hom_spec_validation(cyclo3):
     for bad in (payload, dict(payload, fieldSpec=3)):
         with pytest.raises(ValueError):
             HomSpec.from_json(bad)
+
+
+def _types(n):
+    """The partitions of n and their reversals, as tableau types."""
+    return list(dict.fromkeys(t for mu in partitions_of(n) for t in (mu, mu[::-1])))
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
+def test_values_over_zq_read_at_q_match_the_field_route(spec):
+    # for every row-standard S of every lam with n <= 6, of each partition
+    # type and its reversal: the memoised value of theta_S over Z[q], read
+    # at q, is the field's generator_keys of S's row class, and for n <= 5
+    # the whole value's coefficients at its keys; the stored polynomials
+    # are trimmed and nonzero
+    field = parse_field(spec)
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in _types(n):
+                for tab in enumerate_row_standard(lam, mu):
+                    got = homs._value_at_z(field, {tab: field.one_rep}, lam)
+                    v = theta_image_of_x(field, tab, mu)
+                    assert got == generator_keys(v, lam), (lam, tab)
+                    if n <= 5:
+                        full = at_generator(v, lam).coeffs
+                        assert bool(got) == bool(full), (lam, tab)
+                        assert all(full.get(k) == c for k, c in got.items()), (lam, tab)
+                    assert all(poly and poly[-1] for poly in homs._z_value(lam, tab.rows).values())
+                    checked += 1
+    assert checked > 1000
+
+
+def test_generator_walk_starts_each_key_at_its_first_descent(f7q2, monkeypatch):
+    # one key at a time over every lam with n <= 5 and every key of M^mu
+    # and M^(mu reversed): the word is acted on from the key's first strict
+    # descent along w_lam, found here by swapping the letters step by step,
+    # and not at all when it has none; no action gets an empty dict
+    act = hecke._act_dict
+    inputs = []
+
+    def counted(f, coeffs, i):
+        inputs.append(len(coeffs))
+        return act(f, coeffs, i)
+
+    monkeypatch.setattr(hecke, "_act_dict", counted)
+    steps = set()
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            word = tableaux.reduced_word(w_lambda(lam))
+            for shape in _types(n):
+                for w in _row_words(shape):
+                    key, first = list(w), len(word)
+                    for j, i in enumerate(word):
+                        if key[i - 1] > key[i]:
+                            first = j
+                            break
+                        key[i - 1], key[i] = key[i], key[i - 1]
+                    inputs.clear()
+                    generator_keys(ModuleVector(f7q2, shape, {w: f7q2.one_rep}), lam)
+                    assert len(inputs) == len(word) - first, (lam, w)
+                    assert all(inputs), (lam, w)
+                    steps.add("none" if first == len(word) else "first" if first == 0 else "later")
+    assert steps == {"none", "first", "later"}

@@ -349,3 +349,34 @@ def test_order_of_q_near_the_search_limit(monkeypatch):
                     order()
             else:
                 assert order() == 48
+
+
+@pytest.mark.parametrize("spec", ["cyclotomic:e=2", "cyclotomic:e=3", "p=2,q=1", "p=7,q=2",
+                                  "ext:p=2,e=3", "p=97,q=3"])
+def test_integer_polynomials_read_at_q_as_a_ring_map(spec):
+    # Z[q] -> F, q -> the field's q, keeps sums, products, negatives, q,
+    # q - 1 and the powers of q; the shortcuts for q, q - 1 and 1 agree
+    # with the plain product; a zero sum is the trimmed ()
+    field = parse_field(spec)
+    ZQ = qfield.ZQ
+    rng = random.Random(spec)
+    polys = [(), (1,), (0, 1), (-1, 1), (3, 0, -2), (0, 0, 1)]
+    polys += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5))) + (rng.choice((-2, 1, 5)),)
+              for _ in range(20)]
+    at = ZQ.at
+    assert at(field, ZQ.q_rep) == field.q_rep and at(field, ZQ.qm1_rep) == field.qm1_rep
+    for k in range(6):
+        assert at(field, ZQ.q_power(k)) == field.q_power(k)
+    for a in polys:
+        assert ZQ.add(a, ZQ.neg(a)) == () and ZQ.is_zero(ZQ.add(ZQ.neg(a), a))
+        for b in polys:
+            assert at(field, ZQ.add(a, b)) == field.add(at(field, a), at(field, b))
+            product = ZQ.mul(a, b)
+            assert at(field, product) == field.mul(at(field, a), at(field, b))
+            plain = [0] * (len(a) + len(b) - 1) if a and b else []
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    plain[i + j] += x * y
+            assert product == tuple(plain) == ZQ.mul(b, a)
+    with pytest.raises(ValueError):
+        ZQ.q_power(-1)
