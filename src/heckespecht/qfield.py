@@ -15,7 +15,11 @@ characteristic that the homomorphism criteria need:
 Scalars are kept in a canonical form, so equality is exact and decidable,
 and all values are immutable.  ``ZQ`` is the ring Z[q] that every field
 is an image of, with the reps a generator action needs and a map to each
-field.  The module also houses the quantum
+field.  The quotient fields share Z[q]'s arithmetic: ``_mulmod`` is the
+one schoolbook product, exact for Z[q] and reduced modulo a monic
+polynomial (and mod p) in the same call for Q[x]/(Phi_e) and F_p[x]/(g);
+it also reduces the class of x, a given q and each conjugate a(x^k).
+The module also houses the quantum
 integers, factorials and Gaussian binomials (computed by the Pascal-type
 recurrence, never by division, so they are valid at roots of unity), the
 enumerative sum oracle for the Gaussian binomial, and the small
@@ -45,22 +49,48 @@ def _trim(coeffs, p=0):
 
 
 def _divmod(a, b, p=0):
-    """Quotient and remainder of a by b: over F_p, or over the integers
-    for p = 0, where b must be monic."""
+    """Quotient and remainder of a by the monic b, over F_p, or over the
+    integers for p = 0."""
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
     a = list(a)
     db = len(b) - 1
-    if not p and (db < 0 or b[-1] != 1):
-        raise ValueError("divisor must be monic")
-    inv_lead = pow(b[-1], -1, p) if p else 1
     q = [0] * max(len(a) - db, 0)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv_lead % p if p else a[i]
+        c = a[i] % p if p else a[i]
         if c == 0:
             continue
         q[i - db] = c
         for j in range(db + 1):
             a[i - db + j] -= c * b[j]
     return _trim(q, p), _trim(a[:db], p)
+
+
+def _mulmod(a, b, tail=None, p=0):
+    """The schoolbook product of the coefficient sequences a and b: exact
+    over the integers, or, given tail, the lower coefficients of a monic g
+    of degree d = len(tail) negated (x^d = tail modulo g), reduced modulo
+    g, and then mod p if p, in the same call; the remainder has d
+    coefficients when len(a) + len(b) > d."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    out[j] += x * y
+    if tail is None:
+        return tuple(out)
+    d = len(tail)
+    for i in range(len(out) - 1 - d, -1, -1):
+        c = out.pop()
+        if c:
+            for j, t in enumerate(tail, i):
+                if t:
+                    out[j] += c * t
+    if p:
+        for i in range(d):
+            out[i] %= p
+    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -84,12 +114,18 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 SEARCH_LIMIT = 1_000_000
 
 
-def _pmod_monic_polys(degree, p, dividend):
-    if p ** degree * len(dividend) > SEARCH_LIMIT:
-        raise ValueError(f"too large to search: {p}^{degree} trial divisors"
-                         f" of a degree-{len(dividend) - 1} polynomial over F_{p}")
-    for tail in itertools.product(range(p), repeat=degree):
-        yield tuple(tail) + (1,)
+def _first_monic_divisor(poly, p, degrees):
+    """The first monic divisor of poly over F_p with a degree in degrees,
+    smallest degree first and then lexicographically smallest, or None;
+    trial division, so a search past SEARCH_LIMIT is refused."""
+    for d in degrees:
+        if p ** d * len(poly) > SEARCH_LIMIT:
+            raise ValueError(f"too large to search: {p}^{d} trial divisors"
+                             f" of a degree-{len(poly) - 1} polynomial over F_{p}")
+        for tail in itertools.product(range(p), repeat=d):
+            if not _divmod(poly, tail + (1,), p)[1]:
+                return tail + (1,)
+    return None
 
 
 def poly_is_irreducible_mod_p(poly, p: int) -> bool:
@@ -98,14 +134,7 @@ def poly_is_irreducible_mod_p(poly, p: int) -> bool:
     deg = len(poly) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for g in _pmod_monic_polys(d, p, poly):
-            _, r = _divmod(poly, g, p)
-            if not r:
-                return False
-    return True
+    return _first_monic_divisor(poly, p, range(1, deg // 2 + 1)) is None
 
 
 def _first_irreducible_factor(e: int, p: int):
@@ -124,11 +153,10 @@ def _first_irreducible_factor(e: int, p: int):
     while r != 1:
         r = (r * p) % e
         d += 1
-    phi = _trim(cyclotomic_polynomial(e), p)
-    for g in _pmod_monic_polys(d, p, phi):
-        if not _divmod(phi, g, p)[1]:
-            return g
-    raise ValueError(f"no degree-{d} factor of Phi_{e} over F_{p}")
+    g = _first_monic_divisor(_trim(cyclotomic_polynomial(e), p), p, (d,))
+    if g is None:
+        raise ValueError(f"no degree-{d} factor of Phi_{e} over F_{p}")
+    return g
 
 
 def _is_prime(p: int) -> bool:
@@ -427,18 +455,11 @@ class Cyclotomic(FieldSpec):
         self.e = e
         phi = cyclotomic_polynomial(e)
         self.degree = len(phi) - 1
-        # x^degree = -(tail) after reduction
+        # x^degree = tail in the quotient
         self._neg_tail = tuple(-c for c in phi[:-1])
-        self.zero_rep = ((0,) * self.degree, 1)
-        one = [0] * self.degree
-        one[0] = 1
-        self.one_rep = (tuple(one), 1)
-        qv = [0] * self.degree
-        if self.degree == 1:
-            qv[0] = self._neg_tail[0]  # x reduces to a constant (e = 2)
-        else:
-            qv[1] = 1
-        self.q_rep = self._norm(qv, 1)
+        self.zero_rep = self.int_rep(0)
+        self.one_rep = self.int_rep(1)
+        self.q_rep = (_mulmod(self.one_rep[0], (0, 1), self._neg_tail), 1)  # the class of x
         self.qm1_rep = self.sub(self.q_rep, self.one_rep)
         self.name = f"cyclotomic:e={e}"
         self._qpow = {}
@@ -472,23 +493,7 @@ class Cyclotomic(FieldSpec):
 
     def mul(self, a, b):
         (na, da), (nb, db) = a, b
-        deg = self.degree
-        out = [0] * (2 * deg - 1)
-        for i, ai in enumerate(na):
-            if ai:
-                for j, bj in enumerate(nb):
-                    if bj:
-                        out[i + j] += ai * bj
-        tail = self._neg_tail
-        for i in range(len(out) - 1, deg - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(deg):
-                    t = tail[j]
-                    if t:
-                        out[i - deg + j] += c * t
-        return self._norm(out[:deg], da * db)
+        return self._norm(_mulmod(na, nb, self._neg_tail), da * db)
 
     def neg(self, a):
         num, den = a
@@ -500,7 +505,8 @@ class Cyclotomic(FieldSpec):
     def inv(self, a):
         """1/a = (product of the other Galois conjugates of a) / N(a): the
         conjugates are a(q^k) for 1 < k < e prime to e, and the norm N(a),
-        a times their product, is rational."""
+        a times their product, is rational.  a(x^k) puts each coefficient
+        c_i at x^(ik mod e), as x^e = 1, and the product by 1 reduces it."""
         num, den = a
         if not any(num):
             raise ZeroDivisionError("inverse of zero")
@@ -508,11 +514,10 @@ class Cyclotomic(FieldSpec):
         others = self.one_rep
         for k in range(2, e):
             if gcd(k, e) == 1:
-                conj = [0] * self.degree
+                spread = [0] * e
                 for i, c in enumerate(num):
-                    if c:
-                        for j, t in enumerate(self.q_power(i * k)[0]):
-                            conj[j] += c * t
+                    spread[i * k % e] = c
+                conj = _mulmod(spread, (1,), self._neg_tail)
                 others = self.mul(others, self._norm(conj, den))
         norm_num, norm_den = self.mul(a, others)
         if any(norm_num[1:]):
@@ -551,21 +556,11 @@ class PrimeExtension(FieldSpec):
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self._neg_tail = tuple((-c) % p for c in modulus[:-1])
-        self.zero_rep = (0,) * self.degree
-        one = [0] * self.degree
-        one[0] = 1
-        self.one_rep = tuple(one)
-        if self.degree == 1:
-            default_q = ((-modulus[0]) % p,)
-        else:
-            qv = [0] * self.degree
-            qv[1] = 1
-            default_q = tuple(qv)
-        if q is None:
-            q = default_q
-        else:
-            q = tuple(list(q) + [0] * (self.degree - len(q)))[: self.degree]
-            q = tuple(c % p for c in q)
+        self.zero_rep = self.int_rep(0)
+        self.one_rep = self.int_rep(1)
+        # the class of x, and a given q's coefficients, reduced modulo g
+        default_q = _mulmod(self.one_rep, (0, 1), self._neg_tail, p)
+        q = default_q if q is None else _mulmod(self.one_rep, q, self._neg_tail, p)
         if not any(q):
             raise ValueError("q must be a unit")
         self.q_rep = q
@@ -591,24 +586,7 @@ class PrimeExtension(FieldSpec):
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        p = self.p
-        deg = self.degree
-        out = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % p
-        tail = self._neg_tail
-        for i in range(len(out) - 1, deg - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(deg):
-                    t = tail[j]
-                    if t:
-                        out[i - deg + j] = (out[i - deg + j] + c * t) % p
-        return tuple(out[:deg])
+        return _mulmod(a, b, self._neg_tail, self.p)
 
     def neg(self, a):
         p = self.p
@@ -628,6 +606,8 @@ class PrimeExtension(FieldSpec):
 
     def parse_rep(self, text: str):
         coeffs = parse_poly(text, self.degree)
+        if any(c.denominator != 1 for c in coeffs):
+            raise ValueError(f"scalar {text!r} has a non-integer coefficient over F_{self.p}")
         return tuple(int(c) % self.p for c in coeffs)
 
 
@@ -654,9 +634,7 @@ class PolynomialRing:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
+        return _trim(out)
 
     def mul(self, a, b):
         # the leading coefficient of a product over Z is nonzero; every
@@ -669,12 +647,7 @@ class PolynomialRing:
             return (-b[0], *map(sub, b, b[1:]), b[-1])
         if len(a) == 1 == len(b):
             return (a[0] * b[0],)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return tuple(out)
+        return _mulmod(a, b)
 
     def neg(self, a):
         return tuple(map(neg, a))
@@ -736,8 +709,9 @@ def format_poly(coeffs) -> str:
     return out
 
 
+# a denominator has a nonzero digit: "1/0" is no term
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*(?P<z>z(?:\^(?P<pow>\d+))?)?$"
+    r"^(?P<coeff>\d+(?:/\d*[1-9]\d*)?)?\s*\*?\s*(?P<z>z(?:\^(?P<pow>\d+))?)?$"
 )
 
 

@@ -134,6 +134,7 @@ HOM_JSON = {"source": [3], "target": [2, 1], "fieldSpec": "cyclotomic:e=3",
         {**HOM_JSON, "coefficients": [{"tableau": 5, "scalar": "1"}]},
         {**HOM_JSON, "coefficients": [{"tableau": [[1, 1, 2]], "scalar": 1}]},
         [],
+        {**HOM_JSON, "coefficients": [{"tableau": [[1, 1, 2]], "scalar": "1/0"}]},
     )),
 ])
 def test_malformed_json_is_domain_error(capsys, monkeypatch, argv, payload):
@@ -141,6 +142,18 @@ def test_malformed_json_is_domain_error(capsys, monkeypatch, argv, payload):
     code, out, err = run_cli(capsys, argv[0], "--field", "cyclotomic:e=3", *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, scalar", [("ext:p=2,e=3", "1/2"), ("ext:p=3,e=4", "1/2*z")])
+def test_hom_json_fraction_over_prime_extension_exits_2(capsys, monkeypatch, spec, scalar):
+    payload = {**HOM_JSON, "fieldSpec": spec,
+               "coefficients": [{"tableau": [[1, 1, 2]], "scalar": scalar}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "--format", "json", "cp-verify", "--field", spec,
+                             "--hom-json", "-")
+    # a fraction was truncated to an integer, so the map changed silently
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and scalar in err
 
 
 @pytest.mark.parametrize("command", ["cp-map", "cp-verify"])

@@ -24,6 +24,8 @@ from heckespecht.qfield import (
     FieldSpec,
     _is_prime,
     cyclotomic_polynomial,
+    _divmod,
+    _trim,
     poly_is_irreducible_mod_p,
     qbinom_rows,
 )
@@ -352,7 +354,9 @@ def test_order_of_q_near_the_search_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", ["cyclotomic:e=2", "cyclotomic:e=3", "p=2,q=1", "p=7,q=2",
-                                  "ext:p=2,e=3", "p=97,q=3"])
+                                  "ext:p=2,e=3", "p=97,q=3",
+                                  "ext:p=2,mod=1;1;1,q=1;1",  # q = 1 + x, not x
+                                  "ext:p=7,e=3"])  # degree 1: x is the residue 2
 def test_integer_polynomials_read_at_q_as_a_ring_map(spec):
     # Z[q] -> F, q -> the field's q, keeps sums, products, negatives, q,
     # q - 1 and the powers of q; the shortcuts for q, q - 1 and 1 agree
@@ -380,3 +384,54 @@ def test_integer_polynomials_read_at_q_as_a_ring_map(spec):
             assert product == tuple(plain) == ZQ.mul(b, a)
     with pytest.raises(ValueError):
         ZQ.q_power(-1)
+
+
+@pytest.mark.parametrize("spec", [f"cyclotomic:e={e}" for e in range(2, 7)] + [
+    "ext:p=2,e=3", "ext:p=3,e=4", "ext:p=5,e=6", "ext:p=7,e=3"])
+def test_quotient_product_is_the_remainder_of_the_integer_product(spec):
+    # a quotient field's mul is the Z[q] product of the numerators,
+    # divided by the monic modulus with a remainder; q is the remainder of x
+    field = parse_field(spec)
+    cyclotomic = isinstance(field, Cyclotomic)
+    g = cyclotomic_polynomial(field.e) if cyclotomic else field.modulus
+    p = 0 if cyclotomic else field.p
+    d = len(g) - 1
+
+    def remainder(poly):
+        rem = _divmod(poly, g, p)[1]
+        return rem + (0,) * (d - len(rem))
+
+    assert remainder((0, 1)) == (field.q_rep[0] if cyclotomic else field.q_rep)
+    rng = random.Random(spec)
+    elements = []
+    for _ in range(30):
+        num = [rng.randint(-6, 6) if cyclotomic else rng.randrange(p) for _ in range(d)]
+        elements.append(field._norm(num, rng.choice((1, 2, 3))) if cyclotomic else tuple(num))
+    elements += [field.q_rep, field.one_rep, field.zero_rep, field.qm1_rep]
+    for a in elements:
+        for b in elements:
+            na, nb = (a[0], b[0]) if cyclotomic else (a, b)
+            rem = remainder(qfield.ZQ.mul(_trim(na), _trim(nb)))
+            want = field._norm(rem, a[1] * b[1]) if cyclotomic else rem
+            assert field.mul(a, b) == want, (spec, a, b)
+
+
+def test_over_long_q_is_reduced_modulo_the_modulus():
+    # over F_2 modulo x^2 + x + 1: 1 + x^2 = x, and x^2 = 1 + x
+    for long, short in (("q=1;0;1", None), ("q=0;0;1", "q=1;1"), ("q=1;1;0;0", "q=1;1")):
+        got = parse_field(f"ext:p=2,mod=1;1;1,{long}")
+        want = parse_field("ext:p=2,mod=1;1;1" + (f",{short}" if short else ""))
+        assert (got.name, got.q_rep, got.profile()) == (want.name, want.q_rep, want.profile())
+    assert parse_field("ext:p=2,mod=1;1;1,q=1;0;1").profile() == QuantumProfile(3, 2)
+    with pytest.raises(ValueError, match="q must be a unit"):
+        parse_field("ext:p=2,mod=1;1;1,q=1;1;1")  # 1 + x + x^2 = 0
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("ext:p=3,e=4", "1/2"), ("ext:p=2,e=3", "1/2*z"), ("ext:p=2,e=3", "1 + 3/5*z"),
+    ("p=7,q=2", "1/2"), ("cyclotomic:e=3", "1/0"), ("ext:p=2,e=3", "z + 2/0"),
+])
+def test_unreadable_scalars_are_value_errors(spec, text):
+    # a fraction has no reading in F_p[x]/(g), and a zero denominator none anywhere
+    with pytest.raises(ValueError):
+        parse_field(spec).parse_rep(text)
