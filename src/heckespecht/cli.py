@@ -27,17 +27,18 @@ from .carter_payne import (
     trivial_hom_exists,
     verify_cp,
 )
-from .homs import HomSpec, compose_psi_theta, hom_space_dim
+from .homs import HomSpec, compose_psi_theta, hom_space_dim, same_block
 from .partitions import nu_composition, parse_partition
 from .qfield import parse_field, qbinom, qbinom_rows, vanish_run
 from .reducibility import classify_range
 from .tableaux import Tableau
 
 BRUTE_FORCE_LIMIT = 9
-# classify --n, --format json, on a 2-vCPU VM: n = 40 takes 0.9 s and
-# 71 MB peak RSS, n = 45 takes 2.5-3.4 s and 149 MB (text and CSV, which
-# render one report at a time: 0.8 s and 32 MB, 1.8-2.2 s and 57 MB)
+# classify --n on a 2-vCPU VM, every format rendering the reports a chunk
+# at a time: n = 40 takes 0.8-1.0 s and 34-37 MB peak RSS, n = 45 takes
+# 1.8-2.9 s and 58-62 MB (JSON the upper figures)
 CLASSIFY_LIMIT = 45
+JSON_CHUNK = 1000  # classify reports encoded per json.dumps call
 TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max
 CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
 
@@ -172,7 +173,8 @@ def _dispatch(args, field):
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        _guard(sum(lam), args.force)
+        if same_block(field.profile(), lam, mu):  # across blocks the answer is 0 at once
+            _guard(sum(lam), args.force)
         return {"lambda": list(lam), "mu": list(mu), "dimension": hom_space_dim(field, lam, mu)}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
@@ -250,10 +252,21 @@ def _emit(args, profile, result, note=None) -> int:
     field_name, e, p = args.field, profile.e, profile.p
     if args.format == "json":
         payload = {"field": field_name, "e": e, "p": p, "command": args.command,
-                   "result": list(result) if args.command == "classify" else result}
+                   "result": result}
         if note:
             payload["note"] = note
-        print(json.dumps(payload))
+        if args.command != "classify" or note:
+            print(json.dumps(payload))
+            return 0
+        # classify's reports, in chunks between the payload's head and tail:
+        # the same bytes as one json.dumps, without the whole list held
+        head = json.dumps({**payload, "result": []})
+        sys.stdout.write(head[:-2])  # up to the list's "["
+        reports, sep = iter(result), ""
+        for chunk in iter(lambda: list(itertools.islice(reports, JSON_CHUNK)), []):
+            sys.stdout.write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        sys.stdout.write(head[-2:] + "\n")
         return 0
     rows = _rows(args.command, result)
     if args.format == "csv":

@@ -21,10 +21,12 @@ read at each field's q: that memo is keyed by (lam, S.rows) alone, holds
 no field's results, and is bounded by its total stored keys as well as
 by its entries (a value above the per-entry cap is computed per call).
 The per-field ``generator_keys`` of the row-class sum is its oracle.
-Hom-space dimensions are solved for (lam, mu) or its conjugate dual
-(mu', lam'), whichever is cheaper: over the semistandard basis maps
-where the semistandard homomorphism theorem holds, and otherwise from
-the exact intertwiner system on spun-out generator matrices.
+A hom-space dimension across blocks, where lam and mu have different
+e-cores, is 0 with nothing solved.  Within a block it is solved for
+(lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
+the semistandard basis maps where the semistandard homomorphism theorem
+holds, and otherwise from the exact intertwiner system on spun-out
+generator matrices.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .partitions import (
     check_partition,
     conjugate,
     drop_trailing_zeros,
+    e_core,
     is_2regular,
     nu_composition,
 )
@@ -345,9 +348,17 @@ def semistandard_scope(profile: QuantumProfile, lam) -> bool:
     return profile.e != 2 or is_2regular(lam)
 
 
+def same_block(profile: QuantumProfile, lam, mu) -> bool:
+    """Whether lam and mu have the same e-core.  Otherwise their Specht
+    modules lie in different blocks of the Hecke algebra (the Nakayama
+    conjecture: Dipper-James 1987, James-Mathas 1997), and every map
+    between them is zero.  With e None only lam = mu share a block."""
+    return e_core(lam, profile.e) == e_core(mu, profile.e)
+
+
 def hom_space_dim(field: FieldSpec, lam, mu) -> int:
     """Dimension of the space of module maps from the Specht module of
-    lam to the Specht module of mu.
+    lam to the Specht module of mu: 0 across blocks (``same_block``).
 
     It equals the dimension for the conjugates (mu', lam'): the dual of a
     Specht module is that of the conjugate shape twisted by # (Dipper-James;
@@ -356,6 +367,8 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("partitions must have equal size")
+    if not same_block(field.profile(), lam, mu):
+        return 0
     dual = conjugate(mu), conjugate(lam)
     if _route_cost(field, *dual) < _route_cost(field, lam, mu):
         lam, mu = dual

@@ -91,6 +91,22 @@ def conjugate(shape) -> tuple[int, ...]:
     return tuple(out)
 
 
+def e_core(shape, e) -> tuple[int, ...]:
+    """The partition left once no rim e-hook remains to remove, read off an
+    abacus of e runners: the beta numbers lam_i + r - i of the r parts
+    slide up their runners (beta mod e), and the slid beads are the beta
+    numbers of the core.  With e None (no rim hooks) it is the partition."""
+    shape = check_partition(shape)
+    if e is None:
+        return shape
+    r = len(shape)
+    beads = [0] * e
+    for i, part in enumerate(shape):
+        beads[(part + r - 1 - i) % e] += 1
+    betas = sorted((b + e * k for b in range(e) for k in range(beads[b])), reverse=True)
+    return drop_trailing_zeros(beta - (r - 1 - i) for i, beta in enumerate(betas))
+
+
 def dominates(lam, nu) -> bool:
     """Partial-sum comparison of two compositions of the same number."""
     if sum(lam) != sum(nu):

@@ -17,6 +17,7 @@ from heckespecht.homs import (
     hom_space_dim,
     restriction_into_specht,
     restriction_verdicts,
+    same_block,
     specht_membership,
 )
 from heckespecht.partitions import partitions_of
@@ -240,6 +241,43 @@ def test_predicted_matches_solver_adjacent_char_p():
                     want = cp_eligible(inst, prof)
                     got = hom_space_dim(spec, inst.lam, inst.mu)
                     assert (got >= 1) == want, (mu, a, gamma)
+
+
+def node_moving_instances(n):
+    for mu in partitions_of(n):
+        for a in range(1, len(mu) + 1):
+            for b in range(a + 1, len(mu) + 1):
+                for gamma in range(1, mu[b - 1] + 1):
+                    try:
+                        yield CPInstance(mu, a, b, gamma)
+                    except ValueError:
+                        continue
+
+
+BLOCK_PROFILES = [QuantumProfile(e, 0) for e in range(2, 7)] + [
+    QuantumProfile(e, p) for e, p in [(2, 2), (3, 3), (5, 5), (3, 2), (4, 3), (2, 3)]]
+
+
+def test_predictions_respect_blocks():
+    # a nonzero map needs lam and mu in one block: the paper's criteria
+    # never predict one across e-cores, and the trivial module sits in
+    # S^mu only for mu in the block of (n)
+    verdicts = {}
+    for prof in BLOCK_PROFILES:
+        for n in range(2, 11):
+            for inst in node_moving_instances(n):
+                if same_block(prof, inst.lam, inst.mu):
+                    continue
+                want = predicted_hom_dim(inst.lam, inst.mu, prof)
+                assert want not in (1, ">=1"), (prof, inst)
+                verdicts[want] = verdicts.get(want, 0) + 1
+        for n in range(1, 13):
+            for mu in partitions_of(n):
+                if trivial_hom_exists(mu, prof):
+                    assert same_block(prof, (n,), mu), (prof, mu)
+    # "unknown": 3 pairs with gamma = 1 or adjacent rows, and every
+    # gamma > 1 move across non-adjacent rows
+    assert verdicts == {0: 2464, "unknown": 115}
 
 
 def test_one_node_dimension_spot_check_n7(cyclo4):

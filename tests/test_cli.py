@@ -11,7 +11,7 @@ from heckespecht.cli import main
 from heckespecht.homs import HomSpec, _bounded_compositions
 from heckespecht.partitions import nu_composition, partitions_of
 from heckespecht.qfield import parse_field, qbinom
-from heckespecht.reducibility import ReducibilityReport
+from heckespecht.reducibility import ReducibilityReport, classify_range
 from heckespecht.tableaux import Tableau, enumerate_row_standard
 
 
@@ -211,12 +211,35 @@ def test_hom_dim(capsys):
 
 
 def test_hom_dim_guard(capsys):
+    # (10) and (8,2) share the 3-core (1): the pair would be solved
     code, _, err = run_cli(
         capsys, "hom-dim", "--field", "cyclotomic:e=3",
-        "--lambda", "10", "--mu", "9,1",
+        "--lambda", "10", "--mu", "8,2",
     )
     assert code == 2
     assert "--force" in err
+
+
+@pytest.mark.parametrize("lam, mu", [("10", "9,1"), ("30", "28,2")])
+def test_hom_dim_across_blocks_needs_no_force(capsys, lam, mu):
+    # different 3-cores: the answer is 0 with nothing solved, at any n
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "hom-dim", "--field", "cyclotomic:e=3",
+        "--lambda", lam, "--mu", mu,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["dimension"] == 0
+
+
+@pytest.mark.parametrize("lam, mu", [("10", "9"), ("12", "9"), ("3", "1"), ("10", "9,2,1"), ("3,4", "7")])
+def test_hom_dim_bad_pairs_exit_2(capsys, lam, mu):
+    # unequal sizes, across blocks or not and over the guard or not, and
+    # malformed partitions
+    code, out, err = run_cli(
+        capsys, "hom-dim", "--field", "cyclotomic:e=3", "--lambda", lam, "--mu", mu,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
 
 
 def test_compose(capsys):
@@ -242,6 +265,20 @@ def test_classify_outputs(capsys):
     assert lines[0] == "# field=cyclotomic:e=3,e=3,p=0"
     assert lines[1] == "partition,e,p,verdict,witness,note"
     assert lines[3] == '"2,1",3,0,reducible,"1,1;1,2;2,1",'
+
+
+@pytest.mark.parametrize("chunk", [1, 7, cli.JSON_CHUNK])
+@pytest.mark.parametrize("spec", ["cyclotomic:e=3", "p=2,q=1", "ext:p=2,e=3"])
+def test_classify_json_streams_the_same_bytes(capsys, monkeypatch, spec, chunk):
+    # the reports are encoded a chunk at a time, with the bytes of one
+    # json.dumps of the whole payload
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    profile = parse_field(spec).profile()
+    for n in range(1, 15):
+        _, out, _ = run_cli(capsys, "--format", "json", "classify", "--field", spec, "--n", str(n))
+        payload = {"field": spec, "e": profile.e, "p": profile.p, "command": "classify",
+                   "result": [r.to_json() for r in classify_range(n, profile)]}
+        assert out == json.dumps(payload) + "\n", (spec, n)
 
 
 @pytest.mark.parametrize("name", ["p=3,q=1", "cyclotomic:e=2"])

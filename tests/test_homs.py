@@ -32,6 +32,7 @@ from heckespecht.homs import (
     push_through,
     restriction_into_specht,
     restriction_is_zero,
+    same_block,
     semistandard_scope,
     specht_membership,
     theta_image_of_x,
@@ -345,10 +346,50 @@ def test_duality_routing(monkeypatch):
     assert hom_space_dim(field, (2, 1, 1, 1, 1), (1,) * 6) == 1
     assert solved == [((6,), (5, 1))]
     assert calls[0] == 0
-    # a one-row source is solved as given: n! >= dim M^mu
+    # a one-row source is solved as given: n! >= dim M^mu; outside the
+    # block of (6), nothing is solved
     for mu in partitions_of(6):
+        before = len(solved)
         hom_space_dim(field, (6,), mu)
-        assert solved[-1] == ((6,), mu)
+        if same_block(field.profile(), (6,), mu):
+            assert solved[-1] == ((6,), mu)
+        else:
+            assert len(solved) == before, mu
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_cross_block_pairs_are_zero(spec):
+    # the block gate: across e-cores the solved dimension is 0, and
+    # hom_space_dim equals the solve on every pair
+    field = parse_field(spec)
+    cross = 0
+    for n in range(1, 7):
+        shapes = list(partitions_of(n))
+        for lam in shapes:
+            for mu in shapes:
+                dim = homs._direct_dimension(field, lam, mu)
+                if not same_block(field.profile(), lam, mu):
+                    assert dim == 0, (lam, mu)
+                    cross += 1
+                assert hom_space_dim(field, lam, mu) == dim, (lam, mu)
+    assert cross
+
+
+def test_cross_block_pairs_solve_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"solved {args[1:]}")
+
+    monkeypatch.setattr(homs, "_direct_dimension", refuse)
+    monkeypatch.setattr(homs, "spin_specht", refuse)
+    assert hom_space_dim(parse_field("p=7,q=2"), (7, 2), (2, 2, 1, 1, 1, 1, 1)) == 0
+    for spec in ("cyclotomic:e=2", "cyclotomic:e=3", "p=3,q=2", "p=97,q=3"):
+        field = parse_field(spec)
+        for n in range(1, 9):
+            shapes = list(partitions_of(n))
+            for lam in shapes:
+                for mu in shapes:
+                    if not same_block(field.profile(), lam, mu):
+                        assert hom_space_dim(field, lam, mu) == 0
 
 
 def test_semistandard_solve_builds_no_psi_base(cyclo3, monkeypatch):

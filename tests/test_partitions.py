@@ -5,6 +5,7 @@ from heckespecht.partitions import (
     conjugate,
     dominates,
     drop_trailing_zeros,
+    e_core,
     hook_length,
     is_2regular,
     nu_composition,
@@ -128,3 +129,50 @@ def test_conjugate_counts_parts_at_least_j():
     for bad in ((1, 2), (2, 0, 1), (-1,), (3, -1)):
         with pytest.raises(ValueError):
             conjugate(bad)
+
+
+def _residue_counts(lam, e):
+    """How many nodes of lam have each residue (c - r) mod e."""
+    counts = [0] * e
+    for r, part in enumerate(lam, start=1):
+        for c in range(1, part + 1):
+            counts[(c - r) % e] += 1
+    return counts
+
+
+def test_e_core_against_rim_hook_facts():
+    for e in range(2, 7):
+        for n in range(11):
+            blocks: dict = {}
+            for lam in partitions_of(n):
+                core = e_core(lam, e)
+                check_partition(core)
+                # no hook of the core has length divisible by e
+                assert all(hook_length(core, (i, j)) % e
+                           for i in range(1, len(core) + 1)
+                           for j in range(1, core[i - 1] + 1)), (lam, e, core)
+                removed, rest = divmod(n - sum(core), e)
+                assert rest == 0, (lam, e, core)
+                # each rim e-hook removed takes one node of every residue
+                assert [a - b for a, b in zip(_residue_counts(lam, e), _residue_counts(core, e))] \
+                    == [removed] * e, (lam, e, core)
+                assert e_core(core, e) == core
+                blocks.setdefault(tuple(_residue_counts(lam, e)), set()).add(core)
+            # same core exactly when the same residue multiset
+            assert all(len(cores) == 1 for cores in blocks.values()), (n, e)
+            assert len({core for cores in blocks.values() for core in cores}) == len(blocks)
+            if n:
+                assert e_core((n,), e) == ((n % e,) if n % e else ())
+
+
+def test_e_core_examples():
+    assert e_core((7, 2), 3) == (4, 2)
+    assert e_core((2, 2, 1, 1, 1, 1, 1), 3) == (2, 2, 1, 1)
+    assert e_core((3, 2, 1), 2) == (3, 2, 1)
+    assert e_core((4, 4, 1), 2) == (1,)
+    assert e_core((), 3) == ()
+    for n in range(8):
+        for lam in partitions_of(n):
+            assert e_core(lam, None) == lam
+    with pytest.raises(ValueError):
+        e_core((1, 2), 3)
