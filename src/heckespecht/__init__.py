@@ -31,13 +31,11 @@ from .homs import (
     psi_dt,
     restriction_into_specht,
     restriction_is_zero,
-    same_block,
     specht_membership,
 )
 from .partitions import (
     conjugate,
     dominates,
-    e_core,
     hook_length,
     is_2regular,
     nu_composition,

@@ -173,9 +173,12 @@ def _dispatch(args, field):
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        if same_block(field.profile(), lam, mu):  # across blocks the answer is 0 at once
+        if sum(lam) == sum(mu) and not same_block(field.profile(), lam, mu):
+            dim = 0  # across blocks nothing is solved, so the n guard does not apply
+        else:
             _guard(sum(lam), args.force)
-        return {"lambda": list(lam), "mu": list(mu), "dimension": hom_space_dim(field, lam, mu)}
+            dim = hom_space_dim(field, lam, mu)
+        return {"lambda": list(lam), "mu": list(mu), "dimension": dim}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
         word = tab.reading_word()

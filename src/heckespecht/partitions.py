@@ -9,6 +9,7 @@ sorted.  Nodes are 1-based (row, column) pairs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 
@@ -95,15 +96,15 @@ def e_core(shape, e) -> tuple[int, ...]:
     """The partition left once no rim e-hook remains to remove, read off an
     abacus of e runners: the beta numbers lam_i + r - i of the r parts
     slide up their runners (beta mod e), and the slid beads are the beta
-    numbers of the core.  With e None (no rim hooks) it is the partition."""
+    numbers of the core.  With e None (no rim hooks) it is the partition.
+    Only the occupied runners are kept, so the work is in the parts, not
+    in e (e = p can be large when q = 1)."""
     shape = check_partition(shape)
     if e is None:
         return shape
     r = len(shape)
-    beads = [0] * e
-    for i, part in enumerate(shape):
-        beads[(part + r - 1 - i) % e] += 1
-    betas = sorted((b + e * k for b in range(e) for k in range(beads[b])), reverse=True)
+    beads = collections.Counter((part + r - 1 - i) % e for i, part in enumerate(shape))
+    betas = sorted((b + e * k for b, count in beads.items() for k in range(count)), reverse=True)
     return drop_trailing_zeros(beta - (r - 1 - i) for i, beta in enumerate(betas))
 
 

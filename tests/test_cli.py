@@ -220,12 +220,15 @@ def test_hom_dim_guard(capsys):
     assert "--force" in err
 
 
-@pytest.mark.parametrize("lam, mu", [("10", "9,1"), ("30", "28,2")])
-def test_hom_dim_across_blocks_needs_no_force(capsys, lam, mu):
-    # different 3-cores: the answer is 0 with nothing solved, at any n
+@pytest.mark.parametrize("spec, lam, mu", [
+    ("cyclotomic:e=3", "10", "9,1"), ("cyclotomic:e=3", "30", "28,2"),
+    ("p=1000000007,q=1", "2", "1,1"), ("p=999999999989,q=1", "3,1", "2,2"),
+])
+def test_hom_dim_across_blocks_needs_no_force(capsys, spec, lam, mu):
+    # different e-cores: the answer is 0 with nothing solved, at any n and
+    # at any e (with q = 1, e is p)
     code, out, _ = run_cli(
-        capsys, "--format", "json", "hom-dim", "--field", "cyclotomic:e=3",
-        "--lambda", lam, "--mu", mu,
+        capsys, "--format", "json", "hom-dim", "--field", spec, "--lambda", lam, "--mu", mu,
     )
     assert code == 0
     assert json.loads(out)["result"]["dimension"] == 0

@@ -171,6 +171,9 @@ def test_e_core_examples():
     assert e_core((3, 2, 1), 2) == (3, 2, 1)
     assert e_core((4, 4, 1), 2) == (1,)
     assert e_core((), 3) == ()
+    # e beyond n leaves every partition its own core, however large e is
+    assert e_core((2, 1), 10**9 + 7) == (2, 1)
+    assert e_core((5, 3, 3, 1), 999999999989) == (5, 3, 3, 1)
     for n in range(8):
         for lam in partitions_of(n):
             assert e_core(lam, None) == lam
