@@ -34,9 +34,10 @@ from .reducibility import classify_range
 from .tableaux import Tableau
 
 BRUTE_FORCE_LIMIT = 9
-# classify --n on a 2-vCPU VM, every format rendering the reports a chunk
-# at a time: n = 40 takes 0.8-1.0 s and 34-37 MB peak RSS, n = 45 takes
-# 1.8-2.9 s and 58-62 MB (JSON the upper figures)
+# classify --n on a 2-vCPU VM, the reports made one at a time and rendered
+# a chunk at a time, so the limit bounds time, not memory: n = 40 takes
+# 0.7-1.0 s and 17-19 MB peak RSS, n = 45 takes 2.1-2.6 s and 17-21 MB
+# (JSON the upper memory figures)
 CLASSIFY_LIMIT = 45
 JSON_CHUNK = 1000  # classify reports encoded per json.dumps call
 TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max

@@ -134,9 +134,9 @@ class SparseEchelon:
     reps): rows sorted by pivot, the smallest key of the row, and each
     scaled to coefficient one at its pivot.
 
-    The single elimination kernel behind spinning and the intertwiner
-    solve.  Reducing against the rows in pivot order clears every pivot,
-    because a row only has keys at or after its own pivot."""
+    The single elimination kernel behind spinning, the intertwiner solve
+    and ``homs._landing_solve``.  Reducing against the rows in pivot order
+    clears every pivot, since a row has no key before its own pivot."""
 
     __slots__ = ("field", "rows")
 
@@ -166,24 +166,19 @@ class SparseEchelon:
         """Reduce coeffs in place against the rows and keep the remainder
         as a new row; returns False when it reduces to zero."""
         self._reduce(coeffs)
-        if not coeffs:
-            return False
+        if coeffs:
+            self._keep(coeffs)
+        return bool(coeffs)
+
+    def _keep(self, coeffs: dict) -> tuple:
+        """Keep coeffs, nonzero and reduced, as a new row, scaled to one at
+        its pivot; returns the row, (pivot, normalised coeff dict)."""
         f = self.field
         pivot = min(coeffs)
         inv = f.inv(coeffs[pivot])
-        normal = {k: f.mul(inv, rep) for k, rep in coeffs.items()}
-        insort(self.rows, (pivot, normal), key=lambda item: item[0])
-        return True
-
-    def coordinates(self, coeffs: dict) -> list:
-        """Coefficients of coeffs over the rows, in pivot order; raises
-        ValueError when coeffs lies outside their span."""
-        coeffs = dict(coeffs)
-        taken = self._reduce(coeffs)
-        if coeffs:
-            raise ValueError("vector lies outside the span of the rows")
-        zero = self.field.zero_rep
-        return [taken.get(pivot, zero) for pivot, _ in self.rows]
+        row = (pivot, {k: f.mul(inv, rep) for k, rep in coeffs.items()})
+        insort(self.rows, row, key=lambda item: item[0])
+        return row
 
 
 def _act_dict(field, coeffs: dict, i: int) -> dict:
@@ -492,24 +487,32 @@ class SpechtModule:
         return self.matrices[i - 1]
 
 
-def _spin(v: ModuleVector) -> SparseEchelon:
-    """Echelon basis of the submodule generated by v: insert v, then the
-    generator images of each new row exactly once.
-
-    The worklist holds each remainder that insert kept, a multiple of the
-    row it became; together they span the rows, so acting on each once
-    closes the span after 1 + dim * (n - 1) inserts."""
+def _spin(v: ModuleVector) -> SpechtModule:
+    """The submodule generated by v, its echelon basis and generator
+    matrices, in one pass: keep v, then act on each kept row once.  Reducing
+    row . T_i takes away a multiple of each row it meets, and a remainder is
+    kept as a row at its leading coefficient; kept rows never change, so these
+    are the coordinates of row . T_i, and in pivot order the matrices."""
+    f = v.field
     n = sum(v.shape)
-    echelon = SparseEchelon(v.field)
-    first = dict(v.coeffs)
-    pending = [first] if echelon.insert(first) else []
+    echelon = SparseEchelon(f)
+    coords = {}  # pivot of a row -> per generator, {pivot: coordinate} of its image
+    pending = [echelon._keep(dict(v.coeffs))] if v.coeffs else []
     while pending:
-        row = pending.pop()
+        pivot, row = pending.pop()
+        found = coords[pivot] = []
         for i in range(1, n):
-            image = _act_dict(v.field, row, i)
-            if echelon.insert(image):
-                pending.append(image)
-    return echelon
+            image = _act_dict(f, row, i)
+            taken = echelon._reduce(image)
+            if image:
+                kept = echelon._keep(image)
+                taken[kept[0]] = image[kept[0]]
+                pending.append(kept)
+            found.append(taken)
+    order = [pivot for pivot, _ in echelon.rows]
+    matrices = [[[coords[p][i].get(k, f.zero_rep) for k in order] for p in order]
+                for i in range(n - 1)]
+    return SpechtModule(f, v.shape, echelon, matrices)
 
 
 def spin_specht(field: FieldSpec, lam) -> SpechtModule:
@@ -520,24 +523,19 @@ def spin_specht(field: FieldSpec, lam) -> SpechtModule:
 
 @lru_cache(maxsize=128)
 def _spin_specht(field: FieldSpec, lam) -> SpechtModule:
-    module = SpechtModule(field, lam, _spin(specht_generator(field, lam)), [])
+    module = _spin(specht_generator(field, lam))
     expected = standard_count(lam)
     if module.dimension != expected:
         raise AssertionError(
             f"spun dimension {module.dimension} differs from standard count {expected} for {lam}"
         )
-    for i in range(1, sum(lam)):
-        module.matrices.append([
-            module.echelon.coordinates(_act_dict(field, row, i))
-            for _, row in module.echelon.rows
-        ])
     return module
 
 
 def cyclic_closure_dimension(v: ModuleVector) -> int:
     """Dimension of the submodule generated by v, by spinning v under the
     generator action with exact elimination."""
-    return len(_spin(v))
+    return _spin(v).dimension
 
 
 # ---------------------------------------------------------------------------

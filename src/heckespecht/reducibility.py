@@ -135,7 +135,7 @@ def hook_divisibility_witness(lam, profile: QuantumProfile):
 
 
 def classify_range(n: int, profile: QuantumProfile):
-    """One report per partition of n, in descending lexicographic order."""
+    """One report per partition of n, in descending lexicographic order, made lazily."""
     if n < 1:
         raise ValueError("n must be positive")
-    return [is_ep_reducible(lam, profile) for lam in partitions_of(n)]
+    return (is_ep_reducible(lam, profile) for lam in partitions_of(n))

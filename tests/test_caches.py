@@ -72,7 +72,7 @@ def test_sweep_past_the_smallest_bound():
         assert info.currsize <= info.maxsize, name
     clear_caches()
     assert _sweep(fields) == first
-    classify_range(6, fields[0].profile())
+    list(classify_range(6, fields[0].profile()))
     assert _valuation_table.cache_info().currsize == 1
     clear_caches()
     for name, cache in package_caches():

@@ -15,6 +15,7 @@ from heckespecht.hecke import (
     ModuleVector,
     SparseEchelon,
     _acc,
+    _act_dict,
     act_gen,
     act_word,
     apply_signed_stabilizer_sum,
@@ -281,22 +282,46 @@ def test_cyclic_closure_dimensions(cyclo3):
 
 
 def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
+    from heckespecht import hecke
+
+    actions = [0]
+
+    def counted(field, coeffs, i):
+        actions[0] += 1
+        return _act_dict(field, coeffs, i)
+
+    shapes = [((3, 2, 1), 80), ((4, 2, 1), 210), ((3, 3, 1), 126)]
+    gens = [specht_generator(cyclo3, lam) for lam, _ in shapes]
+    monkeypatch.setattr(hecke, "_act_dict", counted)
+    for (lam, expected), gen in zip(shapes, gens):
+        actions[0] = 0
+        dim = hecke.cyclic_closure_dimension(gen)
+        assert dim == standard_count(lam)
+        # n - 1 images of each row, and no other action
+        assert actions[0] == expected == dim * (sum(lam) - 1), lam
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_spun_matrices_rebuild_the_action(spec):
+    # row_j . T_i = sum_k M_i[j][k] row_k for every generator and every
+    # echelon row, the rows in pivot order
     from heckespecht.hecke import cyclic_closure_dimension
 
-    inserts = [0]
-    insert = SparseEchelon.insert
-
-    def counted(self, coeffs):
-        inserts[0] += 1
-        return insert(self, coeffs)
-
-    monkeypatch.setattr(SparseEchelon, "insert", counted)
-    for lam, expected in [((3, 2, 1), 81), ((4, 2, 1), 211), ((3, 3, 1), 127)]:
-        inserts[0] = 0
-        dim = cyclic_closure_dimension(specht_generator(cyclo3, lam))
-        assert dim == standard_count(lam)
-        # the generator, then n - 1 images of each row
-        assert inserts[0] == expected == 1 + dim * (sum(lam) - 1), lam
+    field = parse_field(spec)
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            module = spin_specht(field, lam)
+            rows = [row for _, row in module.echelon.rows]
+            assert len(module.matrices) == n - 1
+            for i in range(1, n):
+                assert [len(line) for line in module.matrix(i)] == [len(rows)] * len(rows)
+                for j, row in enumerate(rows):
+                    rebuilt: dict = {}
+                    for c, other in zip(module.matrix(i)[j], rows):
+                        for k, rep in other.items():
+                            _acc(field, rebuilt, k, field.mul(c, rep))
+                    assert rebuilt == _act_dict(field, row, i), (spec, lam, i, j)
+    assert cyclic_closure_dimension(ModuleVector(field, (3, 2), {})) == 0
 
 
 @pytest.mark.parametrize("field_name", ["cyclo3", "f7q2", "ext23"])
@@ -318,18 +343,6 @@ def test_sparse_echelon_kernel(field_name, request):
     assert [pivot for pivot, _ in echelon.rows] == [0, 1, 2, 3]
     for pivot, row in echelon.rows:
         assert min(row) == pivot and row[pivot] == field.one_rep
-
-    target = vec(*matrix[3])
-    rebuilt: dict = {}
-    for c, (_, row) in zip(echelon.coordinates(target), echelon.rows):
-        for k, rep in row.items():
-            _acc(field, rebuilt, k, field.mul(c, rep))
-    assert rebuilt == target
-    partial = SparseEchelon(field)
-    for row in matrix[:3]:
-        partial.insert(vec(*row))
-    with pytest.raises(ValueError):
-        partial.coordinates(vec(0, 0, 0, 1))
 
 
 def test_module_vector_json(cyclo3):

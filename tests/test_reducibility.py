@@ -166,7 +166,7 @@ def test_e2_caveat_flag():
 
 def test_classify_range_order_and_json():
     prof3 = QuantumProfile(3, 0)
-    reports = classify_range(3, prof3)
+    reports = list(classify_range(3, prof3))
     assert [r.partition for r in reports] == [(3,), (2, 1), (1, 1, 1)]
     assert [r.verdict for r in reports] == ["irreducible", "reducible", "irreducible"]
     for report in reports:
@@ -206,7 +206,7 @@ def test_witnesses_match_first_triple_scan():
     for e, p in SCAN_PROFILES:
         prof = QuantumProfile(e, p)
         for n in range(1, 13):
-            reports = classify_range(n, prof)
+            reports = list(classify_range(n, prof))
             assert [r.partition for r in reports] == list(partitions_of(n))
             for report in reports:
                 lam = report.partition
@@ -228,5 +228,5 @@ def test_classify_range_reads_one_valuation_per_hook_length(monkeypatch):
     for e, p in SCAN_PROFILES:
         clear_caches()
         calls.clear()
-        classify_range(20, QuantumProfile(e, p))
+        list(classify_range(20, QuantumProfile(e, p)))
         assert len(calls) <= 20, (e, p)
