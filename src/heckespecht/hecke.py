@@ -134,8 +134,9 @@ class SparseEchelon:
     reps): rows sorted by pivot, the smallest key of the row, and each
     scaled to coefficient one at its pivot.
 
-    The single elimination kernel behind spinning, the intertwiner solve
-    and ``homs._landing_solve``.  Reducing against the rows in pivot order
+    The single elimination kernel behind spinning, the left kernels of
+    ``homs._cyclic_dimension``, the intertwiner solve and
+    ``homs._landing_solve``.  Reducing against the rows in pivot order
     clears every pivot, since a row has no key before its own pivot."""
 
     __slots__ = ("field", "rows")
@@ -468,15 +469,18 @@ def specht_generator(field: FieldSpec, lam) -> ModuleVector:
 
 class SpechtModule:
     """An echelonised basis of the Specht submodule together with the
-    exact matrices of the generator action on that basis."""
+    exact matrices of the generator action on that basis, and the steps of
+    the spin that found them: (row, i, the row kept from row . T_i or None),
+    rows by their index in the matrices, in spin order."""
 
-    __slots__ = ("field", "shape", "echelon", "matrices")
+    __slots__ = ("field", "shape", "echelon", "matrices", "steps")
 
-    def __init__(self, field, shape, echelon: SparseEchelon, matrices):
+    def __init__(self, field, shape, echelon: SparseEchelon, matrices, steps):
         self.field = field
         self.shape = shape
         self.echelon = echelon
         self.matrices = matrices
+        self.steps = steps
 
     @property
     def dimension(self) -> int:
@@ -492,11 +496,14 @@ def _spin(v: ModuleVector) -> SpechtModule:
     matrices, in one pass: keep v, then act on each kept row once.  Reducing
     row . T_i takes away a multiple of each row it meets, and a remainder is
     kept as a row at its leading coefficient; kept rows never change, so these
-    are the coordinates of row . T_i, and in pivot order the matrices."""
+    are the coordinates of row . T_i, and in pivot order the matrices.  Each
+    image is a step; its coordinates name only rows kept before it and the
+    row it keeps."""
     f = v.field
     n = sum(v.shape)
     echelon = SparseEchelon(f)
     coords = {}  # pivot of a row -> per generator, {pivot: coordinate} of its image
+    steps = []  # (pivot of a row, i, pivot of the row kept or None)
     pending = [echelon._keep(dict(v.coeffs))] if v.coeffs else []
     while pending:
         pivot, row = pending.pop()
@@ -504,15 +511,20 @@ def _spin(v: ModuleVector) -> SpechtModule:
         for i in range(1, n):
             image = _act_dict(f, row, i)
             taken = echelon._reduce(image)
+            new = None
             if image:
                 kept = echelon._keep(image)
-                taken[kept[0]] = image[kept[0]]
+                new = kept[0]
+                taken[new] = image[new]
                 pending.append(kept)
             found.append(taken)
+            steps.append((pivot, i, new))
     order = [pivot for pivot, _ in echelon.rows]
+    index = {pivot: j for j, pivot in enumerate(order)}
     matrices = [[[coords[p][i].get(k, f.zero_rep) for k in order] for p in order]
                 for i in range(n - 1)]
-    return SpechtModule(f, v.shape, echelon, matrices)
+    steps = tuple((index[p], i, None if new is None else index[new]) for p, i, new in steps)
+    return SpechtModule(f, v.shape, echelon, matrices, steps)
 
 
 def spin_specht(field: FieldSpec, lam) -> SpechtModule:

@@ -25,8 +25,10 @@ A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block it is solved for
 (lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
 the semistandard basis maps where the semistandard homomorphism theorem
-holds, and otherwise from the exact intertwiner system on spun-out
-generator matrices.
+holds, and otherwise by the cyclic route, for the value of a map at the
+generator of the spun S^lam, dim S^mu unknowns, replaying the steps of
+that spin.  The exact intertwiner system on the spun generator matrices,
+dim S^lam * dim S^mu unknowns, is both routes' oracle.
 """
 
 from __future__ import annotations
@@ -337,7 +339,8 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# hom-space dimensions: semistandard basis maps, or the intertwiner system
+# hom-space dimensions: semistandard basis maps, or the cyclic route, with
+# the intertwiner system as its oracle
 
 def semistandard_scope(profile: QuantumProfile, lam) -> bool:
     """Whether the semistandard homomorphism theorem (Dipper-James) holds
@@ -382,13 +385,12 @@ def _route_cost(field: FieldSpec, lam, mu):
 
 def _direct_dimension(field: FieldSpec, lam, mu) -> int:
     """``hom_space_dim`` of (lam, mu) solved as given: within the
-    semistandard scope over the semistandard basis maps, outside it from
-    the exact intertwiner system on spun-out generator matrices."""
+    semistandard scope over the semistandard basis maps, outside it by the
+    cyclic route (``_cyclic_dimension``) on the spun modules, solved for
+    the value at the generator of S^lam in S^mu."""
     if semistandard_scope(field.profile(), lam):
         return _semistandard_dimension(field, lam, mu)
-    sa = spin_specht(field, lam)
-    sb = spin_specht(field, mu)
-    return _intertwiner_dimension(field, sa.matrices, sb.matrices)
+    return _cyclic_dimension(field, spin_specht(field, lam), spin_specht(field, mu))
 
 
 def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
@@ -404,9 +406,78 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
         _merged_value(field, {tab: field.one_rep}, lam, mu, d, t) for tab in tabs])
 
 
+def _cyclic_dimension(field, sa, sb) -> int:
+    """Dimension of the module maps from the spun module sa to sb, solved
+    for the value v of a map at sa's generator: dim sb unknowns.
+
+    The map is fixed by v, since sa is cyclic on its generator.  Replaying
+    sa's spin (``SpechtModule.steps``), row . T_i = sum_j A_i[row][j] row_j
+    gives, at a step that kept a row, that row's value from the values of
+    rows kept before it; at any other step it is a linear condition, value
+    at row . B_i = sum_j A_i[row][j] value_j, which cuts the candidates for
+    v to a left kernel.  Each of the k candidates holds its value at every
+    row reached so far; k at the end is the answer, 0 once none is left."""
+    f = field
+    m = sb.dimension
+    mats_b = [[{c: rep for c, rep in enumerate(line) if not f.is_zero(rep)} for line in B]
+              for B in sb.matrices]
+    start = sa.steps[0][0] if sa.steps else 0
+    candidates = [{start: {c: f.one_rep}} for c in range(m)]
+    for row, i, new in sa.steps:
+        line = sa.matrix(i)[row]
+        terms = [(j, f.neg(a)) for j, a in enumerate(line) if j != new and not f.is_zero(a)]
+        B = mats_b[i - 1]
+        images = []
+        for values in candidates:
+            image: dict = {}
+            for c, x in values[row].items():
+                for k, rep in B[c].items():
+                    _acc(f, image, k, f.mul(x, rep))
+            for j, a in terms:
+                for k, rep in values[j].items():
+                    _acc(f, image, k, f.mul(a, rep))
+            images.append(image)
+        if new is not None:
+            inv = f.inv(line[new])
+            for values, image in zip(candidates, images):
+                values[new] = {k: f.mul(inv, rep) for k, rep in image.items()}
+        elif any(images):
+            candidates = _left_kernel(f, candidates, images, m)
+            if not candidates:
+                return 0
+    return len(candidates)
+
+
+def _left_kernel(field, candidates, images, m: int) -> list:
+    """The combinations of the candidates whose images (dicts over keys
+    0..m-1) sum to zero, a basis of them: each image is eliminated with a
+    marker key m + p after every column key, so an echelon row whose pivot
+    is a marker has a zero image and names its combination."""
+    f = field
+    echelon = SparseEchelon(f)
+    for p, image in enumerate(images):
+        row = dict(image)
+        row[m + p] = f.one_rep
+        echelon.insert(row)
+    out = []
+    for pivot, row in echelon.rows:
+        if pivot < m:
+            continue
+        combined = {}
+        for j in candidates[0]:
+            value: dict = {}
+            for key, w in row.items():
+                for k, rep in candidates[key - m][j].items():
+                    _acc(f, value, k, f.mul(w, rep))
+            combined[j] = value
+        out.append(combined)
+    return out
+
+
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:
     """Dimension of the matrices X with A X = X B for every generator pair
-    (A, B), X unrolled row-major into ma * mb unknowns."""
+    (A, B), X unrolled row-major into ma * mb unknowns: the tests' oracle
+    for ``_cyclic_dimension``."""
     ma = len(mats_a[0])
     mb = len(mats_b[0])
     total = ma * mb

@@ -672,9 +672,11 @@ class PolynomialRing:
 ZQ = PolynomialRing()
 
 
+@lru_cache(maxsize=64)
 def prime_extension_auto(p: int, e: int) -> PrimeExtension:
     """F_p[x]/(g) for the first irreducible factor g of Phi_e over F_p,
-    so q = x + (g) has multiplicative order e."""
+    so q = x + (g) has multiplicative order e.  Each field is built once:
+    its modulus search and irreducibility check are trial division."""
     g = _first_irreducible_factor(e, p)
     field = PrimeExtension(p, g, label=f"ext:p={p},e={e}")
     prof = field.profile()

@@ -304,7 +304,7 @@ def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS)
 def test_spun_matrices_rebuild_the_action(spec):
     # row_j . T_i = sum_k M_i[j][k] row_k for every generator and every
-    # echelon row, the rows in pivot order
+    # echelon row, the rows in pivot order; the steps replay the spin
     from heckespecht.hecke import cyclic_closure_dimension
 
     field = parse_field(spec)
@@ -321,7 +321,39 @@ def test_spun_matrices_rebuild_the_action(spec):
                         for k, rep in other.items():
                             _acc(field, rebuilt, k, field.mul(c, rep))
                     assert rebuilt == _act_dict(field, row, i), (spec, lam, i, j)
+            _check_steps(field, lam, module, rows)
     assert cyclic_closure_dimension(ModuleVector(field, (3, 2), {})) == 0
+
+
+def _check_steps(field, lam, module, rows):
+    # one step per row and generator; the first acts on the generator's
+    # row, every step on a row kept earlier, and its coordinates name only
+    # rows kept earlier and the row it keeps, where
+    # lead . new_row = row . T_i - sum of the taken multiples . rows
+    n = sum(lam)
+    steps = module.steps
+    assert len(steps) == len(rows) * (n - 1), lam
+    if not steps:
+        return
+    gen = specht_generator(field, lam).coeffs
+    inv = field.inv(gen[min(gen)])
+    assert rows[steps[0][0]] == {k: field.mul(inv, c) for k, c in gen.items()}, lam
+    kept = {steps[0][0]}
+    for row, i, new in steps:
+        assert row in kept, (lam, row, i)
+        line = module.matrix(i)[row]
+        named = {j for j, c in enumerate(line) if not field.is_zero(c)}
+        if new is None:
+            assert named <= kept, (lam, row, i)
+            continue
+        assert new not in kept and named - {new} <= kept, (lam, row, i, new)
+        rest = _act_dict(field, rows[row], i)
+        for j in named - {new}:
+            for k, rep in rows[j].items():
+                _acc(field, rest, k, field.neg(field.mul(line[j], rep)))
+        assert rest == {k: field.mul(line[new], rep) for k, rep in rows[new].items()}, lam
+        kept.add(new)
+    assert kept == set(range(len(rows))), lam
 
 
 @pytest.mark.parametrize("field_name", ["cyclo3", "f7q2", "ext23"])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -20,6 +21,7 @@ from heckespecht.hecke import (
 )
 from heckespecht.homs import (
     HomSpec,
+    _cyclic_dimension,
     _intertwiner_dimension,
     _landing_solve,
     _compose_terms,
@@ -232,7 +234,10 @@ def test_hom_space_dim_examples(cyclo3, cyclo4):
     assert hom_space_dim(cyclo3, (2, 2), (2, 2)) >= 1
 
 
+@functools.cache
 def _intertwiner_oracle(field, lam, mu) -> int:
+    # cached, so that the cyclic-route test below reuses the values the
+    # loops before it compute
     return _intertwiner_dimension(
         field, spin_specht(field, lam).matrices, spin_specht(field, mu).matrices
     )
@@ -284,6 +289,28 @@ def test_semistandard_count_wrong_outside_scope():
                 pairs += 1
                 differ += _semistandard_dimension(field, lam, mu) != want
     assert (pairs, differ) == (48, 14)
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_cyclic_dimension_matches_intertwiner(spec):
+    # the cyclic route, solved for the value at the generator, against the
+    # full intertwiner system on every same-block pair with n <= 6 (S^(1)
+    # has no generator matrices, and its only map is the identity); across
+    # blocks, where hom_space_dim solves nothing, it must cut every
+    # candidate (there the oracle's zeros would double its time at n = 6)
+    field = parse_field(spec)
+    profile = field.profile()
+    one = spin_specht(field, (1,))
+    assert _cyclic_dimension(field, one, one) == 1
+    for n in range(2, 7):
+        for lam in partitions_of(n):
+            sa = spin_specht(field, lam)
+            for mu in partitions_of(n):
+                got = _cyclic_dimension(field, sa, spin_specht(field, mu))
+                if same_block(profile, lam, mu):
+                    assert got == _intertwiner_oracle(field, lam, mu), (lam, mu)
+                else:
+                    assert got == 0, (lam, mu)
 
 
 def test_in_scope_hom_space_dim_spins_nothing(cyclo3, monkeypatch):

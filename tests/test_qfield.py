@@ -40,6 +40,8 @@ def test_quantum_char_examples(cyclo3, f7q2):
 def test_quantum_char_extension(ext23):
     assert ext23.profile() == QuantumProfile(3, 2)
     assert prime_extension_auto(3, 4).profile() == QuantumProfile(4, 3)
+    # each automatic extension is built once per process, by the spec too
+    assert parse_field("ext:p=3,e=4") is prime_extension_auto(3, 4)
 
 
 def test_cyclotomic_polynomials():
