@@ -174,7 +174,9 @@ def _dispatch(args, field):
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        if sum(lam) == sum(mu) and not same_block(field.profile(), lam, mu):
+        if sum(lam) != sum(mu):
+            raise ValueError("partitions must have equal size")
+        if not same_block(field.profile(), lam, mu):
             dim = 0  # across blocks nothing is solved, so the n guard does not apply
         else:
             _guard(sum(lam), args.force)

@@ -134,7 +134,8 @@ class SparseEchelon:
     reps): rows sorted by pivot, the smallest key of the row, and each
     scaled to coefficient one at its pivot.
 
-    The single elimination kernel behind spinning, the left kernels of
+    The single elimination kernel behind spinning (which indexes its rows
+    in the order kept, not by pivot), the left kernels of
     ``homs._cyclic_dimension``, the intertwiner solve and
     ``homs._landing_solve``.  Reducing against the rows in pivot order
     clears every pivot, since a row has no key before its own pivot."""
@@ -468,68 +469,60 @@ def specht_generator(field: FieldSpec, lam) -> ModuleVector:
 
 
 class SpechtModule:
-    """An echelonised basis of the Specht submodule together with the
-    exact matrices of the generator action on that basis, and the steps of
-    the spin that found them: (row, i, the row kept from row . T_i or None),
-    rows by their index in the matrices, in spin order."""
+    """A basis of the Specht submodule and the exact action of each
+    generator on it, as ``_spin`` keeps them: ``rows`` are the kept
+    vectors, normalised, in the order kept, and ``matrices[i-1][r]`` is
+    row r . T_i in those rows' coordinates, {row index: coefficient} with
+    no zero stored."""
 
-    __slots__ = ("field", "shape", "echelon", "matrices", "steps")
+    __slots__ = ("field", "shape", "rows", "matrices")
 
-    def __init__(self, field, shape, echelon: SparseEchelon, matrices, steps):
+    def __init__(self, field, shape, rows, matrices):
         self.field = field
         self.shape = shape
-        self.echelon = echelon
+        self.rows = rows
         self.matrices = matrices
-        self.steps = steps
 
     @property
     def dimension(self) -> int:
-        return len(self.echelon)
-
-    def matrix(self, i: int):
-        """Row-major matrix of the right action of the i-th generator."""
-        return self.matrices[i - 1]
+        return len(self.rows)
 
 
 def _spin(v: ModuleVector) -> SpechtModule:
-    """The submodule generated by v, its echelon basis and generator
-    matrices, in one pass: keep v, then act on each kept row once.  Reducing
-    row . T_i takes away a multiple of each row it meets, and a remainder is
-    kept as a row at its leading coefficient; kept rows never change, so these
-    are the coordinates of row . T_i, and in pivot order the matrices.  Each
-    image is a step; its coordinates name only rows kept before it and the
-    row it keeps."""
+    """The submodule generated by v, its basis and generator matrices, in
+    one breadth-first pass: keep v as row 0, then act on each kept row once,
+    in the order kept.  Reducing row . T_i takes away a multiple of each row
+    it meets, and a remainder is kept as the next row, at its leading
+    coefficient; kept rows never change, so these are the coordinates of
+    row . T_i.  They name only rows kept before it, and the row it keeps."""
     f = v.field
     n = sum(v.shape)
     echelon = SparseEchelon(f)
-    coords = {}  # pivot of a row -> per generator, {pivot: coordinate} of its image
-    steps = []  # (pivot of a row, i, pivot of the row kept or None)
-    pending = [echelon._keep(dict(v.coeffs))] if v.coeffs else []
-    while pending:
-        pivot, row = pending.pop()
-        found = coords[pivot] = []
+    rows = []
+    index = {}  # pivot of a row -> its index in rows
+    matrices = [[] for _ in range(n - 1)]
+
+    def keep(coeffs):
+        pivot, row = echelon._keep(coeffs)
+        index[pivot] = len(rows)
+        rows.append(row)
+
+    if v.coeffs:
+        keep(dict(v.coeffs))
+    for row in rows:  # rows kept on the way are reached in turn
         for i in range(1, n):
             image = _act_dict(f, row, i)
-            taken = echelon._reduce(image)
-            new = None
+            line = {index[p]: c for p, c in echelon._reduce(image).items()}
             if image:
-                kept = echelon._keep(image)
-                new = kept[0]
-                taken[new] = image[new]
-                pending.append(kept)
-            found.append(taken)
-            steps.append((pivot, i, new))
-    order = [pivot for pivot, _ in echelon.rows]
-    index = {pivot: j for j, pivot in enumerate(order)}
-    matrices = [[[coords[p][i].get(k, f.zero_rep) for k in order] for p in order]
-                for i in range(n - 1)]
-    steps = tuple((index[p], i, None if new is None else index[new]) for p, i, new in steps)
-    return SpechtModule(f, v.shape, echelon, matrices, steps)
+                line[len(rows)] = image[min(image)]  # the lead, before keep scales it
+                keep(image)
+            matrices[i - 1].append(line)
+    return SpechtModule(f, v.shape, rows, matrices)
 
 
 def spin_specht(field: FieldSpec, lam) -> SpechtModule:
-    """Close the cyclic module generated by the Specht generator under the
-    generator action; the echelonised result is cached per (field, shape)."""
+    """The Specht module of lam spun from its generator (``_spin``); cached
+    per (field, shape)."""
     return _spin_specht(field, check_partition(lam))
 
 
@@ -542,12 +535,6 @@ def _spin_specht(field: FieldSpec, lam) -> SpechtModule:
             f"spun dimension {module.dimension} differs from standard count {expected} for {lam}"
         )
     return module
-
-
-def cyclic_closure_dimension(v: ModuleVector) -> int:
-    """Dimension of the submodule generated by v, by spinning v under the
-    generator action with exact elimination."""
-    return _spin(v).dimension
 
 
 # ---------------------------------------------------------------------------

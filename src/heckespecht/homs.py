@@ -26,9 +26,10 @@ e-cores, is 0 with nothing solved.  Within a block it is solved for
 (lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
 the semistandard basis maps where the semistandard homomorphism theorem
 holds, and otherwise by the cyclic route, for the value of a map at the
-generator of the spun S^lam, dim S^mu unknowns, replaying the steps of
-that spin.  The exact intertwiner system on the spun generator matrices,
-dim S^lam * dim S^mu unknowns, is both routes' oracle.
+generator of the spun S^lam, dim S^mu unknowns, walking the rows of that
+spin in the order it kept them.  The exact intertwiner system on the
+spun generator matrices, sparse rows, dim S^lam * dim S^mu unknowns, is
+both routes' oracle.
 """
 
 from __future__ import annotations
@@ -408,43 +409,42 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
 
 def _cyclic_dimension(field, sa, sb) -> int:
     """Dimension of the module maps from the spun module sa to sb, solved
-    for the value v of a map at sa's generator: dim sb unknowns.
+    for the value v of a map at sa's generator, row 0: dim sb unknowns.
 
-    The map is fixed by v, since sa is cyclic on its generator.  Replaying
-    sa's spin (``SpechtModule.steps``), row . T_i = sum_j A_i[row][j] row_j
-    gives, at a step that kept a row, that row's value from the values of
-    rows kept before it; at any other step it is a linear condition, value
-    at row . B_i = sum_j A_i[row][j] value_j, which cuts the candidates for
-    v to a left kernel.  Each of the k candidates holds its value at every
-    row reached so far; k at the end is the answer, 0 once none is left."""
+    The map is fixed by v, since sa is cyclic on its generator.  Walking
+    sa's rows in the order kept, row . T_i = sum_j A_i[row][j] row_j names
+    only rows kept before it and, when it keeps one, row count, the number
+    kept so far.  Then it gives that row's value from the values of the
+    others; otherwise it is a linear condition, value at row . B_i =
+    sum_j A_i[row][j] value_j, which cuts the candidates for v to a left
+    kernel.  Each of the k candidates lists its value at every row kept so
+    far; k at the end is the answer, 0 once none is left."""
     f = field
     m = sb.dimension
-    mats_b = [[{c: rep for c, rep in enumerate(line) if not f.is_zero(rep)} for line in B]
-              for B in sb.matrices]
-    start = sa.steps[0][0] if sa.steps else 0
-    candidates = [{start: {c: f.one_rep}} for c in range(m)]
-    for row, i, new in sa.steps:
-        line = sa.matrix(i)[row]
-        terms = [(j, f.neg(a)) for j, a in enumerate(line) if j != new and not f.is_zero(a)]
-        B = mats_b[i - 1]
-        images = []
-        for values in candidates:
-            image: dict = {}
-            for c, x in values[row].items():
-                for k, rep in B[c].items():
-                    _acc(f, image, k, f.mul(x, rep))
-            for j, a in terms:
-                for k, rep in values[j].items():
-                    _acc(f, image, k, f.mul(a, rep))
-            images.append(image)
-        if new is not None:
-            inv = f.inv(line[new])
-            for values, image in zip(candidates, images):
-                values[new] = {k: f.mul(inv, rep) for k, rep in image.items()}
-        elif any(images):
-            candidates = _left_kernel(f, candidates, images, m)
-            if not candidates:
-                return 0
+    candidates = [[{c: f.one_rep}] for c in range(m)]
+    for row in range(sa.dimension):
+        for A, B in zip(sa.matrices, sb.matrices):
+            line = A[row]
+            count = len(candidates[0])
+            terms = [(j, f.neg(a)) for j, a in line.items() if j != count]
+            images = []
+            for values in candidates:
+                image: dict = {}
+                for c, x in values[row].items():
+                    for k, rep in B[c].items():
+                        _acc(f, image, k, f.mul(x, rep))
+                for j, a in terms:
+                    for k, rep in values[j].items():
+                        _acc(f, image, k, f.mul(a, rep))
+                images.append(image)
+            if count in line:
+                inv = f.inv(line[count])
+                for values, image in zip(candidates, images):
+                    values.append({k: f.mul(inv, rep) for k, rep in image.items()})
+            elif any(images):
+                candidates = _left_kernel(f, candidates, images, m)
+                if not candidates:
+                    return 0
     return len(candidates)
 
 
@@ -463,13 +463,13 @@ def _left_kernel(field, candidates, images, m: int) -> list:
     for pivot, row in echelon.rows:
         if pivot < m:
             continue
-        combined = {}
-        for j in candidates[0]:
+        combined = []
+        for j in range(len(candidates[0])):
             value: dict = {}
             for key, w in row.items():
                 for k, rep in candidates[key - m][j].items():
                     _acc(f, value, k, f.mul(w, rep))
-            combined[j] = value
+            combined.append(value)
         out.append(combined)
     return out
 
@@ -477,24 +477,25 @@ def _left_kernel(field, candidates, images, m: int) -> list:
 def _intertwiner_dimension(field, mats_a, mats_b) -> int:
     """Dimension of the matrices X with A X = X B for every generator pair
     (A, B), X unrolled row-major into ma * mb unknowns: the tests' oracle
-    for ``_cyclic_dimension``."""
+    for ``_cyclic_dimension``.  A matrix is a list of sparse rows, as
+    ``SpechtModule.matrices`` holds them."""
     ma = len(mats_a[0])
     mb = len(mats_b[0])
     total = ma * mb
     echelon = SparseEchelon(field)
     f = field
     for A, B in zip(mats_a, mats_b):
+        columns = [{} for _ in range(mb)]  # B's columns, {row index: entry}
+        for k, line in enumerate(B):
+            for c, v in line.items():
+                columns[c][k] = v
         for r in range(ma):
             for c in range(mb):
                 row: dict = {}
-                for k in range(ma):
-                    v = A[r][k]
-                    if not f.is_zero(v):
-                        _acc(f, row, k * mb + c, v)
-                for k in range(mb):
-                    v = B[k][c]
-                    if not f.is_zero(v):
-                        _acc(f, row, r * mb + k, f.neg(v))
+                for k, v in A[r].items():
+                    _acc(f, row, k * mb + c, v)
+                for k, v in columns[c].items():
+                    _acc(f, row, r * mb + k, f.neg(v))
                 if echelon.insert(row) and len(echelon) == total:
                     return 0
     return total - len(echelon)

@@ -245,6 +245,17 @@ def test_hom_dim_bad_pairs_exit_2(capsys, lam, mu):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_hom_dim_unequal_sizes_over_the_guard(capsys, force):
+    # sizes are checked before the n guard, with or without --force
+    code, out, err = run_cli(
+        capsys, "hom-dim", "--field", "cyclotomic:e=3", "--lambda", "10", "--mu", "1", *force,
+    )
+    assert (code, out) == (2, "")
+    assert "partitions must have equal size" in err
+    assert "--force" not in err
+
+
 def test_compose(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "compose", "--field", "p=97,q=3",

@@ -229,39 +229,37 @@ def test_spin_dimensions_at_e2():
 
 
 def test_generator_matrices_satisfy_relations(cyclo3):
-    module = spin_specht(cyclo3, (2, 2, 1))
+    # the quadratic and braid relations, on sparse rows: two rows with no
+    # zero stored are equal exactly when their dense forms are
+    f = cyclo3
+    module = spin_specht(f, (2, 2, 1))
     n = 5
-    q = cyclo3.q_rep
+    q = f.q_rep
     dim = module.dimension
 
     def matmul(a, b):
-        return [
-            [
-                _dot(cyclo3, [a[r][k] for k in range(dim)], [b[k][c] for k in range(dim)])
-                for c in range(dim)
-            ]
-            for r in range(dim)
-        ]
+        out = []
+        for line in a:
+            row: dict = {}
+            for k, x in line.items():
+                for c, y in b[k].items():
+                    _acc(f, row, c, f.mul(x, y))
+            out.append(row)
+        return out
 
     for i in range(1, n):
-        m = module.matrix(i)
+        m = module.matrices[i - 1]
         square = matmul(m, m)
+        assert len(square) == dim
         for r in range(dim):
-            for c in range(dim):
-                expect = cyclo3.mul(cyclo3.sub(q, cyclo3.one_rep), m[r][c])
-                if r == c:
-                    expect = cyclo3.add(expect, q)
-                assert square[r][c] == expect
+            expect: dict = {}
+            for c, x in m[r].items():
+                _acc(f, expect, c, f.mul(f.sub(q, f.one_rep), x))
+            _acc(f, expect, r, q)
+            assert square[r] == expect
     for i in range(1, n - 1):
-        a, b = module.matrix(i), module.matrix(i + 1)
+        a, b = module.matrices[i - 1], module.matrices[i]
         assert matmul(matmul(a, b), a) == matmul(matmul(b, a), b)
-
-
-def _dot(field, xs, ys):
-    out = field.zero_rep
-    for x, y in zip(xs, ys):
-        out = field.add(out, field.mul(x, y))
-    return out
 
 
 def test_spin_dimension_field_independent():
@@ -272,13 +270,13 @@ def test_spin_dimension_field_independent():
 
 
 def test_cyclic_closure_dimensions(cyclo3):
-    from heckespecht.hecke import cyclic_closure_dimension
+    from heckespecht.hecke import _spin
 
     for lam in partitions_of(5):
         gen = specht_generator(cyclo3, lam)
-        assert cyclic_closure_dimension(gen) == standard_count(lam)
+        assert _spin(gen).dimension == standard_count(lam)
     zero = ModuleVector(cyclo3, (3, 2), {})
-    assert cyclic_closure_dimension(zero) == 0
+    assert _spin(zero).dimension == 0
 
 
 def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
@@ -295,7 +293,7 @@ def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
     monkeypatch.setattr(hecke, "_act_dict", counted)
     for (lam, expected), gen in zip(shapes, gens):
         actions[0] = 0
-        dim = hecke.cyclic_closure_dimension(gen)
+        dim = hecke._spin(gen).dimension
         assert dim == standard_count(lam)
         # n - 1 images of each row, and no other action
         assert actions[0] == expected == dim * (sum(lam) - 1), lam
@@ -304,56 +302,71 @@ def test_spin_acts_on_each_row_once(cyclo3, monkeypatch):
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS)
 def test_spun_matrices_rebuild_the_action(spec):
     # row_j . T_i = sum_k M_i[j][k] row_k for every generator and every
-    # echelon row, the rows in pivot order; the steps replay the spin
-    from heckespecht.hecke import cyclic_closure_dimension
+    # row, the rows in the order kept
+    from heckespecht.hecke import _spin
 
     field = parse_field(spec)
     for n in range(1, 7):
         for lam in partitions_of(n):
             module = spin_specht(field, lam)
-            rows = [row for _, row in module.echelon.rows]
+            rows = module.rows
             assert len(module.matrices) == n - 1
             for i in range(1, n):
-                assert [len(line) for line in module.matrix(i)] == [len(rows)] * len(rows)
+                matrix = module.matrices[i - 1]
+                assert len(matrix) == len(rows)
                 for j, row in enumerate(rows):
+                    assert set(matrix[j]) <= set(range(len(rows))), (spec, lam, i, j)
                     rebuilt: dict = {}
-                    for c, other in zip(module.matrix(i)[j], rows):
-                        for k, rep in other.items():
+                    for m, c in matrix[j].items():
+                        for k, rep in rows[m].items():
                             _acc(field, rebuilt, k, field.mul(c, rep))
                     assert rebuilt == _act_dict(field, row, i), (spec, lam, i, j)
-            _check_steps(field, lam, module, rows)
-    assert cyclic_closure_dimension(ModuleVector(field, (3, 2), {})) == 0
+    assert _spin(ModuleVector(field, (3, 2), {})).dimension == 0
 
 
-def _check_steps(field, lam, module, rows):
-    # one step per row and generator; the first acts on the generator's
-    # row, every step on a row kept earlier, and its coordinates name only
-    # rows kept earlier and the row it keeps, where
-    # lead . new_row = row . T_i - sum of the taken multiples . rows
-    n = sum(lam)
-    steps = module.steps
-    assert len(steps) == len(rows) * (n - 1), lam
-    if not steps:
-        return
-    gen = specht_generator(field, lam).coeffs
-    inv = field.inv(gen[min(gen)])
-    assert rows[steps[0][0]] == {k: field.mul(inv, c) for k, c in gen.items()}, lam
-    kept = {steps[0][0]}
-    for row, i, new in steps:
-        assert row in kept, (lam, row, i)
-        line = module.matrix(i)[row]
-        named = {j for j, c in enumerate(line) if not field.is_zero(c)}
-        if new is None:
-            assert named <= kept, (lam, row, i)
-            continue
-        assert new not in kept and named - {new} <= kept, (lam, row, i, new)
-        rest = _act_dict(field, rows[row], i)
-        for j in named - {new}:
-            for k, rep in rows[j].items():
-                _acc(field, rest, k, field.neg(field.mul(line[j], rep)))
-        assert rest == {k: field.mul(line[new], rep) for k, rep in rows[new].items()}, lam
-        kept.add(new)
-    assert kept == set(range(len(rows))), lam
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_spin_keeps_rows_in_order(spec, monkeypatch):
+    # row 0 is the normalised Specht generator; the rows are acted on in
+    # index order, each by T_1 .. T_{n-1}; row r . T_i names only the count
+    # rows kept so far and, when it keeps one, row count, where
+    # lead . row_count = row_r . T_i - sum_{j < count} line[j] . row_j;
+    # no stored entry is zero
+    from heckespecht import hecke
+
+    acted = []
+
+    def recorded(field, coeffs, i):
+        acted.append((id(coeffs), i))
+        return _act_dict(field, coeffs, i)
+
+    field = parse_field(spec)
+    monkeypatch.setattr(hecke, "_act_dict", recorded)
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            v = specht_generator(field, lam)
+            acted.clear()
+            module = hecke._spin(v)
+            rows, gen = module.rows, v.coeffs
+            inv = field.inv(gen[min(gen)])
+            assert rows[0] == {k: field.mul(inv, c) for k, c in gen.items()}, lam
+            assert acted == [(id(row), i) for row in rows for i in range(1, n)], lam
+            count = 1
+            for r, row in enumerate(rows):
+                for i in range(1, n):
+                    line = module.matrices[i - 1][r]
+                    assert not any(field.is_zero(c) for c in line.values()), (lam, r, i)
+                    assert set(line) <= set(range(count + 1)), (lam, r, i, count)
+                    rest = _act_dict(field, row, i)
+                    for j in set(line) - {count}:
+                        for k, rep in rows[j].items():
+                            _acc(field, rest, k, field.neg(field.mul(line[j], rep)))
+                    if count not in line:
+                        assert rest == {}, (lam, r, i)
+                        continue
+                    lead = line[count]
+                    assert rest == {k: field.mul(lead, rep) for k, rep in rows[count].items()}, lam
+                    count += 1
+            assert count == len(rows) == standard_count(lam), lam
 
 
 @pytest.mark.parametrize("field_name", ["cyclo3", "f7q2", "ext23"])

@@ -120,7 +120,7 @@ def test_proper_image_consistency():
     # an eligible one-node map with a proper nonzero image certifies
     # reducibility of the target (away from e = 2)
     from heckespecht.carter_payne import CPInstance, cp_eligible, one_node_map
-    from heckespecht.hecke import cyclic_closure_dimension
+    from heckespecht.hecke import _spin
     from heckespecht.homs import evaluate_on_generator
     from heckespecht.qfield import Cyclotomic
 
@@ -140,7 +140,7 @@ def test_proper_image_consistency():
                         if standard_count(xi) <= 1:
                             continue
                         value = evaluate_on_generator(one_node_map(spec, xi, a, b))
-                        image_dim = cyclic_closure_dimension(value)
+                        image_dim = _spin(value).dimension
                         if 0 < image_dim < standard_count(xi):
                             assert is_ep_reducible(xi, prof).reducible, (e, inst)
 
