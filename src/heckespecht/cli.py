@@ -36,7 +36,7 @@ from .tableaux import Tableau
 BRUTE_FORCE_LIMIT = 9
 # classify --n on a 2-vCPU VM, the reports made one at a time and rendered
 # a chunk at a time, so the limit bounds time, not memory: n = 40 takes
-# 0.7-1.0 s and 17-19 MB peak RSS, n = 45 takes 2.1-2.6 s and 17-21 MB
+# 0.5-0.75 s and 17-21 MB peak RSS, n = 45 takes 1.1-1.4 s and 17-21 MB
 # (JSON the upper memory figures)
 CLASSIFY_LIMIT = 45
 JSON_CHUNK = 1000  # classify reports encoded per json.dumps call

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .partitions import check_partition, conjugate, partitions_of
+from .partitions import check_partition, partitions_of
 from .qfield import QuantumProfile, nu_ep
 
 E2_CAVEAT = "criterion proven only for e != 2"
@@ -71,54 +71,71 @@ def _valuation_table(profile: QuantumProfile, n: int) -> tuple[int, ...]:
 
 
 def _hook_witness(lam, marks):
-    """First node triple ((a,i), (a,j), (b,i)) whose hook mark at (a,i)
+    """First node triple ((a,i), (a,j), (b,i)) whose hook mark v at (a,i)
     is positive and differs from the marks at both partners, in row-major
     order of the hooked node, then of the row and column partners; None
-    if there is none.  marks[h] is the mark of a hook of length h; every
-    hook comes from one conjugate of lam.
+    if there is none.  marks[h] is the mark of a hook of length h.
 
-    The first row partner is node 1 of the row if its mark is not v, else
-    the row's first change of mark; the first column partner likewise,
-    with each column's first change found at most once.  Marks are read
-    row by row, and down a column only when it is searched, so an early
-    witness leaves the rest of the diagram unread."""
+    The row partner is node 1 of the row if its mark is not v, else the
+    row's first change of mark; the column partner likewise.  Marks are
+    read one node at a time up to the witness: a column's height when row
+    1 first reaches it, a row's first change only when a node's mark
+    equals the row's first mark, and each column's first change once."""
     if not lam:
         return None
-    conj = conjugate(lam)
-    col_change = [None] * lam[0]  # first b whose mark differs from row 1's, or conj[i]
+    heights = [len(lam)]  # per column reached
+    col_change = {}  # per column searched: first b whose mark differs from row 1's, or its height
+
+    def height(c):  # row 1 reaches the columns in order
+        if c == len(heights):
+            h = heights[-1]
+            while lam[h - 1] <= c:
+                h -= 1
+            heights.append(h)
+        return heights[c]
+
+    top = lam[0] - 1  # the hook at (1,i) is top + heights[i] - i
     for a, part in enumerate(lam):
-        row = [marks[part - a + c - i - 1] for i, c in enumerate(conj[:part])]
-        if not a:
-            top = row
-        first = row[0]
-        row_change = next((j for j, v in enumerate(row) if v != first), None)
-        if row_change is None:
-            continue  # one mark along the row: no row partner
-        for i, v in enumerate(row):
+        base = part - a - 1  # the hook at (a,i) is base + heights[i] - i
+        first, row_change = marks[base + heights[0]], None
+        for i in range(part):
+            if i == len(heights):
+                height(i)
+            v = marks[base + heights[i] - i]
             if v <= 0:
                 continue
-            if top[i] != v:
+            if v == first and row_change is None:
+                row_change = next(
+                    (j for j in range(1, part) if marks[base + height(j) - j] != first), 0)
+                if not row_change:
+                    break  # one mark along the row: no row partner
+            h = heights[i]
+            if marks[top + h - i] != v:
                 b = 0
             else:
-                b = col_change[i]
+                b = col_change.get(i)
                 if b is None:
-                    k = conj[i] - i - 1
                     b = col_change[i] = next(
-                        (b for b in range(1, conj[i]) if marks[lam[b] - b + k] != v), conj[i])
-                if b == conj[i]:
+                        (b for b in range(1, h) if marks[lam[b] - b + h - i - 1] != v), h)
+                if b == h:
                     continue
-            j = 0 if first != v else row_change
+            j = 0 if v != first else row_change
             return ((a + 1, i + 1), (a + 1, j + 1), (b + 1, i + 1))
     return None
+
+
+def _caveat(profile: QuantumProfile):
+    """The report's caveat, None away from e = 2; an infinite e is refused."""
+    if not profile.finite:
+        raise ValueError("the criterion needs a finite quantum characteristic")
+    return E2_CAVEAT if profile.e == 2 else None
 
 
 def is_ep_reducible(lam, profile: QuantumProfile) -> ReducibilityReport:
     """Exhaustive search over node triples with the hook valuations
     nu_ep as marks; the witness is the first triple found."""
     lam = check_partition(lam)
-    if not profile.finite:
-        raise ValueError("the criterion needs a finite quantum characteristic")
-    caveat = E2_CAVEAT if profile.e == 2 else None
+    caveat = _caveat(profile)
     witness = _hook_witness(lam, _valuation_table(profile, sum(lam)))
     return ReducibilityReport(lam, profile.e, profile.p, witness is not None, witness, caveat)
 
@@ -135,7 +152,12 @@ def hook_divisibility_witness(lam, profile: QuantumProfile):
 
 
 def classify_range(n: int, profile: QuantumProfile):
-    """One report per partition of n, in descending lexicographic order, made lazily."""
+    """One report per partition of n, in descending lexicographic order,
+    made lazily.  The checks, the caveat and the mark table depend only
+    on (profile, n): they are settled when it is called, so a bad profile
+    raises here, and the partitions of n are not validated again."""
     if n < 1:
         raise ValueError("n must be positive")
-    return (is_ep_reducible(lam, profile) for lam in partitions_of(n))
+    caveat, marks = _caveat(profile), _valuation_table(profile, n)
+    return (ReducibilityReport(lam, profile.e, profile.p, witness is not None, witness, caveat)
+            for lam in partitions_of(n) for witness in [_hook_witness(lam, marks)])

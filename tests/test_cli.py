@@ -2,7 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -530,6 +534,23 @@ def test_out_of_scope_note_in_every_format(capsys):
     assert out.splitlines() == [
         "# field=cyclotomic:e=3,e=3,p=0", f"# note={note}", "verdict", "outside proven scope",
     ]
+
+
+def test_closed_pipe_leaves_no_traceback():
+    # `classify ... | head -n 1`: the reader leaves after one line while
+    # the process still has far more than a pipe buffer to write
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "heckespecht", "classify", "--field", "p=7,q=2", "--n", "40"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"field p=7,q=2 (e=3, p=7)\n"
+    assert err == ""  # no traceback, and no flush error at exit either
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -230,3 +231,29 @@ def test_classify_range_reads_one_valuation_per_hook_length(monkeypatch):
         calls.clear()
         list(classify_range(20, QuantumProfile(e, p)))
         assert len(calls) <= 20, (e, p)
+
+
+def test_witnesses_match_first_triple_scan_on_random_marks():
+    # marks that no (e, p) gives: each hook length draws its own, so rows
+    # and columns mix marks in patterns that the SCAN_PROFILES never make.
+    # Integers 0-2 stand for valuations, booleans for divisibility
+    rng = random.Random(0)
+    cases = witnesses = 0
+    for n in range(1, 10):
+        shapes = list(partitions_of(n))
+        for _ in range(150):
+            for marks in ([rng.randint(0, 2) for _ in range(n + 1)],
+                          [rng.random() < 0.5 for _ in range(n + 1)]):
+                for lam in shapes:
+                    expect = _first_triple_scan(lam, marks.__getitem__)
+                    assert reducibility._hook_witness(lam, marks) == expect, (lam, marks)
+                    cases += 1
+                    witnesses += expect is not None
+    assert cases == 300 * 96 and 0 < witnesses < cases
+
+
+def test_classify_range_refuses_an_infinite_profile_when_called():
+    # the CLI consumes the reports while it prints them, outside the error
+    # handler around the command, so a refusal must come before the first
+    with pytest.raises(ValueError):
+        classify_range(3, QuantumProfile(None, 0))
