@@ -16,11 +16,16 @@ value at z in M^nu off its column-canonical keys (``hecke.generator_keys``),
 at every q, and form no vector of M^mu; pushing a vector through
 psi_{d,t} remains for membership of arbitrary vectors and as the rule's
 oracle.  The maps, the merge maps and z are defined over Z[q], so the
-value of each theta_S at z is computed once over Z[q] (``_z_value``) and
-read at each field's q: that memo is keyed by (lam, S.rows) alone, holds
-no field's results, and is bounded by its total stored keys as well as
-by its entries (a value above the per-entry cap is computed per call).
-The per-field ``generator_keys`` of the row-class sum is its oracle.
+landing solves compute the terms of psi_{d,t} o theta_T
+(``_zq_compose_terms``, keyed by (T.rows, d, t)) and the value of each
+theta_S at z (``_z_value``, keyed by (lam, S.rows)) once over Z[q], and
+read each polynomial once per field at its q (``_read``, keyed by
+(field, poly)).  The Z[q] memos hold no field's results and are bounded
+by their total stored terms as well as by their entries (a value above
+the per-entry cap is computed per call).  The field's ``_compose_terms``
+and the per-field ``generator_keys`` of the row-class sum are their
+oracles; ``compose_psi_theta`` computes in its field, since over Z[q]
+the Gaussian binomials of a long row grow to degree beta(alpha - beta).
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block it is solved for
 (lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
@@ -227,11 +232,11 @@ def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
 def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> dict:
     """psi_{d,t} of the value at the Specht generator of lam of the
     combination of theta_T with the given coefficients, T of type mu: the
-    value of the combination psi_{d,t} o theta_T of maps into M^nu."""
+    value of the combination psi_{d,t} o theta_T of maps into M^nu, its
+    terms read off their Z[q] form (``_zq_compose_terms``)."""
     merged: dict = {}
     for tab, c in coeffs.items():
-        for other, rep in _compose_terms(field, tab, d, t).items():
-            _acc(field, merged, other, field.mul(c, rep))
+        _add_read(field, merged, c, _zq_compose_terms(tab.rows, d, t))
     return _value_at_z(field, merged, lam)
 
 
@@ -240,14 +245,25 @@ def _value_at_z(field: FieldSpec, coeffs: dict, lam) -> dict:
     given coefficients: the sum of c_S times the value of theta_S over
     Z[q] (``_z_value``), read at the field's q."""
     out: dict = {}
-    read: dict = {}  # each polynomial read once
     for tab, c in coeffs.items():
-        for key, poly in _z_value(lam, tab.rows).items():
-            rep = read.get(poly)
-            if rep is None:
-                rep = read[poly] = ZQ.at(field, poly)
-            _acc(field, out, key, field.mul(c, rep))
+        _add_read(field, out, c, _z_value(lam, tab.rows).items())
     return out
+
+
+def _add_read(field: FieldSpec, out: dict, c, terms) -> None:
+    """out += c times the (key, polynomial) terms over Z[q], each read at
+    the field's q; a coefficient one multiplies nothing."""
+    one = field.one_rep
+    for key, poly in terms:
+        rep = _read(field, poly)
+        _acc(field, out, key, rep if c == one else field.mul(c, rep))
+
+
+@lru_cache(maxsize=1 << 14)
+def _read(field: FieldSpec, poly):
+    """The polynomial poly over Z[q] read at the field's q, once per
+    (field, poly)."""
+    return ZQ.at(field, poly)
 
 
 # one value of a long row holds up to dim M^nu keys: at most 2^15 keys are
@@ -260,6 +276,18 @@ def _z_value(lam, rows) -> dict:
     alone and holds no field's results."""
     tab = Tableau(rows)
     return generator_keys(_row_class_sum(ZQ, {tab: ZQ.one_rep}, tab.content()), lam)
+
+
+# the terms of psi_{d,t} o theta_T over Z[q], read at each field's q: at
+# most 2^12 terms are kept per (T, d, t) and 2^16 in all.  Only the landing
+# solves read them; ``compose_psi_theta`` computes in its field, since the
+# Gaussian binomials over Z[q] grow to degree beta(alpha - beta)
+@sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12)
+def _zq_compose_terms(rows, d: int, t: int) -> tuple:
+    """``_compose_terms`` over Z[q] of the row-standard tableau with these
+    rows, as (Tableau, polynomial) pairs: keyed by (rows, d, t) alone, it
+    holds no field's results."""
+    return tuple(_compose_terms(ZQ, Tableau(rows), d, t).items())
 
 
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:

@@ -133,7 +133,9 @@ def hook_length(shape, node) -> int:
 def nu_composition(mu, d: int, t: int) -> tuple[int, ...]:
     """Merge all but t entries of row d+1 into row d."""
     mu = check_composition(mu)
-    if d < 1 or d + 1 > len(mu):
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
+    if d + 1 > len(mu):
         raise ValueError(f"row {d + 1} outside {mu}")
     if not 0 <= t < mu[d]:
         raise ValueError(f"need 0 <= t < {mu[d]}, got t={t}")

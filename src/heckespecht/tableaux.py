@@ -218,8 +218,15 @@ def enumerate_row_standard(shape, mu) -> list[Tableau]:
 
 def enumerate_semistandard(shape, mu) -> list[Tableau]:
     """All semistandard tableaux of the given shape and type, reading word
-    order."""
-    return _tableaux(shape, mu, columns=True)
+    order: a fresh list of the memo's tableaux."""
+    return list(_semistandard(check_composition(shape), check_composition(mu)))
+
+
+# the semistandard tableaux of (shape, type) serve every field: at most
+# 2^12 are kept per pair and 2^16 in all
+@sized_cache(maxsize=4096, maxterms=1 << 16, maxentry=1 << 12)
+def _semistandard(shape, mu) -> tuple[Tableau, ...]:
+    return tuple(_tableaux(shape, mu, columns=True))
 
 
 def enumerate_standard(shape) -> list[Tableau]:

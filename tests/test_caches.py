@@ -1,7 +1,9 @@
 """Every memo of the library is bounded and keyed by its arguments, and
 ``clear_caches`` empties all of them."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
 
 import heckespecht
@@ -18,9 +20,17 @@ from heckespecht import (
     spin_specht,
 )
 from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
-from heckespecht.homs import _value_at_z, _z_value, theta_image_of_x
+from heckespecht.homs import (
+    _read,
+    _value_at_z,
+    _z_value,
+    _zq_compose_terms,
+    compose_psi_theta,
+    theta_image_of_x,
+)
 from heckespecht.memo import sized_cache
-from heckespecht.tableaux import Tableau, _orderings
+from heckespecht.qfield import ZQ
+from heckespecht.tableaux import Tableau, _orderings, _semistandard, enumerate_semistandard
 from heckespecht.reducibility import _valuation_table, classify_range
 
 
@@ -43,10 +53,11 @@ def test_every_cache_is_bounded():
         "hecke._spin_specht", "hecke._generator_plan", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
-        "reducibility._valuation_table", "homs._z_value"}
+        "reducibility._valuation_table", "homs._z_value", "homs._read",
+        "homs._zq_compose_terms", "tableaux._semistandard"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
-    for cache in (_z_value, _orderings):
+    for cache in (_z_value, _orderings, _zq_compose_terms, _semistandard):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
 
@@ -124,6 +135,90 @@ def test_one_value_over_zq_serves_every_field():
     clear_caches()
     info = _z_value.cache_info()
     assert (info.currsize, info.terms, info.hits, info.misses) == (0, 0, 0, 0)
+
+
+LANDING_QUERIES = (
+    ("cp-verify", "--xi", "3,2,1", "--a", "1", "--b", "3"),
+    ("cp-verify", "--mu", "3,3", "--a", "1", "--gamma", "2"),
+    ("cp-verify", "--mu", "4,2,1", "--a", "2", "--gamma", "1"),
+    ("hom-dim", "--lambda", "4,2", "--mu", "3,2,1"),
+    ("hom-dim", "--lambda", "5,1", "--mu", "3,3"),
+)
+LANDING_FIELDS = ("cyclotomic:e=3", "p=7,q=2", "ext:p=2,e=3", "p=5,q=1")
+
+
+def _answer(spec, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--format", "json", *argv, "--field", spec])
+    return code, out.getvalue()
+
+
+def test_interleaved_fields_answer_as_if_cold():
+    # the field-free memos (the Z[q] terms and values, the semistandard
+    # tableaux) and the per-field reads, shared by four fields asked in two
+    # interleaved orders in one process, give each query the answer it
+    # has with every memo emptied first
+    cold = {}
+    for spec in LANDING_FIELDS:
+        for argv in LANDING_QUERIES:
+            clear_caches()
+            cold[spec, argv] = _answer(spec, argv)
+    assert len(set(cold.values())) > 2
+    clear_caches()
+    for order in (
+        [(spec, argv) for argv in LANDING_QUERIES for spec in LANDING_FIELDS],
+        [(spec, argv) for spec in reversed(LANDING_FIELDS) for argv in reversed(LANDING_QUERIES)],
+    ):
+        for spec, argv in order:
+            assert _answer(spec, argv) == cold[spec, argv], (spec, argv)
+    assert _read.cache_info().hits and _zq_compose_terms.cache_info().hits
+    clear_caches()
+
+
+def test_one_polynomial_read_is_kept_per_field(monkeypatch):
+    # 1 + q read twice over each of two fields that differ only in q: one
+    # ZQ.at per field, each with its own value
+    calls = []
+    at = ZQ.at
+
+    def counted(field, poly):
+        calls.append(field.name)
+        return at(field, poly)
+
+    monkeypatch.setattr(ZQ, "at", counted)
+    plain = parse_field("ext:p=2,mod=1;1;1")
+    shifted = parse_field("ext:p=2,mod=1;1;1,q=1;1")
+    clear_caches()
+    values = [_read(field, (1, 1)) for field in (plain, shifted, plain, shifted)]
+    assert calls == [plain.name, shifted.name]
+    assert values[:2] == values[2:] == [at(plain, (1, 1)), at(shifted, (1, 1))]
+    assert values[0] != values[1]
+    clear_caches()
+    assert _read.cache_info().currsize == 0
+
+
+def test_semistandard_tableaux_are_listed_once_per_shape_and_type():
+    # every caller gets a fresh list of the one stored tuple
+    clear_caches()
+    first = enumerate_semistandard((3, 2), (2, 2, 1))
+    first.clear()
+    again = enumerate_semistandard([3, 2], [2, 2, 1])
+    assert [tab.rows for tab in again] == [((1, 1, 2), (2, 3)), ((1, 1, 3), (2, 2))]
+    info = _semistandard.cache_info()
+    assert (info.currsize, info.hits, info.misses, info.terms) == (1, 1, 1, 2)
+    clear_caches()
+
+
+def test_compose_stays_in_its_field():
+    # the compose command computes in its field: over Z[q] the Gaussian
+    # binomials of a long row grow to degree beta(alpha - beta), so the
+    # Z[q] terms serve only the landing solves
+    field = parse_field("cyclotomic:e=5")
+    before = _zq_compose_terms.cache_info()
+    hom = compose_psi_theta(field, Tableau([[1] * 60 + [2] * 60]), 1, 0)
+    assert len(hom.coeffs) == 1
+    assert _zq_compose_terms.cache_info() == before
 
 
 def test_an_oversized_value_is_computed_but_not_stored():

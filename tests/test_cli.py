@@ -271,6 +271,16 @@ def test_compose(capsys):
     assert result["coefficients"] == [{"tableau": [[1, 1, 1]], "scalar": "13"}]
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_compose_refuses_a_merge_row_above_the_first(capsys, d):
+    # d < 1 names no merge map; row d + 1 = 1 exists, so "outside" would mislead
+    code, out, err = run_cli(capsys, "compose", "--field", "cyclotomic:e=3",
+                             "--tableau", "[[1,1,2]]", "--d", d, "--t", "0")
+    assert (code, out) == (2, "")
+    assert f"need d >= 1, got d={d}" in err
+    assert "outside" not in err
+
+
 def test_classify_outputs(capsys):
     code, out, _ = run_cli(capsys, "classify", "--field", "cyclotomic:e=3", "--n", "3")
     assert code == 0

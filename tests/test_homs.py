@@ -188,6 +188,8 @@ def test_compose_keeps_its_checks(f97q3, cyclo3):
         compose_psi_theta(f97q3, Tableau([[1, 1, 2]]), 1, 1)
     with pytest.raises(ValueError, match=r"^row 3 outside \(2, 1\)$"):
         compose_psi_theta(f97q3, Tableau([[1, 1, 2]]), 2, 0)
+    with pytest.raises(ValueError, match=r"^need d >= 1, got d=0$"):
+        compose_psi_theta(f97q3, Tableau([[1, 1, 2]]), 0, 0)
     for field in (f97q3, cyclo3):
         for n in range(1, 6):
             for lam in partitions_of(n):
@@ -765,6 +767,31 @@ def test_values_over_zq_read_at_q_match_the_field_route(spec):
                     assert all(poly and poly[-1] for poly in homs._z_value(lam, tab.rows).values())
                     checked += 1
     assert checked > 1000
+
+
+def test_composition_over_zq_read_at_q_matches_the_field_terms():
+    # for every row-standard T with n <= 6 of a partition shape and type,
+    # as the landing solves take them, every valid (d, t) and each of the
+    # ROADMAP_FIELDS and p=7,q=2: the memoised terms of psi_{d,t} o theta_T
+    # over Z[q], read at q with the zeros dropped, are the terms computed
+    # in the field, in the same order
+    fields = [parse_field(spec) for spec in ROADMAP_FIELDS + ("p=7,q=2",)]
+    checked = 0
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for tab in enumerate_row_standard(lam, mu):
+                    for d in range(1, len(mu)):
+                        for t in range(mu[d]):
+                            terms = homs._zq_compose_terms(tab.rows, d, t)
+                            for field in fields:
+                                read = [(other, homs._read(field, poly)) for other, poly in terms]
+                                got = [(other, rep) for other, rep in read
+                                       if not field.is_zero(rep)]
+                                assert got == list(_compose_terms(field, tab, d, t).items()), \
+                                    (field, tab, d, t)
+                            checked += 1
+    assert checked > 10000
 
 
 def test_generator_walk_starts_each_key_at_its_first_descent(f7q2, monkeypatch):
