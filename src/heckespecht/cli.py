@@ -27,7 +27,7 @@ from .carter_payne import (
     trivial_hom_exists,
     verify_cp,
 )
-from .homs import HomSpec, compose_psi_theta, hom_space_dim, same_block
+from .homs import HomSpec, compose_psi_theta, compose_term_count, hom_space_dim, same_block
 from .partitions import nu_composition, parse_partition
 from .qfield import parse_field, qbinom, qbinom_rows, vanish_run
 from .reducibility import classify_range
@@ -40,7 +40,7 @@ BRUTE_FORCE_LIMIT = 9
 # (JSON the upper memory figures)
 CLASSIFY_LIMIT = 45
 JSON_CHUNK = 1000  # classify reports encoded per json.dumps call
-TABLES_LIMIT = 1000  # tables --max: time and memory quadratic in max
+TABLES_LIMIT = 1000  # tables --max (time and memory quadratic in max), and n under --force
 CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
 
 
@@ -168,9 +168,7 @@ def _dispatch(args, field):
     if cmd == "cp-map":
         return _build_map(args, field).to_json()
     if cmd == "cp-verify":
-        hom = _load_or_build_map(args, field)
-        _guard(sum(hom.source), args.force)
-        return verify_cp(hom).to_json()
+        return verify_cp(_load_or_build_map(args, field)).to_json()
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
@@ -184,17 +182,10 @@ def _dispatch(args, field):
         return {"lambda": list(lam), "mu": list(mu), "dimension": dim}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
-        word = tab.reading_word()
-        moving = word.count(args.d + 1)  # mu[d]
-        # ways[s]: tuples c_i <= row i's count of d+1, over the rows so far, of
-        # sum s; a t out of range counts one term, and nu_composition refuses it
-        ways = [1] + [0] * (moving - args.t if 0 <= args.t < moving else 0)
-        for bound in (row.count(args.d + 1) for row in tab.rows):
-            below = [0, *itertools.accumulate(ways)]
-            ways = [below[s + 1] - below[max(0, s - bound)] for s in range(len(ways))]
-        if ways[-1] > CELLS_LIMIT:
-            raise ValueError(f"the term count {ways[-1]} exceeds the size limit {CELLS_LIMIT}")
-        top = max(word, default=0)
+        terms = compose_term_count(tab.rows, args.d, args.t)
+        if terms > CELLS_LIMIT:
+            raise ValueError(f"the term count {terms} exceeds the size limit {CELLS_LIMIT}")
+        top = max(tab.reading_word(), default=0)
         if top > CELLS_LIMIT:  # the type, content(), has a part for every value up to top
             raise ValueError(f"the tableau entry {top} exceeds the size limit {CELLS_LIMIT}")
         nu_composition(tab.content(), args.d, args.t)
@@ -220,19 +211,27 @@ def _dispatch(args, field):
 _MAP_FORMS = "--xi/--a/--b for a one-node map or --mu/--a/--gamma for adjacent rows"
 
 
-def _build_map(args, field) -> HomSpec:
+def _build_map(args, field, guard=lambda n: None) -> HomSpec:
+    """The map the construction flags name; guard(n) sees its size n
+    before anything is built."""
     if (args.xi, args.b) != (None, None) and (args.mu, args.gamma) != (None, None):
         raise ValueError(f"give {_MAP_FORMS}, not both")
     if args.xi is not None:
         if args.b is None:
             raise ValueError("--xi needs --b")
-        return one_node_map(field, parse_partition(args.xi), args.a, args.b)
+        xi = parse_partition(args.xi)
+        guard(sum(xi))
+        return one_node_map(field, xi, args.a, args.b)
     if args.mu is not None and args.gamma is not None:
-        return adjacent_map(field, parse_partition(args.mu), args.a, args.gamma)
+        mu = parse_partition(args.mu)
+        guard(sum(mu))
+        return adjacent_map(field, mu, args.a, args.gamma)
     raise ValueError(f"give {_MAP_FORMS}")
 
 
 def _load_or_build_map(args, field) -> HomSpec:
+    """cp-verify's map, read or built, its size n guarded first."""
+    guard = functools.partial(_guard, force=args.force)
     if args.hom_json:
         if (args.xi, args.a, args.b, args.mu, args.gamma) != (None,) * 5:
             raise ValueError(f"give --hom-json or {_MAP_FORMS}, not both")
@@ -241,10 +240,13 @@ def _load_or_build_map(args, field) -> HomSpec:
         else:
             with open(args.hom_json, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        source = data.get("source") if isinstance(data, dict) else None
+        if isinstance(source, list) and all(type(part) is int for part in source):
+            guard(sum(source))  # a malformed source is from_json's to refuse
         return HomSpec.from_json(data, field)
     if args.a is None:
         raise ValueError("give --hom-json or map construction flags")
-    return _build_map(args, field)
+    return _build_map(args, field, guard)
 
 
 def _guard(n: int, force: bool):
@@ -252,6 +254,8 @@ def _guard(n: int, force: bool):
         raise ValueError(
             f"n={n} exceeds the brute-force guard ({BRUTE_FORCE_LIMIT}); pass --force to override"
         )
+    if n > TABLES_LIMIT:  # even forced: (1000,1) -> (999,2), n = 1001, takes 10 s
+        raise ValueError(f"n={n} exceeds the size limit {TABLES_LIMIT}")
 
 
 def _emit(args, profile, result, note=None) -> int:

@@ -9,23 +9,17 @@ no tableau built.  Since Specht modules are cyclic, evaluating at the
 canonical generator z is faithful, and a value lies in the target Specht
 module when every one-row-merge map psi_{d,t} kills it.
 
-The symbolic composition rule writes psi_{d,t} o theta_T as a
-Gaussian-binomial combination of basis homomorphisms theta_S (its terms
-taken unchecked, ``_compose_terms``), so the landing solves read that
-value at z in M^nu off its column-canonical keys (``hecke.generator_keys``),
-at every q, and form no vector of M^mu; pushing a vector through
-psi_{d,t} remains for membership of arbitrary vectors and as the rule's
-oracle.  The maps, the merge maps and z are defined over Z[q], so the
-landing solves compute the terms of psi_{d,t} o theta_T
-(``_zq_compose_terms``, keyed by (T.rows, d, t)) and the value of each
-theta_S at z (``_z_value``, keyed by (lam, S.rows)) once over Z[q], and
-read each polynomial once per field at its q (``_read``, keyed by
-(field, poly)).  The Z[q] memos hold no field's results and are bounded
-by their total stored terms as well as by their entries (a value above
-the per-entry cap is computed per call).  The field's ``_compose_terms``
-and the per-field ``generator_keys`` of the row-class sum are their
-oracles; ``compose_psi_theta`` computes in its field, since over Z[q]
-the Gaussian binomials of a long row grow to degree beta(alpha - beta).
+The symbolic composition rule writes psi_{d,t} o theta_T as basis maps
+theta_S with coefficients q^k times Gaussian binomials [a, b], kept
+factored (``_compose_terms``, keyed by (T.rows, d, t)), so one memo entry
+serves ``compose_psi_theta`` and the landing solves at every q.  Those
+solves read the value at z in M^nu off its column-canonical keys
+(``hecke.generator_keys``) and form no vector of M^mu: the value of each
+theta_S at z is computed once over Z[q] (``_z_value``, keyed by (lam,
+S.rows), its oracle the field's ``generator_keys`` of the row-class sum)
+and each polynomial read once per field (``_read``).  The field-free
+memos are bounded by entries and by total stored terms.  Pushing a vector
+through psi_{d,t} remains for membership and as the rule's oracle.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block it is solved for
 (lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
@@ -233,10 +227,13 @@ def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> di
     """psi_{d,t} of the value at the Specht generator of lam of the
     combination of theta_T with the given coefficients, T of type mu: the
     value of the combination psi_{d,t} o theta_T of maps into M^nu, its
-    terms read off their Z[q] form (``_zq_compose_terms``)."""
+    factored terms (``_compose_terms``) read at the field's q."""
     merged: dict = {}
+    one = field.one_rep
     for tab, c in coeffs.items():
-        _add_read(field, merged, c, _zq_compose_terms(tab.rows, d, t))
+        for other, factors in _compose_terms(tab.rows, d, t):
+            rep = _coefficient(field, *factors)
+            _acc(field, merged, other, rep if c == one else field.mul(c, rep))
     return _value_at_z(field, merged, lam)
 
 
@@ -245,18 +242,12 @@ def _value_at_z(field: FieldSpec, coeffs: dict, lam) -> dict:
     given coefficients: the sum of c_S times the value of theta_S over
     Z[q] (``_z_value``), read at the field's q."""
     out: dict = {}
-    for tab, c in coeffs.items():
-        _add_read(field, out, c, _z_value(lam, tab.rows).items())
-    return out
-
-
-def _add_read(field: FieldSpec, out: dict, c, terms) -> None:
-    """out += c times the (key, polynomial) terms over Z[q], each read at
-    the field's q; a coefficient one multiplies nothing."""
     one = field.one_rep
-    for key, poly in terms:
-        rep = _read(field, poly)
-        _acc(field, out, key, rep if c == one else field.mul(c, rep))
+    for tab, c in coeffs.items():
+        for key, poly in _z_value(lam, tab.rows).items():
+            rep = _read(field, poly)
+            _acc(field, out, key, rep if c == one else field.mul(c, rep))
+    return out
 
 
 @lru_cache(maxsize=1 << 14)
@@ -278,18 +269,6 @@ def _z_value(lam, rows) -> dict:
     return generator_keys(_row_class_sum(ZQ, {tab: ZQ.one_rep}, tab.content()), lam)
 
 
-# the terms of psi_{d,t} o theta_T over Z[q], read at each field's q: at
-# most 2^12 terms are kept per (T, d, t) and 2^16 in all.  Only the landing
-# solves read them; ``compose_psi_theta`` computes in its field, since the
-# Gaussian binomials over Z[q] grow to degree beta(alpha - beta)
-@sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12)
-def _zq_compose_terms(rows, d: int, t: int) -> tuple:
-    """``_compose_terms`` over Z[q] of the row-standard tableau with these
-    rows, as (Tableau, polynomial) pairs: keyed by (rows, d, t) alone, it
-    holds no field's results."""
-    return tuple(_compose_terms(ZQ, Tableau(rows), d, t).items())
-
-
 def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec:
     """Symbolic composition of a one-row-merge map with a basis
     homomorphism, as a Gaussian-binomial combination of basis
@@ -297,47 +276,73 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
     if not tab.is_row_standard():
         raise ValueError("tableau must be row standard")
     nu = nu_composition(tab.content(), d, t)
-    return HomSpec(field, tab.shape, nu, _compose_terms(field, tab, d, t))
+    return HomSpec(field, tab.shape, nu, {
+        other: _coefficient(field, *factors) for other, factors in _compose_terms(tab.rows, d, t)})
 
 
-def _compose_terms(field: FieldSpec, tab: Tableau, d: int, t: int) -> dict:
-    """``compose_psi_theta``'s {Tableau: rep} terms, unchecked: tab row
-    standard of type mu, 1 <= d < len(mu) and 0 <= t < mu_{d+1}."""
-    # positions of the value d+1 in each row; replacements keep rows weakly
-    # increasing only if the leftmost occurrences are replaced
-    counts = [row.count(d + 1) for row in tab.rows]
-    tbar = sum(counts) - t
-    below = [0] * (len(tab.rows) + 1)  # below[i]: the d's in rows i+1, ...
-    for i in range(len(tab.rows) - 1, -1, -1):
-        below[i] = below[i + 1] + tab.rows[i].count(d)
-    out: dict = {}
-    for combo in _bounded_compositions(tbar, counts):
-        rows = []
-        coeff = field.one_rep
-        for i, row in enumerate(tab.rows):
+def _coefficient(field: FieldSpec, k: int, pairs):
+    """q^k times the Gaussian binomials [a, b] of the pairs, in the field."""
+    rep = field.q_power(k)
+    for a, b in pairs:
+        rep = field.mul(rep, qbinom(field, a, b).rep)
+    return rep
+
+
+# the terms of psi_{d,t} o theta_T serve every field: at most 2^12 terms are
+# kept per (T, d, t) and 2^16 in all
+@sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12)
+def _compose_terms(rows, d: int, t: int) -> tuple:
+    """The terms (S, (k, pairs)) of psi_{d,t} o theta_T, T row standard with
+    these rows, unchecked: S's coefficient is q^k times the Gaussian
+    binomials [a, b] of the pairs, which ``_coefficient`` reads in a field,
+    where it may be zero."""
+    counts = [row.count(d + 1) for row in rows]
+    below = [0] * (len(rows) + 1)  # below[i]: the d's in rows i+1, ...
+    for i in range(len(rows) - 1, -1, -1):
+        below[i] = below[i + 1] + rows[i].count(d)
+    out = []
+    for combo in _bounded_compositions(sum(counts) - t, counts):
+        new, k, pairs = [], 0, []
+        for i, row in enumerate(rows):
             beta = combo[i]
-            if beta:
+            if beta:  # the leftmost d+1's turn into d's: the row stays weakly increasing
                 first = row.index(d + 1)
                 row = row[:first] + (d,) * beta + row[first + beta:]
-                coeff = field.mul(coeff, field.q_power(below[i + 1] * beta))
-                coeff = field.mul(coeff, qbinom(field, row.count(d), beta).rep)
-            rows.append(row)
-        _acc(field, out, Tableau(rows), coeff)
-    return out
+                k += below[i + 1] * beta
+                if row.count(d) != beta:  # [a, a] = 1
+                    pairs.append((row.count(d), beta))
+            new.append(row)
+        out.append((Tableau(new), (k, tuple(pairs))))
+    return tuple(out)
+
+
+def compose_term_count(rows, d: int, t: int) -> int:
+    """The number of ``_compose_terms`` of (rows, d, t), counted without
+    listing them; a t out of range counts one, as nu_composition refuses it."""
+    counts = [row.count(d + 1) for row in rows]
+    total = sum(counts) - t if 0 <= t < sum(counts) else 0
+    ways = [1] + [0] * total  # ways[s]: the tuples over the rows so far of sum s
+    for bound in counts:
+        below = [0, *itertools.accumulate(ways)]
+        ways = [below[s + 1] - below[max(0, s - bound)] for s in range(total + 1)]
+    return ways[-1]
 
 
 def _bounded_compositions(total, bounds):
-    """All tuples 0 <= c_i <= bounds[i] with sum equal to total."""
-    if total < 0:
-        return
-    if not bounds:
-        if total == 0:
-            yield ()
-        return
-    first = bounds[0]
-    for c in range(min(first, total), -1, -1):
-        for rest in _bounded_compositions(total - c, bounds[1:]):
-            yield (c,) + rest
+    """All tuples 0 <= c_i <= bounds[i] with sum equal to total, in
+    decreasing lexicographic order, by a search with no recursion and no
+    dead end: a prefix is kept only if the bounds after it can take the rest."""
+    room = [*itertools.accumulate(reversed(bounds), initial=0)][::-1]  # room[i]: sum(bounds[i:])
+    stack = [((), total)] if 0 <= total <= room[0] else []
+    while stack:
+        head, rest = stack.pop()
+        k = len(head)
+        if k == len(bounds):
+            yield head
+            continue
+        # pushed in increasing order, so the largest c comes out first
+        stack.extend((head + (c,), rest - c)
+                     for c in range(max(0, rest - room[k + 1]), min(bounds[k], rest) + 1))
 
 
 def evaluate_on_generator(hom: HomSpec) -> ModuleVector:

@@ -108,10 +108,19 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return poly
 
 
-# trial divisors times dividend length, or the order of q in a field
-# (about a second to find by multiplication): a larger search is refused,
-# not run for minutes
+# trial divisors times dividend length, the order of q in a field (about a
+# second to find by multiplication), or e * e for Phi_e (e = 840 builds in
+# 0.045 s, e = 5040 in 1.8 s): a larger search is refused, not run for minutes
 SEARCH_LIMIT = 1_000_000
+
+
+def _check_order(e: int) -> None:
+    """Refuse an order e below 2, or one whose Phi_e is past SEARCH_LIMIT
+    to build or search (e * e above it), before any work."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    if e * e > SEARCH_LIMIT:
+        raise ValueError(f"e={e} exceeds the size limit: e * e > {SEARCH_LIMIT}")
 
 
 def _first_monic_divisor(poly, p, degrees):
@@ -142,8 +151,7 @@ def _first_irreducible_factor(e: int, p: int):
     F_p.  Requires p not dividing e; every factor then has degree d equal
     to the multiplicative order of p mod e, so the first monic degree-d
     divisor is irreducible."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
+    _check_order(e)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if e % p == 0:
@@ -450,8 +458,7 @@ class Cyclotomic(FieldSpec):
     with integer numerators of fixed length deg(Phi_e), gcd-normalised."""
 
     def __init__(self, e: int):
-        if e < 2:
-            raise ValueError("e must be at least 2")
+        _check_order(e)
         self.e = e
         phi = cyclotomic_polynomial(e)
         self.degree = len(phi) - 1

@@ -183,24 +183,35 @@ def _fillings(shape, mu, columns: bool) -> list[tuple[int, ...]]:
             first.append(j == 0)
             above.append(len(above) - shape[i - 1] if columns and i else -1)
     out: list[tuple[int, ...]] = []
-    _fill([0] * len(first), 0, [0, *mu], first, above, out)
+    _fill([0] * len(first), [0, *mu], first, above, out)
     return out
 
 
-def _fill(word, k, remaining, first, above, out):
-    """Fill word[k:], with remaining[v] copies of each value v left."""
-    if k == len(word):
-        out.append(tuple(word))
-        return
-    lo = 1 if first[k] else word[k - 1]
-    if above[k] >= 0 and word[above[k]] >= lo:
-        lo = word[above[k]] + 1
-    for v in range(lo, len(remaining)):
-        if remaining[v]:
-            remaining[v] -= 1
-            word[k] = v
-            _fill(word, k + 1, remaining, first, above, out)
-            remaining[v] += 1
+def _fill(word, remaining, first, above, out):
+    """Fill word cell by cell, with remaining[v] copies of each value v,
+    the values at each cell tried in increasing order, with no recursion:
+    a cell that has run out of values hands back to the one before it."""
+    n, top = len(word), len(remaining)
+    k, v = 0, 0  # the cell being filled and the next value to try there, 0 on entry
+    while k >= 0:
+        if k == n:
+            out.append(tuple(word))
+        else:
+            if v == 0:  # the cell is entered: start at the smallest value allowed
+                v = 1 if first[k] else word[k - 1]
+                if above[k] >= 0 and word[above[k]] >= v:
+                    v = word[above[k]] + 1
+            while v < top and not remaining[v]:
+                v += 1
+            if v < top:
+                remaining[v] -= 1
+                word[k] = v
+                k, v = k + 1, 0
+                continue
+        k -= 1  # back to the cell before: put its value back, try the next
+        if k >= 0:
+            remaining[word[k]] += 1
+            v = word[k] + 1
 
 
 def _tableaux(shape, mu, columns: bool) -> list[Tableau]:
@@ -269,7 +280,7 @@ def _orderings(row) -> tuple[tuple[int, ...], ...]:
     for v in row:
         remaining[v] += 1
     out: list[tuple[int, ...]] = []
-    _fill([0] * len(row), 0, remaining, [True] * len(row), [-1] * len(row), out)
+    _fill([0] * len(row), remaining, [True] * len(row), [-1] * len(row), out)
     return tuple(out)
 
 

@@ -12,6 +12,7 @@ from heckespecht import (
     PrimeField,
     clear_caches,
     cli,
+    homs,
     parse_field,
     partitions_of,
     qbinom,
@@ -21,10 +22,10 @@ from heckespecht import (
 )
 from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
 from heckespecht.homs import (
+    _compose_terms,
     _read,
     _value_at_z,
     _z_value,
-    _zq_compose_terms,
     compose_psi_theta,
     theta_image_of_x,
 )
@@ -54,10 +55,10 @@ def test_every_cache_is_bounded():
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
         "reducibility._valuation_table", "homs._z_value", "homs._read",
-        "homs._zq_compose_terms", "tableaux._semistandard"}
+        "homs._compose_terms", "tableaux._semistandard"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
-    for cache in (_z_value, _orderings, _zq_compose_terms, _semistandard):
+    for cache in (_z_value, _orderings, _compose_terms, _semistandard):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
 
@@ -155,10 +156,11 @@ def _answer(spec, argv):
 
 
 def test_interleaved_fields_answer_as_if_cold():
-    # the field-free memos (the Z[q] terms and values, the semistandard
-    # tableaux) and the per-field reads, shared by four fields asked in two
-    # interleaved orders in one process, give each query the answer it
-    # has with every memo emptied first
+    # the field-free memos (the factored composition terms, the values
+    # over Z[q], the semistandard tableaux) and the per-field reads,
+    # shared by four fields asked in two interleaved orders in one
+    # process, give each query the answer it has with every memo emptied
+    # first
     cold = {}
     for spec in LANDING_FIELDS:
         for argv in LANDING_QUERIES:
@@ -172,7 +174,7 @@ def test_interleaved_fields_answer_as_if_cold():
     ):
         for spec, argv in order:
             assert _answer(spec, argv) == cold[spec, argv], (spec, argv)
-    assert _read.cache_info().hits and _zq_compose_terms.cache_info().hits
+    assert _read.cache_info().hits and _compose_terms.cache_info().hits
     clear_caches()
 
 
@@ -210,15 +212,28 @@ def test_semistandard_tableaux_are_listed_once_per_shape_and_type():
     clear_caches()
 
 
-def test_compose_stays_in_its_field():
-    # the compose command computes in its field: over Z[q] the Gaussian
-    # binomials of a long row grow to degree beta(alpha - beta), so the
-    # Z[q] terms serve only the landing solves
+def test_compose_stays_in_its_field(monkeypatch):
+    # the composition terms keep q^k and the Gaussian binomials [a, b]
+    # factored, so each field reads them with its own qbinom and none is
+    # asked over Z[q]; a 120-cell row is one term with one binomial, which
+    # over Z[q] would have degree 3600
+    asked = []
+
+    def counted(field, alpha, beta):
+        asked.append(field)
+        return qbinom(field, alpha, beta)
+
+    monkeypatch.setattr(homs, "qbinom", counted)
+    clear_caches()
+    row, merged = Tableau([[1] * 60 + [2] * 60]), Tableau([[1] * 120])
+    assert _compose_terms(row.rows, 1, 0) == ((merged, (0, ((120, 60),))),)
     field = parse_field("cyclotomic:e=5")
-    before = _zq_compose_terms.cache_info()
-    hom = compose_psi_theta(field, Tableau([[1] * 60 + [2] * 60]), 1, 0)
-    assert len(hom.coeffs) == 1
-    assert _zq_compose_terms.cache_info() == before
+    assert compose_psi_theta(field, row, 1, 0).coeffs == {merged: qbinom(field, 120, 60).rep}
+    for spec in LANDING_FIELDS:
+        for argv in LANDING_QUERIES:
+            assert _answer(spec, argv)[0] == 0
+    assert asked and ZQ not in asked
+    clear_caches()
 
 
 def test_an_oversized_value_is_computed_but_not_stored():

@@ -412,6 +412,60 @@ def test_compose_under_the_size_limit_runs(capsys, monkeypatch):
     assert "term count 135954 exceeds" in run_cli(capsys, *argv)[2]
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("an oversized input must be refused before any work")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--xi", "1000,1", "--a", "1", "--b", "2"),
+    ("--xi", "8,7,6,5,4,3,2,1", "--a", "1", "--b", "8"),  # cp-map takes > 60 s on it
+    ("--mu", "20,20", "--a", "1", "--gamma", "1"),
+    ("--hom-json", "-"),
+])
+def test_cp_verify_guards_its_size_before_building(capsys, monkeypatch, argv):
+    # the n guard reads the size off the flags or the JSON source: no map
+    # is built, read or verified
+    for name in ("one_node_map", "adjacent_map", "verify_cp"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.setattr(HomSpec, "from_json", _refuse)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({**HOM_JSON, "source": [1000, 1]})))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cp-verify", "--field", "p=7,q=2", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert "exceeds the brute-force guard (9); pass --force" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hom-dim", "--lambda", "1000,1", "--mu", "999,2", "--force"),
+    ("cp-verify", "--xi", "1000,1", "--a", "1", "--b", "2", "--force"),
+])
+def test_forced_n_past_the_size_limit_is_refused(capsys, monkeypatch, argv):
+    # --force lifts the brute-force guard only up to n = 1000: the n = 1001
+    # pair takes 10 s on the semistandard route
+    for name in ("hom_space_dim", "one_node_map"):
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = run_cli(capsys, argv[0], "--field", "p=7,q=2", *argv[1:])
+    assert (code, out) == (2, "")
+    assert "n=1001 exceeds the size limit 1000" in err
+
+
+def test_long_rows_need_no_recursion(capsys):
+    # the semistandard fill goes cell by cell and the compositions row by
+    # row, with no call per cell or per row
+    code, out, err = run_cli(capsys, "--format", "json", "cp-map", "--field", "p=7,q=2",
+                             "--xi", "990,1", "--a", "1", "--b", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["coefficients"] == [
+        {"tableau": [[1] * 990 + [2]], "scalar": "1"}]
+    rows = [[1]] + [[2]] * 1200
+    code, out, err = run_cli(capsys, "--format", "json", "compose", "--field", "p=7,q=2",
+                             "--tableau", json.dumps(rows), "--d", "1", "--t", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["coefficients"] == [
+        {"tableau": [[1]] * 1201, "scalar": "1"}]
+
+
 def test_tables(capsys):
     code, out, _ = run_cli(capsys, "tables", "--field", "cyclotomic:e=2", "--max", "4")
     assert code == 0

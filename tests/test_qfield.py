@@ -168,6 +168,24 @@ def test_unrealisable_profile_rejected():
         spec_for_profile(4, 2)
 
 
+def test_cyclotomic_order_is_bounded_before_phi_is_built(monkeypatch):
+    # e * e past SEARCH_LIMIT (e > 1000) is refused before Phi_e is built
+    # and before the order of p mod e is searched; e = 1000 still builds
+    def refuse(e):
+        raise AssertionError(f"Phi_{e} built")
+
+    monkeypatch.setattr(qfield, "cyclotomic_polynomial", refuse)
+    for build in (lambda: parse_field("cyclotomic:e=1000000000"),
+                  lambda: parse_field("cyclotomic:e=1001"),
+                  lambda: parse_field("ext:p=2,e=1000000001"),
+                  lambda: spec_for_profile(1001, 0),
+                  lambda: spec_for_profile(1001, 2)):
+        with pytest.raises(ValueError, match=r"exceeds the size limit: e \* e > 1000000"):
+            build()
+    monkeypatch.undo()
+    assert Cyclotomic(1000).profile() == QuantumProfile(1000, 0)
+
+
 def test_parse_and_names():
     for text in ("p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3"):
         spec = parse_field(text)

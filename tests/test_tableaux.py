@@ -201,6 +201,16 @@ def test_fillings_match_filtered_permutations():
                 assert enumerate_semistandard(shape, mu) == ss, (shape, mu)
 
 
+def test_long_rows_fill_without_recursion():
+    # the fill keeps no call per cell, so rows far past the recursion
+    # limit fill in the same sorted order
+    assert [t.rows for t in enumerate_semistandard((1000, 1), (999, 2))] == [
+        ((1,) * 999 + (2,), (2,))]
+    words = [t.rows[0] for t in row_equiv_class(Tableau([[1] * 1999 + [2]]))]
+    assert words == sorted(words) and len(words) == 2000
+    assert words[0] == (1,) * 1999 + (2,) and words[-1] == (2,) + (1,) * 1999
+
+
 def test_coset_reps_are_the_minimal_length_representatives():
     for n in range(7):
         shapes = set(_compositions(n, 3)) | {c for c in _compositions(n, n) if 0 not in c}
