@@ -19,12 +19,15 @@ field.  The quotient fields share Z[q]'s arithmetic: ``_mulmod`` is the
 one schoolbook product, exact for Z[q] and reduced modulo a monic
 polynomial (and mod p) in the same call for Q[x]/(Phi_e) and F_p[x]/(g);
 it also reduces the class of x, a given q and each conjugate a(x^k).
-The module also houses the quantum
-integers, factorials and Gaussian binomials (computed by the Pascal-type
-recurrence, never by division, so they are valid at roots of unity), the
-enumerative sum oracle for the Gaussian binomial, and the small
-arithmetic helpers (ell_p, bstar, vanish_run, nu_ep) used by the
-eligibility criteria.
+One rule, ``_order``, gives the order of q (the profile's e) in each
+finite field, of p^d elements: start from p^d - 1 and divide out each
+prime factor r while q^(e/r) = 1.  It also gives the order of p mod e
+(the automatic modulus's degree) and ``spec_for_profile``'s primitive root.
+The module also houses the quantum integers, factorials and Gaussian
+binomials (computed by the Pascal-type recurrence, never by division, so
+they are valid at roots of unity), the enumerative sum oracle for the
+Gaussian binomial, and the small arithmetic helpers (ell_p, bstar,
+vanish_run, nu_ep) used by the eligibility criteria.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import neg, sub
 
 
@@ -108,9 +111,9 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     return poly
 
 
-# trial divisors times dividend length, the order of q in a field (about a
-# second to find by multiplication), or e * e for Phi_e (e = 840 builds in
-# 0.045 s, e = 5040 in 1.8 s): a larger search is refused, not run for minutes
+# trial divisors times dividend length, the order of q in a field (the size
+# of its q_power memo), or e * e for Phi_e (e = 840 builds in 0.045 s,
+# e = 5040 in 1.8 s): a larger search is refused, not run for minutes
 SEARCH_LIMIT = 1_000_000
 
 
@@ -156,31 +159,39 @@ def _first_irreducible_factor(e: int, p: int):
         raise ValueError(f"{p} is not prime")
     if e % p == 0:
         raise ValueError("p must not divide e for the automatic modulus")
-    d = 1
-    r = p % e
-    while r != 1:
-        r = (r * p) % e
-        d += 1
+    phi = sum(gcd(k, e) == 1 for k in range(e))  # the order of (Z/e)^x
+    d = _order(phi, lambda k: pow(p, k, e) == 1)
     g = _first_monic_divisor(_trim(cyclotomic_polynomial(e), p), p, (d,))
     if g is None:
         raise ValueError(f"no degree-{d} factor of Phi_{e} over F_{p}")
     return g
 
 
+@lru_cache(maxsize=256)
+def _least_factor(n: int) -> int:
+    """The least prime factor of n > 1, by trial division to sqrt(n); memoised."""
+    odd = range(3, isqrt(n) + 1, 2)
+    return next((r for r in itertools.chain((2,), odd) if n % r == 0), n)
+
+
 def _is_prime(p: int) -> bool:
-    """Trial division up to sqrt(p); refused past SEARCH_LIMIT^2."""
-    if p < 2:
-        return False
+    """Whether p is its own least prime factor; refused past SEARCH_LIMIT^2."""
     if p > SEARCH_LIMIT ** 2:
         raise ValueError(f"{p} exceeds the primality search limit {SEARCH_LIMIT}^2")
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p > 1 and _least_factor(p) == p
+
+
+def _order(n: int, is_one) -> int:
+    """The order e of x in a group of order n, is_one(k) telling whether
+    x^k = 1: from e = n, divide e by each prime r | n while x^(e/r) = 1."""
+    e = rest = n
+    while rest > 1:
+        r = _least_factor(rest)
+        while rest % r == 0:
+            rest //= r
+        while e % r == 0 and is_one(e // r):
+            e //= r
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -337,23 +348,19 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def profile(self) -> QuantumProfile:
-        """(e, p), e found as the multiplicative order of q (e = p when
-        q = 1).  Cyclotomic fields preset the profile."""
-        if self._profile is None:
-            e = self.p if self.q_rep == self.one_rep else self._q_order()
-            self._profile = QuantumProfile(e, self.p)
-        return self._profile
+        """(e, p), e the multiplicative order of q, or p when q = 1."""
+        order = self._qorder or self._q_order()
+        return QuantumProfile(order if order > 1 else self.p, self.p)
 
     def _q_order(self) -> int:
-        """The multiplicative order of q, by repeated multiplication;
-        refused past SEARCH_LIMIT."""
-        e, acc = 1, self.q_rep
-        while acc != self.one_rep:
-            if e == SEARCH_LIMIT:
-                raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
-            acc = self.mul(acc, self.q_rep)
-            e += 1
-        return e
+        """The order of q, by _order over the p^degree - 1 units, stored;
+        refused past SEARCH_LIMIT.  Cyclotomic fields preset it."""
+        order = _order(self.p ** self.degree - 1,
+                       lambda k: self.power(self.q_rep, k) == self.one_rep)
+        if order > SEARCH_LIMIT:
+            raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
+        self._qorder = order
+        return order
 
     def power(self, rep, k: int):
         """rep^k by square-and-multiply over the bits of |k| from the top,
@@ -371,13 +378,10 @@ class FieldSpec:
         return out
 
     def q_power(self, k: int):
-        """q^k: k is reduced modulo the order of q (1 when q = 1, else the
-        profile's e), and each reduced exponent asked for is memoised, so
-        the memo never holds more powers than were asked for."""
-        order = self._qorder
-        if order is None:
-            order = self._qorder = 1 if self.q_rep == self.one_rep else self.profile().e
-        k %= order
+        """q^k: k is reduced modulo the order of q, and each reduced
+        exponent asked for is memoised, so the memo never holds more
+        powers than were asked for."""
+        k %= self._qorder or self._q_order()
         rep = self._qpow.get(k)
         if rep is None:
             rep = self._qpow[k] = self.power(self.q_rep, k)
@@ -389,6 +393,8 @@ class FieldSpec:
 
 class PrimeField(FieldSpec):
     """F_p with q a nonzero residue; reps are canonical residues."""
+
+    degree = 1
 
     def __init__(self, p: int, q: int):
         if not _is_prime(p):
@@ -404,27 +410,6 @@ class PrimeField(FieldSpec):
         self.name = f"p={p},q={q}"
         self._qpow = {}
         self._qorder = None
-        self._profile = None
-
-    def _q_order(self) -> int:
-        """The order of q divides p - 1: start there and divide out each
-        prime factor r of p - 1 while q^(e/r) = 1.  Refused past
-        SEARCH_LIMIT, as the repeated multiplication is."""
-        p, q = self.p, self.q_rep
-        e = rest = p - 1
-        r = 2
-        while rest > 1:
-            if r * r > rest:
-                r = rest  # what is left is prime
-            if rest % r == 0:
-                while rest % r == 0:
-                    rest //= r
-                while e % r == 0 and pow(q, e // r, p) == 1:
-                    e //= r
-            r += 1
-        if e > SEARCH_LIMIT:
-            raise ValueError(f"the order of q exceeds the search limit {SEARCH_LIMIT}")
-        return e
 
     def int_rep(self, k: int):
         return k % self.p
@@ -457,6 +442,8 @@ class Cyclotomic(FieldSpec):
     """Q(zeta_e) as Q[x]/(Phi_e); reps are (numerator tuple, denominator)
     with integer numerators of fixed length deg(Phi_e), gcd-normalised."""
 
+    p = 0
+
     def __init__(self, e: int):
         _check_order(e)
         self.e = e
@@ -470,8 +457,7 @@ class Cyclotomic(FieldSpec):
         self.qm1_rep = self.sub(self.q_rep, self.one_rep)
         self.name = f"cyclotomic:e={e}"
         self._qpow = {}
-        self._qorder = None
-        self._profile = QuantumProfile(e, 0)
+        self._qorder = e
 
     def _norm(self, num, den):
         if den < 0:
@@ -581,7 +567,6 @@ class PrimeExtension(FieldSpec):
         self.name = label
         self._qpow = {}
         self._qorder = None
-        self._profile = None
 
     def int_rep(self, k: int):
         out = [0] * self.degree
@@ -807,10 +792,10 @@ def spec_for_profile(e: int, p: int) -> FieldSpec:
     if e % p == 0:
         raise ValueError(f"no field of characteristic {p} has e={e}")
     if (p - 1) % e == 0:
-        for q in range(2, p):
-            field = PrimeField(p, q)
-            if field.profile().e == e:
-                return field
+        # q = g^((p - 1)/e) has order e, for g the least primitive root
+        g = next(g for g in itertools.count(2)
+                 if _order(p - 1, lambda k: pow(g, k, p) == 1) == p - 1)
+        return PrimeField(p, pow(g, (p - 1) // e, p))
     return prime_extension_auto(p, e)
 
 

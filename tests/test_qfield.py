@@ -1,9 +1,12 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from heckespecht import (
     Cyclotomic,
+    PrimeExtension,
     PrimeField,
     QuantumProfile,
     bstar,
@@ -21,7 +24,6 @@ from heckespecht import (
 )
 from heckespecht import qfield
 from heckespecht.qfield import (
-    FieldSpec,
     _is_prime,
     cyclotomic_polynomial,
     _divmod,
@@ -202,7 +204,6 @@ def test_parse_and_names():
 
 def test_extension_identity_includes_q():
     from heckespecht.hecke import specht_generator
-    from heckespecht.qfield import PrimeExtension
 
     a = PrimeExtension(2, (1, 1, 1))
     b = PrimeExtension(2, (1, 1, 1), q=(1, 1))
@@ -346,14 +347,47 @@ def test_q_power_is_power_of_q(name, order):
     assert len(spec._qpow) == order
 
 
+def _order_by_multiplication(field):
+    """The order of q by repeated multiplication: the oracle for the one
+    order rule, which divides the prime factors out of p^d - 1."""
+    e, acc = 1, field.q_rep
+    while acc != field.one_rep:
+        acc = field.mul(acc, field.q_rep)
+        e += 1
+    return e
+
+
+def _assert_profile_by_multiplication(field):
+    order = _order_by_multiplication(field)
+    want = QuantumProfile(order if order > 1 else field.p, field.p)
+    assert field.profile() == want, field.name
+
+
 def test_prime_field_order_matches_multiplication():
     for p in range(2, 200):
         if not _is_prime(p):
             continue
         assert PrimeField(p, 1).profile() == QuantumProfile(p, p)
         for q in range(2, p):
-            field = PrimeField(p, q)
-            assert field.profile() == QuantumProfile(FieldSpec._q_order(field), p), (p, q)
+            _assert_profile_by_multiplication(PrimeField(p, q))
+
+
+def test_extension_field_order_matches_multiplication():
+    # every irreducible monic modulus of degree 2-4 over p <= 13 with
+    # p^d <= 2000, with q the class of x, 1 + x, and a unit of the prime
+    # field (1, so e = p, where p = 2)
+    moduli = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(2, 5):
+            if p ** d > 2000:
+                continue
+            for tail in itertools.product(range(p), repeat=d):
+                if not poly_is_irreducible_mod_p(tail + (1,), p):
+                    continue
+                moduli += 1
+                for q in (None, (1, 1), (p - 1,)):
+                    _assert_profile_by_multiplication(PrimeExtension(p, tail + (1,), q=q))
+    assert moduli == 941
 
 
 def test_order_of_q_near_the_search_limit(monkeypatch):
@@ -361,16 +395,39 @@ def test_order_of_q_near_the_search_limit(monkeypatch):
     # 2 is a primitive root mod 1000003: order 1000002, past the limit
     with pytest.raises(ValueError, match="the order of q exceeds the search limit 1000000"):
         PrimeField(1000003, 2).profile()
-    # q = 3 has order 48 mod 97: refused exactly past the limit, both ways
+    # q = 3 mod 97, and x modulo x^2 + x + 3 over F_7, have order 48:
+    # refused exactly past the limit
     for limit, refused in ((48, False), (47, True)):
         monkeypatch.setattr(qfield, "SEARCH_LIMIT", limit)
-        field = PrimeField(97, 3)
-        for order in (field._q_order, lambda: FieldSpec._q_order(field)):
+        for field in (PrimeField(97, 3), PrimeExtension(7, (3, 1, 1))):
             if refused:
                 with pytest.raises(ValueError, match=f"exceeds the search limit {limit}"):
-                    order()
+                    field.profile()
             else:
-                assert order() == 48
+                assert field.profile() == QuantumProfile(48, field.p)
+
+
+def test_large_order_field_is_answered_at_once():
+    # 524287 = 2^19 - 1 is prime, so x has that order in any field of
+    # 2^19 elements; repeated multiplication took seconds to find it
+    start = time.perf_counter()
+    field = parse_field("ext:p=2,mod=1;1;1;0;0;1;0;0;0;0;0;0;0;0;0;0;0;0;0;1")
+    assert field.profile() == QuantumProfile(524287, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("e, p, name", [(2, 1000003, "p=1000003,q=1000002"),
+                                        (3, 1000003, None),
+                                        (2, 999983, "p=999983,q=999982")])
+def test_spec_for_profile_in_a_large_prime_field(e, p, name):
+    # q is a power of the least primitive root, not the first of p - 2
+    # candidates: 2 has order past the search limit mod 1000003, and
+    # q = p - 1 (order 2) is the last candidate mod 999983
+    start = time.perf_counter()
+    spec = spec_for_profile(e, p)
+    assert spec.profile() == QuantumProfile(e, p)
+    assert name is None or spec.name == name
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("spec", ["cyclotomic:e=2", "cyclotomic:e=3", "p=2,q=1", "p=7,q=2",
