@@ -6,12 +6,16 @@ derived pair (e, p) alongside the result, in the selected output format
 text and CSV are rendered from it by one rule (``_rows``), so the three
 formats show the same fields.  Inputs are validated strictly; malformed
 partitions, out-of-range indices and unknown flags exit with status 2,
-unexpected internal failures with status 1.
+unexpected internal failures with status 1.  The common argv form is
+read off the flag table ``COMMANDS`` in one pass; argparse, built from
+the same table on first need, reads every other form, so help, messages
+and exit codes are its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import itertools
@@ -44,89 +48,111 @@ TABLES_LIMIT = 1000  # tables --max (time and memory quadratic in max), and n un
 CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
 
 
+FORMATS = ("text", "json", "csv")
+_REQUIRED = object()  # the default of a flag that must be given
+# a subcommand's flag: type int or str takes a value, bool is store_true
+_Flag = collections.namedtuple("_Flag", "flag dest type default help", defaults=(None, None))
+_FIELD = _Flag("--field", "field", str, _REQUIRED,
+               'coefficient field, e.g. "p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3"')
+_FORCE = _Flag("--force", "force", bool, False)
+_ALPHA_BETA = (_FIELD, _Flag("--alpha", "alpha", int, _REQUIRED),
+               _Flag("--beta", "beta", int, _REQUIRED))
+
+# each subcommand's help and flags, in help order: build_parser makes the
+# argparse parser of them and _parse reads the common argv form off them
+COMMANDS = {
+    "qbinom": ("Gaussian binomial", _ALPHA_BETA),
+    "vanish-run": ("does a full run of Gaussian binomials vanish", _ALPHA_BETA),
+    "trivial-sub": ("does the Specht module contain the trivial module", (
+        _FIELD, _Flag("--mu", "mu", str, _REQUIRED))),
+    "cp-eligible": ("node-moving eligibility criterion", (
+        _FIELD, _Flag("--mu", "mu", str, _REQUIRED), _Flag("--a", "a", int, _REQUIRED),
+        _Flag("--b", "b", int, _REQUIRED), _Flag("--gamma", "gamma", int, 1))),
+    "cp-map": ("construct an explicit node-moving homomorphism", (
+        _FIELD, _Flag("--xi", "xi", str, help="target partition for a one-node map"),
+        _Flag("--a", "a", int, _REQUIRED),
+        _Flag("--b", "b", int, help="source row for the one-node map"),
+        _Flag("--mu", "mu", str, help="target partition for an adjacent-rows map"),
+        _Flag("--gamma", "gamma", int, help="node count for the adjacent-rows map"))),
+    "cp-verify": ("verify a homomorphism lands in the Specht module", (
+        _FIELD, _Flag("--xi", "xi", str), _Flag("--a", "a", int), _Flag("--b", "b", int),
+        _Flag("--mu", "mu", str), _Flag("--gamma", "gamma", int),
+        _Flag("--hom-json", "hom_json", str,
+              help="path to a homomorphism JSON file (- for stdin)"), _FORCE)),
+    "hom-dim": ("dimension of the hom space between Specht modules", (
+        _FIELD, _Flag("--lambda", "lam", str, _REQUIRED), _Flag("--mu", "mu", str, _REQUIRED),
+        _FORCE)),
+    "compose": ("merge map composed with a basis homomorphism, symbolically", (
+        _FIELD, _Flag("--tableau", "tableau", str, _REQUIRED,
+                      'row-standard tableau as JSON, e.g. "[[1,1,2],[3]]"'),
+        _Flag("--d", "d", int, _REQUIRED), _Flag("--t", "t", int, _REQUIRED))),
+    "classify": ("reducibility reports for all partitions of n", (
+        _FIELD, _Flag("--n", "n", int, _REQUIRED))),
+    "tables": ("table of Gaussian binomials", (_FIELD, _Flag("--max", "max", int, 8))),
+}
+_FLAGS = {name: {f.flag: f for f in flags} for name, (_, flags) in COMMANDS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heckespecht",
         description="Exact Specht module homomorphisms for Hecke algebras",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_field(p):
-        p.add_argument("--field", required=True,
-                       help='coefficient field, e.g. "p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3"')
-
-    p = sub.add_parser("qbinom", help="Gaussian binomial")
-    add_field(p)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-
-    p = sub.add_parser("vanish-run", help="does a full run of Gaussian binomials vanish")
-    add_field(p)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-
-    p = sub.add_parser("trivial-sub", help="does the Specht module contain the trivial module")
-    add_field(p)
-    p.add_argument("--mu", required=True)
-
-    p = sub.add_parser("cp-eligible", help="node-moving eligibility criterion")
-    add_field(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--gamma", type=int, default=1)
-
-    p = sub.add_parser("cp-map", help="construct an explicit node-moving homomorphism")
-    add_field(p)
-    p.add_argument("--xi", help="target partition for a one-node map")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, help="source row for the one-node map")
-    p.add_argument("--mu", help="target partition for an adjacent-rows map")
-    p.add_argument("--gamma", type=int, help="node count for the adjacent-rows map")
-
-    p = sub.add_parser("cp-verify", help="verify a homomorphism lands in the Specht module")
-    add_field(p)
-    p.add_argument("--xi")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--mu")
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--hom-json", help="path to a homomorphism JSON file (- for stdin)")
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("hom-dim", help="dimension of the hom space between Specht modules")
-    add_field(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--force", action="store_true")
-
-    p = sub.add_parser("compose", help="merge map composed with a basis homomorphism, symbolically")
-    add_field(p)
-    p.add_argument("--tableau", required=True, help='row-standard tableau as JSON, e.g. "[[1,1,2],[3]]"')
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = sub.add_parser("classify", help="reducibility reports for all partitions of n")
-    add_field(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("tables", help="table of Gaussian binomials")
-    add_field(p)
-    p.add_argument("--max", type=int, default=8)
-
+    for name, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for f in flags:
+            kind = {"action": "store_true"} if f.type is bool else {"type": f.type}
+            required = f.default is _REQUIRED
+            p.add_argument(f.flag, dest=f.dest, required=required,
+                           default=None if required else f.default, help=f.help, **kind)
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing does not change it, and
-    building it costs more than most queries."""
+    """The parser, built on first need and kept: parsing does not change
+    it, and building it costs more than most queries."""
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The Namespace argparse gives for argv.  The common form,
+    [--format text|json|csv] CMD then CMD's exact flags, each at most once
+    and each but --force followed by a value that does not start with "-",
+    with every required flag, is read off COMMANDS; any other argv goes to
+    argparse, for its help, its messages and its exit codes."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    fmt, i = (argv[1], 2) if argv[:1] == ["--format"] and len(argv) > 1 else ("text", 0)
+    flags = _FLAGS.get(argv[i]) if fmt in FORMATS and i < len(argv) else None
+    if flags is not None:
+        values = {"format": fmt, "command": argv[i]}
+        tokens = iter(argv[i + 1:])
+        for token in tokens:
+            f = flags.get(token)
+            if f is None or f.dest in values:
+                break
+            if f.type is bool:
+                values[f.dest] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                break
+            try:
+                values[f.dest] = f.type(value)
+            except ValueError:
+                break
+        else:
+            if all(f.dest in values for f in flags.values() if f.default is _REQUIRED):
+                for f in flags.values():
+                    values.setdefault(f.dest, f.default)
+                return argparse.Namespace(**values)
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         field = parse_field(args.field)
         profile = field.profile()
@@ -240,7 +266,9 @@ def _load_or_build_map(args, field) -> HomSpec:
         else:
             with open(args.hom_json, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        source = data.get("source") if isinstance(data, dict) else None
+        if isinstance(data, dict) and data.get("command") == "cp-map":
+            data = data.get("result")  # cp-map's whole JSON output: the map is its result
+        source =data.get("source") if isinstance(data, dict) else None
         if isinstance(source, list) and all(type(part) is int for part in source):
             guard(sum(source))  # a malformed source is from_json's to refuse
         return HomSpec.from_json(data, field)

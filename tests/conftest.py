@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from heckespecht import Cyclotomic, PrimeField, prime_extension_auto
@@ -34,3 +37,13 @@ def f97q3():
 @pytest.fixture(scope="session")
 def ext23():
     return prime_extension_auto(2, 3)
+
+
+@pytest.fixture(scope="session")
+def readme_commands():
+    """The argv of each `heckespecht ...` line in README's Command line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("heckespecht ")]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -110,6 +111,28 @@ def test_cp_verify_roundtrip_through_file(capsys, tmp_path):
     assert code == 0
     result = json.loads(out)["result"]
     assert result == {"nonzero": True, "lands_in_specht": True}
+
+
+def test_cp_verify_reads_cp_map_json_output(capsys, tmp_path):
+    # the whole payload that cp-map --format json prints: the map is its result
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "cp-map", "--field", "cyclotomic:e=4",
+        "--xi", "2,1,1", "--a", "1", "--b", "3",
+    )
+    path = tmp_path / "map.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "--format", "json", "cp-verify", "--field", "cyclotomic:e=4",
+                           "--hom-json", str(path))
+    assert code == 0
+    assert json.loads(out)["result"] == {"nonzero": True, "lands_in_specht": True}
+    # another command's payload holds no map
+    _, out, _ = run_cli(capsys, "--format", "json", "hom-dim", "--field", "cyclotomic:e=4",
+                        "--lambda", "3,1", "--mu", "2,1,1")
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "cp-verify", "--field", "cyclotomic:e=4",
+                             "--hom-json", str(path))
+    assert (code, out) == (2, "")
+    assert "needs source, target and coefficients lists" in err
 
 
 def test_cp_verify_rejects_field_mismatch(capsys, tmp_path):
@@ -436,6 +459,16 @@ def test_cp_verify_guards_its_size_before_building(capsys, monkeypatch, argv):
     assert "exceeds the brute-force guard (9); pass --force" in err
 
 
+def test_cp_verify_guards_the_source_of_cp_map_json_output(capsys, monkeypatch):
+    # in cp-map's whole JSON output the guard reads n off the result's source
+    monkeypatch.setattr(HomSpec, "from_json", _refuse)
+    payload = {"command": "cp-map", "result": {**HOM_JSON, "source": [1000, 1]}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "cp-verify", "--field", "p=7,q=2", "--hom-json", "-")
+    assert (code, out) == (2, "")
+    assert "exceeds the brute-force guard (9); pass --force" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("hom-dim", "--lambda", "1000,1", "--mu", "999,2", "--force"),
     ("cp-verify", "--xi", "1000,1", "--a", "1", "--b", "2", "--force"),
@@ -655,10 +688,121 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted)
     cli._parser.cache_clear()
+    # well-formed runs build no parser
     for argv, expected in zip(runs, fresh):
         assert run_cli(capsys, *argv) == expected
+    assert calls[0] == 0
+    # the first rejection builds it, and later ones reuse it
+    for argv, expected in zip(runs, fresh):
         with pytest.raises(SystemExit) as exc:
             main(list(rejected))
         assert exc.value.code == 2
         assert "--bogus" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == expected
     assert calls[0] == 1
+
+
+def _workloads():
+    # the benchmark's query pools, loaded by path (bench/ is no package)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _no_argparse():
+    raise AssertionError("a common form reached argparse")
+
+
+def _assert_fast_path(monkeypatch, argvs):
+    # read off the flag table, argparse never built, with argparse's Namespace
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", _no_argparse)
+    for argv in argvs:
+        assert vars(cli._parse(argv)) == vars(parser.parse_args(argv)), argv
+
+
+def test_pool_queries_take_the_fast_path(monkeypatch):
+    workloads = _workloads()
+    argvs = []
+    for name in workloads.WORKLOADS:
+        for kind, params, specs in workloads.Plan(name).entries:
+            for spec in specs:
+                argv = workloads.make_query(kind, spec, params).argv
+                argvs += [argv, ["--format", "json", *argv]]  # the worker adds --format json
+    assert len(argvs) > 5000
+    _assert_fast_path(monkeypatch, argvs)
+
+
+@pytest.mark.parametrize("command", RENDER_CASES)
+def test_render_cases_take_the_fast_path(monkeypatch, command):
+    case = RENDER_CASES[command]
+    reverse = [token for pair in reversed(list(zip(case[::2], case[1::2]))) for token in pair]
+    forms = [[command, *flags] for flags in (case, reverse)]
+    _assert_fast_path(monkeypatch, [
+        *forms, *(["--format", fmt, *form] for fmt in cli.FORMATS for form in forms)])
+
+
+def test_readme_commands_take_the_fast_path(monkeypatch, readme_commands):
+    _assert_fast_path(monkeypatch, readme_commands)
+
+
+def test_fast_path_defaults():
+    # pinned apart from the table that both paths read
+    assert cli._parse(["cp-eligible", *RENDER_CASES["cp-eligible"]]).gamma == 1
+    assert cli._parse(["tables", "--field", "p=7,q=2"]).max == 8
+    args = cli._parse(["cp-verify", *RENDER_CASES["cp-verify"]])
+    assert (args.format, args.force, args.mu, args.hom_json) == ("text", False, None, None)
+
+
+HOM_DIM = ("hom-dim", "--field", "cyclotomic:e=3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("-h",),
+    ("hom-dim", "--help"),
+    (*HOM_DIM, "--lam", "3", "--mu", "2,1"),  # an abbreviation
+    (*HOM_DIM, "--lambda=3", "--mu", "2,1"),
+    (*HOM_DIM, "--lambda", "3", "--mu", "2,1", "--mu", "1,1,1"),  # argparse keeps the last
+    ("cp-eligible", "--field", "cyclotomic:e=3", "--mu", "2,1", "--a", "-1", "--b", "2"),
+    ("cp-verify", "--field", "cyclotomic:e=3", "--hom-json", "-"),
+    (*HOM_DIM, "--lambda", "3", "--mu", "2,1", "--format", "json"),
+    ("--format", "xml", *HOM_DIM, "--lambda", "3", "--mu", "2,1"),
+    (*HOM_DIM, "--lambda", "3"),  # --mu missing
+    ("qbinom", "--field", "p=7,q=2", "--alpha", "x", "--beta", "1"),
+    ("frobnicate",),
+    (),
+])
+def test_unusual_forms_go_to_argparse(capsys, monkeypatch, argv):
+    argv = list(argv)
+    handed = []
+
+    class Recorder:
+        def parse_args(self, args):
+            handed.append(args)
+            return argparse.Namespace()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", Recorder)
+        cli._parse(argv)
+    assert handed == [argv]
+
+    def outcome(call):
+        try:
+            result = ("namespace", vars(call(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return (*result, *capsys.readouterr())
+
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, field: seen.append(args) or {})
+
+    def through_main(argv):
+        assert main(argv) == 0
+        capsys.readouterr()  # the stub's output
+        return seen.pop()
+
+    expected = outcome(cli.build_parser().parse_args)
+    assert expected[0] == "namespace" or expected[1] in (0, 2)
+    assert outcome(through_main) == expected

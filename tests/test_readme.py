@@ -2,6 +2,8 @@ import ast
 import sys
 from pathlib import Path
 
+from heckespecht import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heckespecht"
 
@@ -22,6 +24,20 @@ def test_library_example_runs():
     verdict, dim = values[:2]
     assert verdict.nonzero and verdict.lands_in_specht  # nonzero, lands in S^(2,1,1)
     assert dim == 1
+
+
+def test_command_lines_run(readme_commands, tmp_path, monkeypatch, capsys):
+    # each line of the Command line block, in a fresh directory; the
+    # cp-verify --hom-json line reads the map.json that the JSON cp-map
+    # line writes
+    monkeypatch.chdir(tmp_path)
+    cp_map = next(argv for argv in readme_commands if argv[:3] == ["--format", "json", "cp-map"])
+    assert cli.main(cp_map) == 0
+    (tmp_path / "map.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert any("--hom-json" in argv for argv in readme_commands)
+    for argv in readme_commands:
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
 
 
 def test_library_imports_only_the_standard_library():
