@@ -4,9 +4,12 @@ Every invocation resolves the coefficient field first and echoes the
 derived pair (e, p) alongside the result, in the selected output format
 (text, json or csv).  Each subcommand computes only its JSON result;
 text and CSV are rendered from it by one rule (``_rows``), so the three
-formats show the same fields.  Inputs are validated strictly; malformed
-partitions, out-of-range indices and unknown flags exit with status 2,
-unexpected internal failures with status 1.  The common argv form is
+formats show the same fields.  ``classify``'s result is its reports, made
+one at a time; its JSON is written straight from each report's
+attributes, the bytes of ``json.dumps(report.to_json())``.  Inputs are
+validated strictly; malformed partitions, out-of-range indices and
+unknown flags exit with status 2, unexpected internal failures with
+status 1.  The common argv form is
 read off the flag table ``COMMANDS`` in one pass; argparse, built from
 the same table on first need, reads every other form, so help, messages
 and exit codes are its own.
@@ -31,7 +34,7 @@ from .carter_payne import (
     trivial_hom_exists,
     verify_cp,
 )
-from .homs import HomSpec, compose_psi_theta, compose_term_count, hom_space_dim, same_block
+from .homs import HomSpec, compose_psi_theta, compose_term_count, hom_space_dim
 from .partitions import nu_composition, parse_partition
 from .qfield import parse_field, qbinom, qbinom_rows, vanish_run
 from .reducibility import classify_range
@@ -40,10 +43,10 @@ from .tableaux import Tableau
 BRUTE_FORCE_LIMIT = 9
 # classify --n on a 2-vCPU VM, the reports made one at a time and rendered
 # a chunk at a time, so the limit bounds time, not memory: n = 40 takes
-# 0.5-0.75 s and 17-21 MB peak RSS, n = 45 takes 1.1-1.4 s and 17-21 MB
-# (JSON the upper memory figures)
+# 0.26-0.39 s as JSON, 0.35-0.42 s as text, n = 45 0.55-0.70 s as JSON,
+# 0.8-1.25 s as text, all at 15-16 MB peak RSS
 CLASSIFY_LIMIT = 45
-JSON_CHUNK = 1000  # classify reports encoded per json.dumps call
+JSON_CHUNK = 1000  # classify reports' JSON texts per write
 TABLES_LIMIT = 1000  # tables --max (time and memory quadratic in max), and n under --force
 CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
 
@@ -173,7 +176,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, field):
-    """The JSON result; text and CSV are rendered from it by _rows."""
+    """The JSON result, or classify's reports; text and CSV are rendered
+    from it by _rows."""
     cmd = args.command
     if cmd == "qbinom":
         if args.alpha * max(args.beta, 1) > CELLS_LIMIT:  # alpha rows, even at beta 0
@@ -198,13 +202,7 @@ def _dispatch(args, field):
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        if sum(lam) != sum(mu):
-            raise ValueError("partitions must have equal size")
-        if not same_block(field.profile(), lam, mu):
-            dim = 0  # across blocks nothing is solved, so the n guard does not apply
-        else:
-            _guard(sum(lam), args.force)
-            dim = hom_space_dim(field, lam, mu)
+        dim = hom_space_dim(field, lam, mu, functools.partial(_guard, force=args.force))
         return {"lambda": list(lam), "mu": list(mu), "dimension": dim}
     if cmd == "compose":
         tab = Tableau.from_json(json.loads(args.tableau))
@@ -219,8 +217,7 @@ def _dispatch(args, field):
     if cmd == "classify":
         if args.n > CLASSIFY_LIMIT:
             raise ValueError(f"--n {args.n} exceeds the size limit {CLASSIFY_LIMIT}")
-        # a generator: one report's dict at a time; only JSON lists them all
-        return (r.to_json() for r in classify_range(args.n, field.profile()))
+        return classify_range(args.n, field.profile())  # made one at a time as they are written
     if cmd == "tables":
         if args.max < 0:
             raise ValueError("--max must be nonnegative")
@@ -268,7 +265,7 @@ def _load_or_build_map(args, field) -> HomSpec:
                 data = json.load(fh)
         if isinstance(data, dict) and data.get("command") == "cp-map":
             data = data.get("result")  # cp-map's whole JSON output: the map is its result
-        source =data.get("source") if isinstance(data, dict) else None
+        source = data.get("source") if isinstance(data, dict) else None
         if isinstance(source, list) and all(type(part) is int for part in source):
             guard(sum(source))  # a malformed source is from_json's to refuse
         return HomSpec.from_json(data, field)
@@ -300,9 +297,9 @@ def _emit(args, profile, result, note=None) -> int:
         # the same bytes as one json.dumps, without the whole list held
         head = json.dumps({**payload, "result": []})
         sys.stdout.write(head[:-2])  # up to the list's "["
-        reports, sep = iter(result), ""
-        for chunk in iter(lambda: list(itertools.islice(reports, JSON_CHUNK)), []):
-            sys.stdout.write(sep + json.dumps(chunk)[1:-1])
+        texts, sep = _report_texts(result), ""
+        for chunk in iter(lambda: list(itertools.islice(texts, JSON_CHUNK)), []):
+            sys.stdout.write(sep + ", ".join(chunk))
             sep = ", "
         sys.stdout.write(head[-2:] + "\n")
         return 0
@@ -320,16 +317,34 @@ def _emit(args, profile, result, note=None) -> int:
     return 0
 
 
+def _report_texts(reports):
+    """Each classify report as json.dumps writes its to_json(), made from
+    its attributes.  Only the partition and the witness differ between the
+    reports of one query: the rest is built once, from the first."""
+    reports = iter(reports)
+    r = next(reports)  # n >= 1 has a partition
+    ep, end = json.dumps({"e": r.e, "p": r.p})[1:-1], json.dumps({"caveat": r.caveat})[1:]
+    irreducible = f', {ep}, "verdict": "irreducible", "witness": null, {end}'
+    reducible = f', {ep}, "verdict": "reducible", "witness": '
+    for r in itertools.chain([r], reports):
+        if r.witness:
+            (a, i), (_, j), (b, _) = r.witness
+            yield (f'{{"partition": {list(r.partition)}{reducible}'
+                   f'[[{a}, {i}], [{a}, {j}], [{b}, {i}]], {end}')
+        else:
+            yield f'{{"partition": {list(r.partition)}{irreducible}'
+
+
 def _rows(command, result):
-    """The text and CSV rows of a JSON result: (key, cell) pairs of a flat
+    """The text and CSV rows of a result: (key, cell) pairs of a flat
     dict, classify's report rows, (tableau, scalar) pairs of a map, or the
     tables triangle."""
     if isinstance(result, str):  # the out-of-scope verdict
         return [("verdict", result)]
     if command == "classify":
         return (
-            (",".join(map(str, r["partition"])), r["e"], r["p"], r["verdict"],
-             ";".join(f"{i},{j}" for i, j in r["witness"] or ()), r["caveat"] or "")
+            (",".join(map(str, r.partition)), r.e, r.p, r.verdict,
+             ";".join(f"{i},{j}" for i, j in r.witness or ()), r.caveat or "")
             for r in result
         )
     if command == "tables":

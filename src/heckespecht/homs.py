@@ -393,9 +393,10 @@ def same_block(profile: QuantumProfile, lam, mu) -> bool:
     return e_core(lam, profile.e) == e_core(mu, profile.e)
 
 
-def hom_space_dim(field: FieldSpec, lam, mu) -> int:
+def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n: None) -> int:
     """Dimension of the space of module maps from the Specht module of
     lam to the Specht module of mu: 0 across blocks (``same_block``).
+    Within a block, guard(n) sees the size n before anything is solved.
 
     It equals the dimension for the conjugates (mu', lam'): the dual of a
     Specht module is that of the conjugate shape twisted by # (Dipper-James;
@@ -406,6 +407,7 @@ def hom_space_dim(field: FieldSpec, lam, mu) -> int:
         raise ValueError("partitions must have equal size")
     if not same_block(field.profile(), lam, mu):
         return 0
+    guard(sum(lam))
     dual = conjugate(mu), conjugate(lam)
     if _route_cost(field, *dual) < _route_cost(field, lam, mu):
         lam, mu = dual

@@ -85,38 +85,43 @@ def _hook_witness(lam, marks):
         return None
     heights = [len(lam)]  # per column reached
     col_change = {}  # per column searched: first b whose mark differs from row 1's, or its height
-
-    def height(c):  # row 1 reaches the columns in order
-        if c == len(heights):
-            h = heights[-1]
-            while lam[h - 1] <= c:
-                h -= 1
-            heights.append(h)
-        return heights[c]
-
     top = lam[0] - 1  # the hook at (1,i) is top + heights[i] - i
     for a, part in enumerate(lam):
         base = part - a - 1  # the hook at (a,i) is base + heights[i] - i
         first, row_change = marks[base + heights[0]], None
         for i in range(part):
-            if i == len(heights):
-                height(i)
-            v = marks[base + heights[i] - i]
+            if i < len(heights):
+                h = heights[i]
+            else:  # row 1 reaches the columns in order
+                h = heights[-1]
+                while lam[h - 1] <= i:
+                    h -= 1
+                heights.append(h)
+            v = marks[base + h - i]
             if v <= 0:
                 continue
             if v == first and row_change is None:
-                row_change = next(
-                    (j for j in range(1, part) if marks[base + height(j) - j] != first), 0)
-                if not row_change:
+                for row_change in range(1, part):  # the row's first change of mark
+                    if row_change == len(heights):
+                        k = heights[-1]
+                        while lam[k - 1] <= row_change:
+                            k -= 1
+                        heights.append(k)
+                    if marks[base + heights[row_change] - row_change] != first:
+                        break
+                else:
                     break  # one mark along the row: no row partner
-            h = heights[i]
             if marks[top + h - i] != v:
                 b = 0
             else:
                 b = col_change.get(i)
                 if b is None:
-                    b = col_change[i] = next(
-                        (b for b in range(1, h) if marks[lam[b] - b + h - i - 1] != v), h)
+                    for b in range(1, h):
+                        if marks[lam[b] - b + h - i - 1] != v:
+                            break
+                    else:
+                        b = h
+                    col_change[i] = b
                 if b == h:
                     continue
             j = 0 if v != first else row_change

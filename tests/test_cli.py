@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from heckespecht import cli
+from heckespecht import cli, homs
 from heckespecht.cli import main
-from heckespecht.homs import HomSpec, _bounded_compositions
-from heckespecht.partitions import nu_composition, partitions_of
+from heckespecht.homs import HomSpec, _bounded_compositions, same_block
+from heckespecht.partitions import e_core, nu_composition, parse_partition, partitions_of
 from heckespecht.qfield import parse_field, qbinom
 from heckespecht.reducibility import ReducibilityReport, classify_range
 from heckespecht.tableaux import Tableau, enumerate_row_standard
@@ -283,6 +283,26 @@ def test_hom_dim_unequal_sizes_over_the_guard(capsys, force):
     assert "--force" not in err
 
 
+@pytest.mark.parametrize("lam, mu, block", [
+    ("3", "2,1", True), ("5,1", "3,3", True), ("3,3", "2,2,2", True), ("3,1", "2,1,1", False),
+])
+def test_hom_dim_tests_the_block_once(capsys, monkeypatch, lam, mu, block):
+    # one e-core per partition: the command line leaves the block test to
+    # hom_space_dim, whose guard then sees n
+    pair = map(parse_partition, (lam, mu))
+    assert same_block(parse_field("cyclotomic:e=3").profile(), *pair) == block
+    calls = []
+
+    def counted(shape, e):
+        calls.append(shape)
+        return e_core(shape, e)
+
+    monkeypatch.setattr(homs, "e_core", counted)
+    code, _, _ = run_cli(capsys, "hom-dim", "--field", "cyclotomic:e=3", "--lambda", lam, "--mu", mu)
+    assert code == 0
+    assert len(calls) == 2, calls
+
+
 def test_compose(capsys):
     code, out, _ = run_cli(
         capsys, "--format", "json", "compose", "--field", "p=97,q=3",
@@ -319,20 +339,22 @@ def test_classify_outputs(capsys):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, cli.JSON_CHUNK])
-@pytest.mark.parametrize("spec", ["cyclotomic:e=3", "p=2,q=1", "ext:p=2,e=3"])
+@pytest.mark.parametrize("spec", [
+    "cyclotomic:e=3", "p=2,q=1", "ext:p=2,e=3", "cyclotomic:e=2", "p=3,q=1", "ext:p=5,e=6",
+])
 def test_classify_json_streams_the_same_bytes(capsys, monkeypatch, spec, chunk):
-    # the reports are encoded a chunk at a time, with the bytes of one
-    # json.dumps of the whole payload
+    # the reports are written from their attributes a chunk at a time, with
+    # the bytes of one json.dumps of the whole payload of to_json() dicts
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     profile = parse_field(spec).profile()
-    for n in range(1, 15):
+    for n in [*range(1, 15), 18, 22, 26]:
         _, out, _ = run_cli(capsys, "--format", "json", "classify", "--field", spec, "--n", str(n))
         payload = {"field": spec, "e": profile.e, "p": profile.p, "command": "classify",
                    "result": [r.to_json() for r in classify_range(n, profile)]}
         assert out == json.dumps(payload) + "\n", (spec, n)
 
 
-@pytest.mark.parametrize("name", ["p=3,q=1", "cyclotomic:e=2"])
+@pytest.mark.parametrize("name", ["p=3,q=1", "cyclotomic:e=2", "ext:p=2,e=3"])
 def test_classify_text_and_csv_follow_the_json_reports(capsys, name):
     # the text and CSV rows are generated lazily from the same reports
     argv = ("classify", "--field", name, "--n", "7")
@@ -475,9 +497,11 @@ def test_cp_verify_guards_the_source_of_cp_map_json_output(capsys, monkeypatch):
 ])
 def test_forced_n_past_the_size_limit_is_refused(capsys, monkeypatch, argv):
     # --force lifts the brute-force guard only up to n = 1000: the n = 1001
-    # pair takes 10 s on the semistandard route
-    for name in ("hom_space_dim", "one_node_map"):
-        monkeypatch.setattr(cli, name, _refuse)
+    # pair takes 10 s on the semistandard route.  hom_space_dim calls the
+    # guard after its block test, before its route is chosen or solved
+    for module, name in ((homs, "_route_cost"), (homs, "_direct_dimension"),
+                         (cli, "one_node_map")):
+        monkeypatch.setattr(module, name, _refuse)
     code, out, err = run_cli(capsys, argv[0], "--field", "p=7,q=2", *argv[1:])
     assert (code, out) == (2, "")
     assert "n=1001 exceeds the size limit 1000" in err
