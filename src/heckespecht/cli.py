@@ -3,8 +3,9 @@
 Every invocation resolves the coefficient field first and echoes the
 derived pair (e, p) alongside the result, in the selected output format
 (text, json or csv).  Each subcommand computes only its JSON result;
-text and CSV are rendered from it by one rule (``_rows``), so the three
-formats show the same fields.  ``classify``'s result is its reports, made
+text and CSV are rendered from it by one layout (``_table``: a CSV
+header, the rows and each row's text line), so the three formats show
+the same fields.  ``classify``'s result is its reports, made
 one at a time; its JSON is written straight from each report's
 attributes, the bytes of ``json.dumps(report.to_json())``.  Inputs are
 validated strictly; malformed partitions, out-of-range indices and
@@ -43,8 +44,8 @@ from .tableaux import Tableau
 BRUTE_FORCE_LIMIT = 9
 # classify --n on a 2-vCPU VM, the reports made one at a time and rendered
 # a chunk at a time, so the limit bounds time, not memory: n = 40 takes
-# 0.26-0.39 s as JSON, 0.35-0.42 s as text, n = 45 0.55-0.70 s as JSON,
-# 0.8-1.25 s as text, all at 15-16 MB peak RSS
+# 0.29-0.43 s as JSON, 0.38-0.60 s as text, n = 45 0.57-0.71 s as JSON,
+# 0.75-1.3 s as text or CSV, all at 15-16 MB peak RSS
 CLASSIFY_LIMIT = 45
 JSON_CHUNK = 1000  # classify reports' JSON texts per write
 TABLES_LIMIT = 1000  # tables --max (time and memory quadratic in max), and n under --force
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args, field):
     """The JSON result, or classify's reports; text and CSV are rendered
-    from it by _rows."""
+    from it by _table."""
     cmd = args.command
     if cmd == "qbinom":
         if args.alpha * max(args.beta, 1) > CELLS_LIMIT:  # alpha rows, even at beta 0
@@ -303,17 +304,22 @@ def _emit(args, profile, result, note=None) -> int:
             sep = ", "
         sys.stdout.write(head[-2:] + "\n")
         return 0
-    rows = _rows(args.command, result)
+    header, rows, line = _table(args.command, result)
     if args.format == "csv":
         print(f"# field={field_name},e={e},p={p}")
         if note:
             print(f"# note={note}")
-        _emit_csv(args.command, rows)
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
     else:
         print(f"field {field_name} (e={e}, p={p})")
         if note:
             print(note)
-        _emit_text(args.command, rows)
+        if line is None:  # a flat result's one row: a "key: value" line per column
+            rows, line = zip(header, *rows), "{}: {}".format
+        for row in rows:
+            print(line(*row))
     return 0
 
 
@@ -335,65 +341,35 @@ def _report_texts(reports):
             yield f'{{"partition": {list(r.partition)}{irreducible}'
 
 
-def _rows(command, result):
-    """The text and CSV rows of a result: (key, cell) pairs of a flat
-    dict, classify's report rows, (tableau, scalar) pairs of a map, or the
-    tables triangle."""
+def _table(command, result):
+    """(CSV header, rows, line) of a result: the one layout of text and
+    CSV.  line(*row) is a row's text line; None writes a flat result's
+    text as one "key: value" line per column."""
     if isinstance(result, str):  # the out-of-scope verdict
-        return [("verdict", result)]
+        return ["verdict"], [[result]], None
     if command == "classify":
-        return (
-            (",".join(map(str, r.partition)), r.e, r.p, r.verdict,
-             ";".join(f"{i},{j}" for i, j in r.witness or ()), r.caveat or "")
-            for r in result
-        )
+        rows = ((",".join(map(str, r.partition)), r.e, r.p, r.verdict,
+                 ";".join(f"{i},{j}" for i, j in r.witness or ()), r.caveat or "")
+                for r in result)  # made one at a time as they are written
+        return ["partition", "e", "p", "verdict", "witness", "note"], rows, _classify_line
     if command == "tables":
-        return result["qbinom"]
+        table = result["qbinom"]
+        return (["alpha\\beta", *range(len(table))], ([a, *row] for a, row in enumerate(table)),
+                lambda a, *row: f"[{a}] " + "  ".join(row))
     if command in ("cp-map", "compose"):
-        return [(json.dumps(c["tableau"], separators=(",", ":")), c["scalar"])
-                for c in result["coefficients"]]
-    return [(key, _cell(value)) for key, value in result.items()]
+        return (["tableau", "scalar"],
+                [(json.dumps(c["tableau"], separators=(",", ":")), c["scalar"])
+                 for c in result["coefficients"]], "{} -> {}".format)
+    return list(result), [[_cell(value) for value in result.values()]], None
+
+
+def _classify_line(partition, e, p, verdict, witness, caveat) -> str:
+    tail = f"  witness {witness}" if witness else ""
+    note = f"  [{caveat}]" if caveat else ""
+    return f"{partition}: {verdict}{tail}{note}"
 
 
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
-_CSV_HEADERS = {"classify": ("partition", "e", "p", "verdict", "witness", "note"),
-                "cp-map": ("tableau", "scalar"), "compose": ("tableau", "scalar")}
-
-
-def _emit_csv(command, rows):
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    if command == "tables":
-        out.writerow(["alpha\\beta", *range(len(rows))])
-        out.writerows([a, *row] for a, row in enumerate(rows))
-    elif command in _CSV_HEADERS:
-        out.writerow(_CSV_HEADERS[command])
-        out.writerows(rows)
-    else:
-        out.writerow([k for k, _ in rows])
-        out.writerow([v for _, v in rows])
-
-
-def _emit_text(command, rows):
-    if command == "classify":
-        for partition, _e, _p, verdict, witness, caveat in rows:
-            tail = f"  witness {witness}" if witness else ""
-            note = f"  [{caveat}]" if caveat else ""
-            print(f"{partition}: {verdict}{tail}{note}")
-    elif command == "tables":
-        for a, row in enumerate(rows):
-            print(f"[{a}] " + "  ".join(row))
-    elif command in ("cp-map", "compose"):
-        for tab, scalar in rows:
-            print(f"{tab} -> {scalar}")
-    else:
-        for key, value in rows:
-            print(f"{key}: {value}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,13 +14,14 @@ out a basis with exact Gaussian elimination) is built on it.
 A value at the Specht generator z = x T_{w_lam} y_{lam'} is read off its
 column-canonical keys (``generator_keys``) at every q: y factors through
 1 + (-q)^-1 T_i for s_i inside a column block, so each key folds onto one
-canonical key, with a sign, or drops out, and z itself is the signed
-column sum of one key.  The whole value, y factored into run sums
-(``at_generator``), is the oracle.
+canonical key, with a sign, or drops out.  The whole value, y factored
+into run sums (``at_generator``), is the oracle; it also makes z itself,
+the signed column sum of one key.
 
-The full group-algebra ``HeckeElement`` is also provided; module code
-never expands vectors over the n! basis, but the tests use it as an
-independent multiplication oracle (``y_element`` also signs z).
+The full group-algebra ``HeckeElement`` (with ``x_element``,
+``y_element`` and ``row_stabilizer``) is also provided; no library code
+expands vectors over the n! basis, but the tests use it as an independent
+multiplication oracle, among others for z.
 """
 
 from __future__ import annotations
@@ -459,13 +460,9 @@ def _fold_key(f, out: dict, blocks, w, c) -> None:
 
 def specht_generator(field: FieldSpec, lam) -> ModuleVector:
     """The canonical generator z = x T_{w_lam} y_{lam'} of the Specht
-    submodule: x T_{w_lam} is one column-canonical key W, rows 1..c down
-    each column, so z = sum (-q^-1)^l(u) e_{W u} over the column stabiliser."""
-    lam = check_partition(lam)
-    cols = conjugate(lam)
-    key = tuple(r for part in cols for r in range(1, part + 1))
-    return ModuleVector(field, lam, {
-        tuple(key[i - 1] for i in u): rep for u, rep in y_element(field, cols).coeffs.items()})
+    submodule, by run sums (``at_generator``): the signed column sum
+    sum (-q^-1)^l(u) e_{W u} of the one column-canonical key W = x T_{w_lam}."""
+    return at_generator(basis_vector(field, lam), lam)
 
 
 class SpechtModule:

@@ -223,7 +223,7 @@ def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
     return size - len(echelon)
 
 
-def _merged_value(field: FieldSpec, coeffs: dict, lam, mu, d: int, t: int) -> dict:
+def _merged_value(field: FieldSpec, coeffs: dict, lam, d: int, t: int) -> dict:
     """psi_{d,t} of the value at the Specht generator of lam of the
     combination of theta_T with the given coefficients, T of type mu: the
     value of the combination psi_{d,t} o theta_T of maps into M^nu, its
@@ -369,7 +369,7 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     if restriction_is_zero(hom):
         return True, True
     return False, _landing_solve(hom.field, target, 1, lambda d, t: [
-        _merged_value(hom.field, hom.coeffs, hom.source, target, d, t)]) == 1
+        _merged_value(hom.field, hom.coeffs, hom.source, d, t)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
     merge map applied to them through the composition rule."""
     tabs = enumerate_semistandard(lam, mu)
     return _landing_solve(field, mu, len(tabs), lambda d, t: [
-        _merged_value(field, {tab: field.one_rep}, lam, mu, d, t) for tab in tabs])
+        _merged_value(field, {tab: field.one_rep}, lam, d, t) for tab in tabs])
 
 
 def _cyclic_dimension(field, sa, sb) -> int:

@@ -216,6 +216,21 @@ def test_cp_verify_rejects_hom_json_with_map_flags(capsys, tmp_path, flags):
     assert "--hom-json" in err and "--xi/--a/--b" in err and "--mu/--a/--gamma" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("tables", "--field", "p=7,q=2", "--max", "-1"), "--max must be nonnegative"),
+    (("classify", "--field", "p=7,q=2", "--n", "0"), "n must be positive"),
+    (("cp-map", "--field", "p=7,q=2", "--xi", "2,1", "--a", "1"), "--xi needs --b"),
+    (("cp-map", "--field", "p=7,q=2", "--a", "1"),
+     "give --xi/--a/--b for a one-node map or --mu/--a/--gamma for adjacent rows"),
+    (("cp-verify", "--field", "p=7,q=2"), "give --hom-json or map construction flags"),
+    (("vanish-run", "--field", "ext:p=2,e=4", "--alpha", "1", "--beta", "1"),
+     "p must not divide e for the automatic modulus"),
+])
+def test_refusals_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cp_eligible_outside_scope(capsys):
     code, out, _ = run_cli(
         capsys, "cp-eligible", "--field", "cyclotomic:e=3",
