@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+from functools import lru_cache
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -98,8 +99,13 @@ def e_core(shape, e) -> tuple[int, ...]:
     slide up their runners (beta mod e), and the slid beads are the beta
     numbers of the core.  With e None (no rim hooks) it is the partition.
     Only the occupied runners are kept, so the work is in the parts, not
-    in e (e = p can be large when q = 1)."""
-    shape = check_partition(shape)
+    in e (e = p can be large when q = 1).  Any iterable of parts is
+    accepted; each core is memoised by (partition, e), 4096 entries."""
+    return _e_core(check_partition(shape), e)
+
+
+@lru_cache(maxsize=4096)
+def _e_core(shape: tuple[int, ...], e) -> tuple[int, ...]:
     if e is None:
         return shape
     r = len(shape)

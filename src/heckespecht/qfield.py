@@ -315,6 +315,7 @@ class FieldSpec:
     """
 
     name: str
+    _profile = None  # the stored profile, once asked for
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.name == other.name
@@ -348,9 +349,12 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def profile(self) -> QuantumProfile:
-        """(e, p), e the multiplicative order of q, or p when q = 1."""
-        order = self._qorder or self._q_order()
-        return QuantumProfile(order if order > 1 else self.p, self.p)
+        """(e, p), e the multiplicative order of q, or p when q = 1; built
+        on first use, once the order of q is known, and stored."""
+        if self._profile is None:
+            order = self._qorder or self._q_order()
+            self._profile = QuantumProfile(order if order > 1 else self.p, self.p)
+        return self._profile
 
     def _q_order(self) -> int:
         """The order of q, by _order over the p^degree - 1 units, stored;
@@ -741,9 +745,16 @@ def parse_poly(text: str, degree: int):
 # ---------------------------------------------------------------------------
 # field spec parsing
 
+@lru_cache(maxsize=64)
 def parse_field(text: str) -> FieldSpec:
     """Parse "p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3" or
-    "ext:p=2,mod=1;1;1" (optionally with ",q=1;1", q's coefficients)."""
+    "ext:p=2,mod=1;1;1" (optionally with ",q=1;1", q's coefficients).
+
+    Memoised by the text, so each spec is built once per process and
+    every query over it shares one field, with its q-power table and its
+    order of q; a refused spec raises on every call and is not stored.
+    Two texts for one field ("p=7,q=9", "p=7,q=2") give two objects that
+    are equal, since fields compare and hash by name."""
     text = text.strip()
     if text.startswith("cyclotomic:"):
         body = dict(_split_kv(text[len("cyclotomic:"):]))

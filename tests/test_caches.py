@@ -6,6 +6,8 @@ import importlib
 import io
 import pkgutil
 
+import pytest
+
 import heckespecht
 from heckespecht import (
     Cyclotomic,
@@ -30,7 +32,8 @@ from heckespecht.homs import (
     theta_image_of_x,
 )
 from heckespecht.memo import sized_cache
-from heckespecht.qfield import ZQ
+from heckespecht.partitions import _e_core
+from heckespecht.qfield import ZQ, FieldSpec
 from heckespecht.tableaux import Tableau, _orderings, _semistandard, enumerate_semistandard
 from heckespecht.reducibility import _valuation_table, classify_range
 
@@ -55,12 +58,76 @@ def test_every_cache_is_bounded():
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
         "reducibility._valuation_table", "homs._z_value", "homs._read",
-        "homs._compose_terms", "tableaux._semistandard"}
+        "homs._compose_terms", "tableaux._semistandard", "qfield.parse_field",
+        "partitions._e_core"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
     for cache in (_z_value, _orderings, _compose_terms, _semistandard):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
+
+
+def test_each_spec_text_is_built_once():
+    # one field object per text; another text of the same field is another
+    # entry, equal to the first, and a field rebuilt after the memo is
+    # emptied equals the old one
+    clear_caches()
+    field = parse_field("p=7,q=2")
+    assert parse_field("p=7,q=2") is field
+    other = parse_field("p=7,q=9")
+    assert other is not field and other == field and hash(other) == hash(field)
+    assert parse_field("p=7,q=3") != field
+    assert parse_field.cache_info().currsize == 3
+    clear_caches()
+    assert parse_field.cache_info().currsize == 0
+    again = parse_field("p=7,q=2")
+    assert again is not field and again == field
+
+
+@pytest.mark.parametrize("spec", [
+    "p=6,q=2", "nonsense", "cyclotomic:e=1001", "ext:p=2,mod=1;0;1", "ext:p=3,e=23",
+])
+def test_a_refused_spec_raises_every_time_and_is_not_stored(spec):
+    clear_caches()
+    for calls in (1, 2, 3):
+        with pytest.raises(ValueError):
+            parse_field(spec)
+        info = parse_field.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (0, 0, calls)
+
+
+def test_queries_over_one_spec_share_its_q_powers(monkeypatch):
+    # the second query reads the field the first built: no power of q and
+    # no order of q is computed again
+    calls = {"power": 0, "_q_order": 0}
+    for attr in calls:
+        method = getattr(FieldSpec, attr)
+
+        def counted(self, *args, attr=attr, method=method):
+            calls[attr] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(FieldSpec, attr, counted)
+    clear_caches()
+    assert _answer("p=97,q=3", ("qbinom", "--alpha", "6", "--beta", "3"))[0] == 0
+    assert calls["power"] and calls["_q_order"] == 1
+    powers = parse_field("p=97,q=3")._qpow
+    assert len(powers) == 6
+    calls.update(power=0, _q_order=0)
+    code, out = _answer("p=97,q=3", ("qbinom", "--alpha", "6", "--beta", "2"))
+    assert code == 0 and calls == {"power": 0, "_q_order": 0}
+    assert parse_field("p=97,q=3")._qpow is powers
+    clear_caches()
+    assert _answer("p=97,q=3", ("qbinom", "--alpha", "6", "--beta", "2")) == (code, out)
+
+
+def test_e_cores_are_memoised_by_partition_and_e():
+    clear_caches()
+    assert [homs.e_core([7, 2], e) for e in (2, 3, 2)] == [(1,), (4, 2), (1,)]
+    info = _e_core.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == (4096, 2, 1, 2)
+    clear_caches()
+    assert _e_core.cache_info().currsize == 0
 
 
 def _sweep(fields):

@@ -1,6 +1,7 @@
 import pytest
 
 from heckespecht.partitions import (
+    _e_core,
     check_partition,
     conjugate,
     dominates,
@@ -179,3 +180,22 @@ def test_e_core_examples():
             assert e_core(lam, None) == lam
     with pytest.raises(ValueError):
         e_core((1, 2), 3)
+
+
+def test_e_core_reads_any_iterable_of_parts():
+    lam = (7, 2, 2, 1)
+    core = e_core(lam, 3)
+    assert e_core(list(lam), 3) == e_core(iter(lam), 3) == e_core((p for p in lam), 3) == core
+
+
+def test_e_core_memo_answers_each_partition_and_e_alone():
+    # the memo, warmed first by other arguments, must give each
+    # (lambda, e) the core the unmemoised body gives it
+    for e in (7, None):
+        for n in range(13):
+            for lam in partitions_of(n):
+                e_core(lam, e)
+    for e in (2, 3, 4, 5, 6, None):
+        for n in range(11):
+            for lam in partitions_of(n):
+                assert e_core(lam, e) == _e_core.__wrapped__(lam, e), (lam, e)

@@ -46,6 +46,17 @@ def test_quantum_char_extension(ext23):
     assert parse_field("ext:p=3,e=4") is prime_extension_auto(3, 4)
 
 
+@pytest.mark.parametrize("spec, e, p", [
+    ("cyclotomic:e=2", 2, 0), ("cyclotomic:e=3", 3, 0), ("cyclotomic:e=4", 4, 0),
+    ("p=2,q=1", 2, 2), ("p=3,q=2", 2, 3), ("ext:p=2,e=3", 3, 2), ("p=97,q=3", 48, 97),
+])
+def test_profile_is_built_once_per_field(spec, e, p):
+    # the field of the text, and the field of another text of it
+    for field in (parse_field(spec), parse_field(spec + " ")):
+        assert field.profile() is field.profile()
+        assert (field.profile().e, field.profile().p) == (e, p)
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
