@@ -3,15 +3,18 @@
 import sys
 
 from .carter_payne import (
-    CPInstance,
     CPVerification,
-    OutsideProvenScope,
     adjacent_map,
-    cp_eligible,
     one_node_map,
     predicted_hom_dim,
-    trivial_hom_exists,
     verify_cp,
+)
+from .criteria import (
+    CPInstance,
+    OutsideProvenScope,
+    cp_eligible,
+    cp_pair_data,
+    trivial_hom_exists,
 )
 from .hecke import (
     HeckeElement,

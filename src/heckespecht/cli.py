@@ -280,7 +280,7 @@ def _guard(n: int, force: bool):
         raise ValueError(
             f"n={n} exceeds the brute-force guard ({BRUTE_FORCE_LIMIT}); pass --force to override"
         )
-    if n > TABLES_LIMIT:  # even forced: (1000,1) -> (999,2), n = 1001, takes 10 s
+    if n > TABLES_LIMIT:  # even forced: (1000,1) -> (998,3) over p=2,q=1, n = 1001, takes 10 s
         raise ValueError(f"n={n} exceeds the size limit {TABLES_LIMIT}")
 
 

@@ -21,14 +21,16 @@ and each polynomial read once per field (``_read``).  The field-free
 memos are bounded by entries and by total stored terms.  Pushing a vector
 through psi_{d,t} remains for membership and as the rule's oracle.
 A hom-space dimension across blocks, where lam and mu have different
-e-cores, is 0 with nothing solved.  Within a block it is solved for
-(lam, mu) or its conjugate dual (mu', lam'), whichever is cheaper: over
-the semistandard basis maps where the semistandard homomorphism theorem
-holds, and otherwise by the cyclic route, for the value of a map at the
-generator of the spun S^lam, dim S^mu unknowns, walking the rows of that
-spin in the order it kept them.  The exact intertwiner system on the
-spun generator matrices, sparse rows, dim S^lam * dim S^mu unknowns, is
-both routes' oracle.
+e-cores, is 0 with nothing solved.  Within a block the paper's closed
+forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
+Every other pair is solved for (lam, mu) or its conjugate dual
+(mu', lam'), whichever is cheaper: over the semistandard basis maps
+where the semistandard homomorphism theorem holds, and otherwise by the
+cyclic route, for the value of a map at the generator of the spun S^lam,
+dim S^mu unknowns, walking the rows of that spin in the order it kept
+them.  That solve (``_solved_dimension``) is the closed forms' oracle,
+and the exact intertwiner system on the spun generator matrices, sparse
+rows, dim S^lam * dim S^mu unknowns, is both routes' oracle.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from .criteria import CPInstance, cp_eligible, cp_pair_data, trivial_hom_exists
 from .hecke import (
     ModuleVector,
     SparseEchelon,
@@ -373,8 +376,8 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# hom-space dimensions: semistandard basis maps, or the cyclic route, with
-# the intertwiner system as its oracle
+# hom-space dimensions: the paper's closed forms, else semistandard basis
+# maps or the cyclic route, with the intertwiner system as its oracle
 
 def semistandard_scope(profile: QuantumProfile, lam) -> bool:
     """Whether the semistandard homomorphism theorem (Dipper-James) holds
@@ -398,16 +401,69 @@ def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n: None) -> int:
     lam to the Specht module of mu: 0 across blocks (``same_block``).
     Within a block, guard(n) sees the size n before anything is solved.
 
-    It equals the dimension for the conjugates (mu', lam'): the dual of a
-    Specht module is that of the conjugate shape twisted by # (Dipper-James;
-    Mathas, ch. 3).  The cheaper side is solved."""
+    Then the paper's closed forms answer first (``_closed_form_dimension``):
+    Hom(S^(n), S^mu) at every q, and the node-moving pairs when e != 2.
+    Every other pair is solved as ``_solved_dimension`` solves it, which
+    stays as the closed forms' oracle."""
+    lam, mu = _checked_pair(lam, mu)
+    profile = field.profile()
+    if not same_block(profile, lam, mu):
+        return 0
+    guard(sum(lam))
+    dim = _closed_form_dimension(profile, lam, mu)
+    return _cheaper_side_dimension(field, lam, mu) if dim is None else dim
+
+
+def _solved_dimension(field: FieldSpec, lam, mu) -> int:
+    """``hom_space_dim`` with no closed form and no guard: 0 across
+    blocks, and within a block the solve of the cheaper side.  The tests'
+    oracle for the closed forms."""
+    lam, mu = _checked_pair(lam, mu)
+    if not same_block(field.profile(), lam, mu):
+        return 0
+    return _cheaper_side_dimension(field, lam, mu)
+
+
+def _checked_pair(lam, mu):
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("partitions must have equal size")
-    if not same_block(field.profile(), lam, mu):
-        return 0
-    guard(sum(lam))
+    return lam, mu
+
+
+def _closed_form_dimension(profile: QuantumProfile, lam, mu):
+    """The dimension of a same-block pair where the paper gives it in
+    closed form, else None.
+
+    Hom(S^(n), S^mu) is one-dimensional when ``trivial_hom_exists`` and
+    zero otherwise, at every q: (n) is 2-regular, so within
+    ``semistandard_scope``, with one semistandard tableau.  Hom(S^lam,
+    S^(1^n)) is its dual, (n) -> lam'.  When e != 2 the node-moving pairs
+    with gamma = 1, or across adjacent rows, have dimension 1 exactly when
+    ``cp_eligible``, tried for (lam, mu) and then its dual (mu', lam'); at
+    q = -1 they lie outside the paper's hypothesis and are solved."""
+    if len(lam) == 1:
+        return int(trivial_hom_exists(mu, profile))
+    if mu and mu[0] == 1:
+        return int(trivial_hom_exists(conjugate(lam), profile))
+    if profile.e == 2:
+        return None
+    for source, target in ((lam, mu), (conjugate(mu), conjugate(lam))):
+        try:
+            a, b, gamma = cp_pair_data(source, target)
+        except ValueError:
+            continue
+        if gamma == 1 or b == a + 1:
+            return int(cp_eligible(CPInstance(target, a, b, gamma), profile))
+    return None
+
+
+def _cheaper_side_dimension(field: FieldSpec, lam, mu) -> int:
+    """The solve of (lam, mu) or of its dual (mu', lam'), whichever
+    ``_route_cost`` ranks cheaper.  The dimensions are equal: the dual of
+    a Specht module is that of the conjugate shape twisted by #
+    (Dipper-James; Mathas, ch. 3)."""
     dual = conjugate(mu), conjugate(lam)
     if _route_cost(field, *dual) < _route_cost(field, lam, mu):
         lam, mu = dual
@@ -415,7 +471,8 @@ def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n: None) -> int:
 
 
 def _route_cost(field: FieldSpec, lam, mu):
-    """Off the semistandard route last, then by dim M^mu."""
+    """The rank of solving (lam, mu) as given, for a pair no closed form
+    answers: off the semistandard route last, then by dim M^mu."""
     return not semistandard_scope(field.profile(), lam), permutation_dim(mu)
 
 

@@ -13,6 +13,7 @@ from heckespecht.carter_payne import (
     verify_cp,
 )
 from heckespecht.homs import (
+    _solved_dimension,
     evaluate_on_generator,
     hom_space_dim,
     restriction_into_specht,
@@ -91,7 +92,7 @@ def test_trivial_hom_matches_membership(cyclo3, cyclo4):
         for n in range(1, 7):
             for mu in partitions_of(n):
                 assert trivial_hom_exists(mu, prof) == (
-                    hom_space_dim(field, (n,), mu) == 1
+                    _solved_dimension(field, (n,), mu) == 1
                 ), (field.name, mu)
 
 
@@ -202,7 +203,7 @@ def test_predicted_matches_solver_one_node(cyclo3, cyclo4):
         for n in range(3, 6):
             for inst in one_node_instances(n):
                 want = predicted_hom_dim(inst.lam, inst.mu, prof)
-                got = hom_space_dim(field, inst.lam, inst.mu)
+                got = _solved_dimension(field, inst.lam, inst.mu)
                 assert got == want, (field.name, inst)
 
 
@@ -211,7 +212,7 @@ def test_predicted_matches_solver_one_node(cyclo3, cyclo4):
 def test_predicted_matches_solver_past_n6(spec, lam, mu):
     # node-moving pairs with n = 11 and n = 13, each a single landing solve
     field = parse_field(spec)
-    assert hom_space_dim(field, lam, mu) == predicted_hom_dim(lam, mu, field.profile()) == 1
+    assert _solved_dimension(field, lam, mu) == predicted_hom_dim(lam, mu, field.profile()) == 1
 
 
 def test_predicted_matches_solver_one_node_char_p():
@@ -222,7 +223,7 @@ def test_predicted_matches_solver_one_node_char_p():
         prof = spec.profile()
         for n in range(3, 6):
             for inst in one_node_instances(n):
-                dim = hom_space_dim(spec, inst.lam, inst.mu)
+                dim = _solved_dimension(spec, inst.lam, inst.mu)
                 want = 1 if cp_eligible(inst, prof) else 0
                 assert dim == want, (spec.name, inst)
 
@@ -239,7 +240,7 @@ def test_predicted_matches_solver_adjacent_char_p():
                     except ValueError:
                         continue
                     want = cp_eligible(inst, prof)
-                    got = hom_space_dim(spec, inst.lam, inst.mu)
+                    got = _solved_dimension(spec, inst.lam, inst.mu)
                     assert (got >= 1) == want, (mu, a, gamma)
 
 
@@ -285,10 +286,10 @@ def test_one_node_dimension_spot_check_n7(cyclo4):
     prof = cyclo4.profile()
     inst = CPInstance((3, 2, 2), 1, 3, 1)
     assert cp_eligible(inst, prof)
-    assert hom_space_dim(cyclo4, inst.lam, inst.mu) == 1
+    assert _solved_dimension(cyclo4, inst.lam, inst.mu) == 1
     inst = CPInstance((3, 3, 1), 1, 3, 1)
     assert not cp_eligible(inst, prof)
-    assert hom_space_dim(cyclo4, inst.lam, inst.mu) == 0
+    assert _solved_dimension(cyclo4, inst.lam, inst.mu) == 0
 
 
 def test_one_node_at_e2_gives_lower_bound_only():

@@ -511,11 +511,11 @@ def test_cp_verify_guards_the_source_of_cp_map_json_output(capsys, monkeypatch):
     ("cp-verify", "--xi", "1000,1", "--a", "1", "--b", "2", "--force"),
 ])
 def test_forced_n_past_the_size_limit_is_refused(capsys, monkeypatch, argv):
-    # --force lifts the brute-force guard only up to n = 1000: the n = 1001
-    # pair takes 10 s on the semistandard route.  hom_space_dim calls the
-    # guard after its block test, before its route is chosen or solved
-    for module, name in ((homs, "_route_cost"), (homs, "_direct_dimension"),
-                         (cli, "one_node_map")):
+    # --force lifts the brute-force guard only up to n = 1000.  hom_space_dim
+    # calls the guard after its block test, before its closed forms are
+    # read (they would answer this pair) and before a route is chosen
+    for module, name in ((homs, "_closed_form_dimension"), (homs, "_route_cost"),
+                         (homs, "_direct_dimension"), (cli, "one_node_map")):
         monkeypatch.setattr(module, name, _refuse)
     code, out, err = run_cli(capsys, argv[0], "--field", "p=7,q=2", *argv[1:])
     assert (code, out) == (2, "")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import ROADMAP_FIELDS
-from heckespecht.carter_payne import one_node_map
+from heckespecht.carter_payne import CPInstance, cp_pair_data, one_node_map
 from heckespecht import hecke, homs, tableaux
 from heckespecht.hecke import (
     ModuleVector,
@@ -418,19 +418,94 @@ def test_duality_routing(monkeypatch):
 
     monkeypatch.setattr(homs, "_direct_dimension", recorded)
     monkeypatch.setattr(homs, "spin_specht", counted(homs.spin_specht))
-    # the long-column pair goes to the semistandard route of its dual
+    # a map into S^(1^n) is the dual of one out of S^(n): closed form
     assert hom_space_dim(field, (2, 1, 1, 1, 1), (1,) * 6) == 1
-    assert solved == [((6,), (5, 1))]
-    assert calls[0] == 0
-    # a one-row source is solved as given: n! >= dim M^mu; outside the
-    # block of (6), nothing is solved
+    # and so is every map out of S^(6), in its block or not
     for mu in partitions_of(6):
-        before = len(solved)
         hom_space_dim(field, (6,), mu)
-        if same_block(field.profile(), (6,), mu):
-            assert solved[-1] == ((6,), mu)
-        else:
-            assert len(solved) == before, mu
+    assert solved == []
+    # the oracle solves the long-column pair on the semistandard route of
+    # its dual, and a one-row source as given: n! >= dim M^mu
+    assert homs._solved_dimension(field, (2, 1, 1, 1, 1), (1,) * 6) == 1
+    assert solved == [((6,), (5, 1))]
+    assert homs._solved_dimension(field, (6,), (2, 2, 2)) == 1
+    assert solved[-1] == ((6,), (2, 2, 2))
+    assert calls[0] == 0
+    # at e = 2 a node-moving pair off the semistandard scope still solves,
+    # on the cyclic route: (4,1,1) and its dual source (3,1,1,1) are not
+    # 2-regular, and the hom space has dimension 2
+    c2 = parse_field("cyclotomic:e=2")
+    assert hom_space_dim(c2, (4, 1, 1), (3, 1, 1, 1)) == 2
+    assert len(solved) == 3 and calls[0] == 2
+
+
+def _node_moving_pairs(n):
+    """Every node-moving pair (lam, mu) of size n, each with its dual
+    (mu', lam')."""
+    for mu in partitions_of(n):
+        for a, b in itertools.combinations(range(1, len(mu) + 1), 2):
+            for gamma in range(1, mu[b - 1] + 1):
+                try:
+                    inst = CPInstance(mu, a, b, gamma)
+                except ValueError:
+                    continue
+                yield inst.lam, inst.mu
+                yield conjugate(inst.mu), conjugate(inst.lam)
+
+
+def _closed_form_pairs(n):
+    """The pairs of size n the closed forms are meant for: (n) -> mu and
+    its dual lam -> (1^n), and the node-moving pairs."""
+    for shape in partitions_of(n):
+        yield (n,), shape
+        yield shape, (1,) * n
+    yield from _node_moving_pairs(n)
+
+
+def _has_closed_form(profile, lam, mu) -> bool:
+    """Whether the paper gives the dimension of (lam, mu): a one-row pair
+    at every q, and when e != 2 a node-moving pair with gamma = 1 or
+    across adjacent rows, as given or as its dual."""
+    if len(lam) == 1 or mu[0] == 1:
+        return True
+    if profile.e == 2:
+        return False
+    for source, target in ((lam, mu), (conjugate(mu), conjugate(lam))):
+        try:
+            a, b, gamma = cp_pair_data(source, target)
+        except ValueError:
+            continue
+        if gamma == 1 or b == a + 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS)
+def test_closed_forms_match_the_solve(spec, monkeypatch):
+    # the paper's closed forms against the solve they replace, on every
+    # pair they are meant for with n <= 8, across blocks too, where the
+    # closed form must give the block test's 0; at e = 2 only the one-row
+    # pairs are answered so.  Then, with the solve refused, hom_space_dim
+    # still answers every one of them
+    field = parse_field(spec)
+    profile = field.profile()
+    wanted = {}
+    for n in range(1, 9):
+        for lam, mu in _closed_form_pairs(n):
+            dim = homs._closed_form_dimension(profile, lam, mu)
+            if not _has_closed_form(profile, lam, mu):
+                assert dim is None, (lam, mu)
+                continue
+            wanted[lam, mu] = homs._solved_dimension(field, lam, mu)
+            assert dim == wanted[lam, mu], (lam, mu)
+
+    def refuse(*args):
+        raise AssertionError(f"solved {args[1:]}")
+
+    monkeypatch.setattr(homs, "_direct_dimension", refuse)
+    monkeypatch.setattr(homs, "spin_specht", refuse)
+    for (lam, mu), dim in wanted.items():
+        assert hom_space_dim(field, lam, mu) == dim, (lam, mu)
 
 
 def test_cross_block_pairs_solve_nothing(monkeypatch):
