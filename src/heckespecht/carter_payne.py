@@ -4,13 +4,18 @@ homomorphisms between Specht modules.
 Two families are constructible: moving gamma nodes between adjacent rows
 (a single-tableau map), and moving one node between arbitrary rows (an
 explicit signed Gaussian-binomial combination of semistandard basis
-homomorphisms).  The divisibility criteria, defined in ``criteria`` and
-bound here, decide when the constructed map lands in the Specht
-submodule; the general several-rows, several-nodes case is reported as
-outside the proven scope.
+homomorphisms).  Each map's coefficients have one field-free source,
+its memoised terms (T.rows, (sign, k, pairs)), sign q^k times Gaussian
+binomials, which the constructors read in a field and ``verify_terms``
+decides with no map built.  The divisibility criteria, defined in
+``criteria`` and bound here, decide when the constructed map lands in
+the Specht submodule; the general several-rows, several-nodes case is
+reported as outside the proven scope.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 # defined in ``criteria``, where ``homs`` reads them too
 from .criteria import (  # noqa: F401
@@ -20,8 +25,11 @@ from .criteria import (  # noqa: F401
     cp_pair_data,
     trivial_hom_exists,
 )
-from .homs import HomSpec, restriction_verdicts, semistandard_scope
-from .qfield import FieldSpec, QuantumProfile, qint
+from .homs import (
+    HomSpec, _coefficient, factored_verdicts, restriction_verdicts, semistandard_scope)
+from .memo import sized_cache
+from .partitions import check_partition
+from .qfield import FieldSpec, QuantumProfile
 from .tableaux import Tableau, enumerate_semistandard
 
 
@@ -29,74 +37,81 @@ def one_node_map(field: FieldSpec, xi, a: int, b: int) -> HomSpec:
     """The explicit one-node homomorphism from the Specht module of eta
     (xi with one node raised from row b to row a) into the permutation
     module of xi, as a signed combination of semistandard basis maps."""
-    inst = CPInstance(xi, a, b, 1)
-    eta = inst.lam
-    eta_padded = eta + (0,) * (b - len(eta))
-    coeffs = {}
-    for tab in enumerate_semistandard(eta, inst.mu):
-        rep = field.one_rep
-        for i in range(a + 1, b):
-            rep = field.mul(rep, _one_node_factor(field, tab, eta_padded, b, i))
-        coeffs[tab] = rep
-    hom = HomSpec(field, eta, inst.mu, coeffs)
-    if hom.is_zero_spec():
-        raise AssertionError("one-node map has no semistandard support")
-    return hom
-
-
-def _one_node_factor(field, tab: Tableau, eta, b: int, i: int):
-    last = tab.entry(i, eta[i - 1])
-    if last != i:
-        return field.one_rep
-    eta_next = eta[i] if i < len(eta) else 0
-    if eta[i - 1] == eta_next:
-        return field.neg(field.q_power(-1))
-    span = eta[i - 1] - eta[b - 1] + b - i - 1
-    return field.neg(field.mul(field.q_power(-span), qint(field, span).rep))
+    return _from_terms(field, CPInstance(xi, a, b, 1), one_node_terms(check_partition(xi), a, b))
 
 
 def adjacent_map(field: FieldSpec, mu, a: int, gamma: int) -> HomSpec:
     """The single-tableau homomorphism for moving gamma nodes from row
     a+1 up to row a."""
     inst = CPInstance(mu, a, a + 1, gamma)
-    lam = inst.lam
-    rows = []
-    for i, part in enumerate(lam, start=1):
-        if i == a:
-            rows.append((a,) * mu[a - 1] + (a + 1,) * gamma)
-        else:
-            rows.append((i,) * part)
-    tab = Tableau(rows)
+    return _from_terms(field, inst, adjacent_terms(inst.mu, a, gamma))
+
+
+def _from_terms(field: FieldSpec, inst: CPInstance, terms) -> HomSpec:
+    coeffs = {}
+    for rows, (sign, k, pairs) in terms:
+        rep = _coefficient(field, k, pairs)
+        coeffs[Tableau(rows)] = rep if sign > 0 else field.neg(rep)
+    return HomSpec(field, inst.lam, inst.mu, coeffs)
+
+
+# a map's terms serve every field: at most 2^12 per map, 2^16 in all
+@sized_cache(maxsize=4096, maxterms=1 << 16, maxentry=1 << 12)
+def one_node_terms(xi, a: int, b: int) -> tuple:
+    """The terms (T.rows, (sign, k, pairs)) of ``one_node_map``, T
+    semistandard of shape eta and type xi: sign q^k times the Gaussian
+    binomials [a, b] of the pairs.  Each row i strictly between a and b
+    that ends in i gives a factor -q^-1 when row i+1 is as long, else
+    -q^-s [s]_q, [s]_q = [s, 1], so k may be negative."""
+    inst = CPInstance(xi, a, b, 1)
+    eta = inst.lam + (0,) * (b - len(inst.lam))
+    terms = []
+    for tab in enumerate_semistandard(inst.lam, inst.mu):
+        sign, k, pairs = 1, 0, []
+        for i in range(a + 1, b):
+            if tab.rows[i - 1][-1] == i:
+                span = 1 if eta[i - 1] == eta[i] else eta[i - 1] - eta[b - 1] + b - i - 1
+                sign, k = -sign, k - span
+                if span > 1:
+                    pairs.append((span, 1))
+        terms.append((tab.rows, (sign, k, tuple(pairs))))
+    return tuple(terms)
+
+
+@sized_cache(maxsize=4096, maxterms=1 << 16, maxentry=1 << 12)
+def adjacent_terms(mu, a: int, gamma: int) -> tuple:
+    """The one term (T.rows, (1, 0, ())) of ``adjacent_map``."""
+    inst = CPInstance(mu, a, a + 1, gamma)
+    tab = Tableau((a,) * inst.mu[a - 1] + (a + 1,) * gamma if i == a else (i,) * part
+                  for i, part in enumerate(inst.lam, start=1))
     if not tab.is_semistandard():
         raise ValueError(f"no semistandard tableau for {inst!r}")
-    return HomSpec(field, lam, inst.mu, {tab: field.one_rep})
+    return ((tab.rows, (1, 0, ())),)
 
 
-class CPVerification:
-    __slots__ = ("nonzero", "lands_in_specht")
+class CPVerification(namedtuple("CPVerification", "nonzero lands_in_specht")):
+    """Is a constructed map's restriction nonzero, and does it land in the
+    Specht submodule of its target."""
 
-    def __init__(self, nonzero: bool, lands_in_specht: bool):
-        self.nonzero = nonzero
-        self.lands_in_specht = lands_in_specht
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CPVerification)
-            and (self.nonzero, self.lands_in_specht)
-            == (other.nonzero, other.lands_in_specht)
-        )
-
-    def __repr__(self):
-        return f"CPVerification(nonzero={self.nonzero}, lands_in_specht={self.lands_in_specht})"
+    __slots__ = ()
 
     def to_json(self):
-        return {"nonzero": self.nonzero, "lands_in_specht": self.lands_in_specht}
+        return self._asdict()
 
 
 def verify_cp(hom: HomSpec) -> CPVerification:
     """Brute-force verdict on a constructed map: is its restriction
     nonzero, and does the restriction land in the Specht submodule."""
     is_zero, lands = restriction_verdicts(hom)
+    return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
+
+
+def verify_terms(field: FieldSpec, terms_of, mu, *args) -> CPVerification:
+    """``verify_cp`` over field of the map into M^mu whose terms are
+    terms_of(mu, *args), ``one_node_terms`` or ``adjacent_terms``, with no
+    map built (``homs.factored_verdicts``)."""
+    mu = check_partition(mu)
+    is_zero, lands = factored_verdicts(field, mu, terms_of, (mu, *args))
     return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
 
 

@@ -5,15 +5,17 @@ derived pair (e, p) alongside the result, in the selected output format
 (text, json or csv).  Each subcommand computes only its JSON result;
 text and CSV are rendered from it by one layout (``_table``: a CSV
 header, the rows and each row's text line), so the three formats show
-the same fields.  ``classify``'s result is its reports, made
-one at a time; its JSON is written straight from each report's
-attributes, the bytes of ``json.dumps(report.to_json())``.  Inputs are
-validated strictly; malformed partitions, out-of-range indices and
-unknown flags exit with status 2, unexpected internal failures with
-status 1.  The common argv form is
-read off the flag table ``COMMANDS`` in one pass; argparse, built from
-the same table on first need, reads every other form, so help, messages
-and exit codes are its own.
+the same fields.  ``cp-verify`` decides a map named by construction
+flags off its field-free terms (``verify_terms``), with no ``HomSpec``
+built; a ``--hom-json`` map is read and verified as given.
+``classify``'s result is its reports, made one at a time; its JSON is
+written straight from each report's attributes, the bytes of
+``json.dumps(report.to_json())``.  Inputs are validated strictly;
+malformed partitions, out-of-range indices and unknown flags exit with
+status 2, unexpected internal failures with status 1.  The common argv
+form is read off the flag table ``COMMANDS`` in one pass; argparse,
+built from the same table on first need, reads every other form, so
+help, messages and exit codes are its own.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ from .carter_payne import (
     CPInstance,
     OutsideProvenScope,
     adjacent_map,
+    adjacent_terms,
     cp_eligible,
     one_node_map,
+    one_node_terms,
     trivial_hom_exists,
     verify_cp,
+    verify_terms,
 )
-from .homs import HomSpec, compose_psi_theta, compose_term_count, hom_space_dim
+from .homs import CELLS_LIMIT, HomSpec, compose_psi_theta, compose_term_count, hom_space_dim
 from .partitions import nu_composition, parse_partition
 from .qfield import parse_field, qbinom, qbinom_rows, vanish_run
 from .reducibility import classify_range
@@ -49,7 +54,7 @@ BRUTE_FORCE_LIMIT = 9
 CLASSIFY_LIMIT = 45
 JSON_CHUNK = 1000  # classify reports' JSON texts per write
 TABLES_LIMIT = 1000  # tables --max (time and memory quadratic in max), and n under --force
-CELLS_LIMIT = TABLES_LIMIT * (TABLES_LIMIT + 1) // 2  # cells of tables --max TABLES_LIMIT
+# CELLS_LIMIT, from homs (the largest row class), is the cells of tables --max TABLES_LIMIT
 
 
 FORMATS = ("text", "json", "csv")
@@ -197,9 +202,10 @@ def _dispatch(args, field):
         return {"mu": list(inst.mu), "lambda": list(inst.lam), "a": args.a, "b": args.b,
                 "gamma": args.gamma, "eligible": verdict}
     if cmd == "cp-map":
-        return _build_map(args, field).to_json()
+        make, _, params = _construction(args)
+        return make(field, *params).to_json()
     if cmd == "cp-verify":
-        return verify_cp(_load_or_build_map(args, field)).to_json()
+        return _verify(args, field).to_json()
     if cmd == "hom-dim":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
@@ -235,9 +241,9 @@ def _dispatch(args, field):
 _MAP_FORMS = "--xi/--a/--b for a one-node map or --mu/--a/--gamma for adjacent rows"
 
 
-def _build_map(args, field, guard=lambda n: None) -> HomSpec:
-    """The map the construction flags name; guard(n) sees its size n
-    before anything is built."""
+def _construction(args, guard=lambda n: None):
+    """(map constructor, terms, their arguments) of the construction
+    flags; guard(n) sees the map's size n before anything is built."""
     if (args.xi, args.b) != (None, None) and (args.mu, args.gamma) != (None, None):
         raise ValueError(f"give {_MAP_FORMS}, not both")
     if args.xi is not None:
@@ -245,16 +251,17 @@ def _build_map(args, field, guard=lambda n: None) -> HomSpec:
             raise ValueError("--xi needs --b")
         xi = parse_partition(args.xi)
         guard(sum(xi))
-        return one_node_map(field, xi, args.a, args.b)
+        return one_node_map, one_node_terms, (xi, args.a, args.b)
     if args.mu is not None and args.gamma is not None:
         mu = parse_partition(args.mu)
         guard(sum(mu))
-        return adjacent_map(field, mu, args.a, args.gamma)
+        return adjacent_map, adjacent_terms, (mu, args.a, args.gamma)
     raise ValueError(f"give {_MAP_FORMS}")
 
 
-def _load_or_build_map(args, field) -> HomSpec:
-    """cp-verify's map, read or built, its size n guarded first."""
+def _verify(args, field):
+    """cp-verify's verdict, its size n guarded first: ``verify_cp`` of a
+    map read from JSON, else ``verify_terms`` of the construction."""
     guard = functools.partial(_guard, force=args.force)
     if args.hom_json:
         if (args.xi, args.a, args.b, args.mu, args.gamma) != (None,) * 5:
@@ -269,10 +276,11 @@ def _load_or_build_map(args, field) -> HomSpec:
         source = data.get("source") if isinstance(data, dict) else None
         if isinstance(source, list) and all(type(part) is int for part in source):
             guard(sum(source))  # a malformed source is from_json's to refuse
-        return HomSpec.from_json(data, field)
+        return verify_cp(HomSpec.from_json(data, field))
     if args.a is None:
         raise ValueError("give --hom-json or map construction flags")
-    return _build_map(args, field, guard)
+    _, terms_of, params = _construction(args, guard)
+    return verify_terms(field, terms_of, *params)
 
 
 def _guard(n: int, force: bool):

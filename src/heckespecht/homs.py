@@ -20,6 +20,11 @@ S.rows), its oracle the field's ``generator_keys`` of the row-class sum)
 and each polynomial read once per field (``_read``).  The field-free
 memos are bounded by entries and by total stored terms.  Pushing a vector
 through psi_{d,t} remains for membership and as the rule's oracle.
+A constructed map's verdicts (``factored_verdicts``) are decided once for
+every field: its terms, sign q^k times Gaussian binomials, grouped by
+their binomials (``_verdict_groups``), each group summed over Z[q] when a
+field first reads its binomials as nonzero (``_group_sum``).  No row
+class above CELLS_LIMIT tableaux is listed.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block the paper's closed
 forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
@@ -36,7 +41,9 @@ rows, dim S^lam * dim S^mu unknowns, is both routes' oracle.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
+from math import factorial, prod
 
 from .criteria import CPInstance, cp_eligible, cp_pair_data, trivial_hom_exists
 from .hecke import (
@@ -158,12 +165,22 @@ class HomSpec:
 # ---------------------------------------------------------------------------
 # the basis homomorphisms and the merge maps
 
+CELLS_LIMIT = 1000 * 1001 // 2  # the most tableaux of a row class: the cells of tables --max 1000
+
+
 def _row_class_sum(field: FieldSpec, coeffs: dict, target) -> ModuleVector:
     """Image of the source cyclic generator under the combination of basis
     homomorphisms with the given coefficients over tableaux: each
     tableau's coefficient times the basis vectors of its row equivalence
     class, whose row words are the reading words of the class: one
-    ordering of each row, joined, in ``row_equiv_class`` order."""
+    ordering of each row, joined, in ``row_equiv_class`` order.  A row
+    class of more than CELLS_LIMIT tableaux is refused before any is listed."""
+    if factorial(sum(target)) > CELLS_LIMIT:  # else n! bounds every class
+        for tab in coeffs:
+            size = prod(permutation_dim(Counter(row).values()) for row in tab.rows)
+            if size > CELLS_LIMIT:
+                raise ValueError(
+                    f"a row class of {size} tableaux exceeds the size limit {CELLS_LIMIT}")
     out: dict = {}
     for tab, c in coeffs.items():
         for parts in itertools.product(*map(_orderings, tab.rows)):
@@ -373,6 +390,71 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
         return True, True
     return False, _landing_solve(hom.field, target, 1, lambda d, t: [
         _merged_value(hom.field, hom.coeffs, hom.source, d, t)]) == 1
+
+
+def factored_verdicts(field: FieldSpec, mu, terms_of, params) -> tuple[bool, bool]:
+    """``restriction_verdicts`` of the map into M^mu whose terms
+    terms_of(*params) lists, (T.rows, (sign, k, pairs)) for sign q^k times
+    the Gaussian binomials [a, b] of the pairs, with no map built: its
+    value at z, then psi_{d,t} of it in ``_landing_solve``'s order up to
+    the first that is not zero, each read off ``_verdict_groups``."""
+    one = field.one_rep
+
+    def value(d, t):  # a group whose binomials vanish is skipped, its sum never built
+        out: dict = {}
+        for i, (pairs, group) in enumerate(_verdict_groups(terms_of, params, d, t)):
+            c = _coefficient(field, 0, pairs) if pairs else one
+            if field.is_zero(c):
+                continue
+            (shift, n, rows), *more = group
+            if more or shift or n != 1:
+                sums = _group_sum(terms_of, params, d, t, i)
+            else:  # one theta_S at shift 0 is its own sum
+                sums = _z_value(tuple(map(len, rows)), rows)
+            for key, poly in sums.items():
+                rep = _read(field, poly)
+                _acc(field, out, key, rep if c == one else field.mul(c, rep))
+        return out
+
+    if not value(0, 0):
+        return True, True
+    return False, not any(value(d, t) for d in range(1, len(mu)) for t in range(mu[d]))
+
+
+# one value's groups hold at most 2^12 terms, 2^16 in all; one group's sum
+# at most 2^15 keys, 2^18 in all
+@sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12,
+             size=lambda groups: sum(len(terms) for _, terms in groups))
+def _verdict_groups(terms_of, params, d: int, t: int) -> tuple:
+    """The terms of the value at z of the map terms_of(*params) (d = 0), or
+    of psi_{d,t} of it, grouped by the multiset of their Gaussian
+    binomials: (pairs, ((shift, n, S.rows), ...)) for n q^shift theta_S,
+    shift the power of q above the map's least.  Terms of one S and shift
+    are added, and those that cancel dropped.  It holds no field's results."""
+    terms = terms_of(*params)
+    least = min(k for _, (_, k, _) in terms)
+    groups: dict = {}
+    for rows, (sign, k, pairs) in terms:
+        merged = ([(S.rows, more) for S, more in _compose_terms(rows, d, t)] if d
+                  else [(rows, (0, ()))])
+        for other, (more_k, more) in merged:
+            group = groups.setdefault(tuple(sorted(pairs + more)), {})
+            key = k + more_k - least, other
+            group[key] = group.get(key, 0) + sign
+    kept = ((pairs, tuple((shift, n, rows) for (shift, rows), n in group.items() if n))
+            for pairs, group in groups.items())
+    return tuple((pairs, group) for pairs, group in kept if group)
+
+
+@sized_cache(maxsize=8192, maxterms=1 << 18, maxentry=1 << 15)
+def _group_sum(terms_of, params, d: int, t: int, i: int) -> dict:
+    """Group i of ``_verdict_groups`` over Z[q]: the sum of n q^shift times
+    the value of theta_S at z (``_z_value``)."""
+    out: dict = {}
+    for shift, n, rows in _verdict_groups(terms_of, params, d, t)[i][1]:
+        for key, poly in _z_value(tuple(map(len, rows)), rows).items():
+            _acc(ZQ, out, key, ZQ.mul((0,) * shift + (n,), poly))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,19 @@ from heckespecht import (
     specht_generator,
     spin_specht,
 )
+from heckespecht.carter_payne import (
+    adjacent_terms,
+    one_node_map,
+    one_node_terms,
+    verify_cp,
+    verify_terms,
+)
 from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
 from heckespecht.homs import (
     _compose_terms,
+    _group_sum,
     _read,
+    _verdict_groups,
     _value_at_z,
     _z_value,
     compose_psi_theta,
@@ -59,10 +68,12 @@ def test_every_cache_is_bounded():
         "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
         "reducibility._valuation_table", "homs._z_value", "homs._read",
         "homs._compose_terms", "tableaux._semistandard", "qfield.parse_field",
-        "partitions._e_core"}
+        "partitions._e_core", "homs._verdict_groups", "homs._group_sum",
+        "carter_payne.one_node_terms", "carter_payne.adjacent_terms"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
-    for cache in (_z_value, _orderings, _compose_terms, _semistandard):
+    for cache in (_z_value, _orderings, _compose_terms, _semistandard, _verdict_groups,
+                  _group_sum, one_node_terms, adjacent_terms):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
 
@@ -205,6 +216,32 @@ def test_one_value_over_zq_serves_every_field():
     assert (info.currsize, info.terms, info.hits, info.misses) == (0, 0, 0, 0)
 
 
+def test_a_constructed_map_is_decided_once_for_every_field():
+    # a constructed map's verdict data is grouped and summed over Z[q] once,
+    # keyed by the construction: a second field asking the map adds no
+    # _z_value and no _compose_terms miss.  At q = -1 the groups whose
+    # binomials hold [2] vanish, and their sums wait for a field that reads
+    # them as nonzero
+    clear_caches()
+    args = ((3, 2, 2, 1), 1, 4)  # one term has the binomial [2, 1]
+    e2, e3, f7 = map(parse_field, ("cyclotomic:e=2", "cyclotomic:e=3", "p=7,q=2"))
+    assert verify_terms(e2, one_node_terms, *args) == (True, True)
+    at_e2 = _group_sum.cache_info().misses
+    assert verify_terms(e3, one_node_terms, *args) == (True, True)
+    assert _group_sum.cache_info().misses > at_e2
+    misses = [cache.cache_info().misses for cache in (_z_value, _compose_terms, _group_sum)]
+    assert verify_terms(f7, one_node_terms, *args) == (True, True)
+    assert [cache.cache_info().misses
+            for cache in (_z_value, _compose_terms, _group_sum)] == misses
+    assert _verdict_groups.cache_info().hits
+    for field in (e2, e3, f7):
+        assert verify_terms(field, one_node_terms, *args) == verify_cp(one_node_map(field, *args))
+    clear_caches()
+    for cache in (_verdict_groups, _group_sum, one_node_terms):
+        info = cache.cache_info()
+        assert (info.currsize, info.terms, info.hits, info.misses) == (0, 0, 0, 0)
+
+
 LANDING_QUERIES = (
     ("cp-verify", "--xi", "3,2,1", "--a", "1", "--b", "3"),
     ("cp-verify", "--mu", "3,3", "--a", "1", "--gamma", "2"),
@@ -223,11 +260,11 @@ def _answer(spec, argv):
 
 
 def test_interleaved_fields_answer_as_if_cold():
-    # the field-free memos (the factored composition terms, the values
-    # over Z[q], the semistandard tableaux) and the per-field reads,
-    # shared by four fields asked in two interleaved orders in one
-    # process, give each query the answer it has with every memo emptied
-    # first
+    # the field-free memos (the grouped verdict terms of each constructed
+    # map and their sums over Z[q], the semistandard tableaux) and the
+    # per-field reads, shared by four fields asked in two interleaved
+    # orders in one process, give each query the answer it has with every
+    # memo emptied first
     cold = {}
     for spec in LANDING_FIELDS:
         for argv in LANDING_QUERIES:
@@ -241,7 +278,7 @@ def test_interleaved_fields_answer_as_if_cold():
     ):
         for spec, argv in order:
             assert _answer(spec, argv) == cold[spec, argv], (spec, argv)
-    assert _read.cache_info().hits and _compose_terms.cache_info().hits
+    assert _read.cache_info().hits and _verdict_groups.cache_info().hits
     clear_caches()
 
 

@@ -1,16 +1,22 @@
+import re
+
 import pytest
+from conftest import ROADMAP_FIELDS
 
 from heckespecht.carter_payne import (
     CPInstance,
     CPVerification,
     OutsideProvenScope,
     adjacent_map,
+    adjacent_terms,
     cp_eligible,
     cp_pair_data,
     one_node_map,
+    one_node_terms,
     predicted_hom_dim,
     trivial_hom_exists,
     verify_cp,
+    verify_terms,
 )
 from heckespecht.homs import (
     _solved_dimension,
@@ -185,6 +191,33 @@ def test_symbolic_landing_matches_membership_of_the_value(spec):
         assert verdicts == (value.is_zero(), specht_membership(value)), hom
         seen.add(verdicts)
     assert {(False, True), (False, False)} <= seen
+
+
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
+def test_factored_verdict_matches_the_built_map(spec):
+    # the verdict read off a map's field-free terms, grouped by their
+    # Gaussian binomials, is verify_cp of the map built over the field, on
+    # every one-node and adjacent-rows map with n <= 7; a construction the
+    # builder refuses is refused with the same message
+    field = parse_field(spec)
+    seen = set()
+    for n in range(2, 8):
+        for mu in partitions_of(n):
+            for a in range(1, len(mu)):
+                builds = [(one_node_map, one_node_terms, b) for b in range(a + 1, len(mu) + 1)]
+                builds += [(adjacent_map, adjacent_terms, g) for g in range(1, mu[a] + 1)]
+                for make, terms_of, last in builds:
+                    try:
+                        want = verify_cp(make(field, mu, a, last))
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            verify_terms(field, terms_of, mu, a, last)
+                        continue
+                    assert verify_terms(field, terms_of, mu, a, last) == want, (mu, a, last)
+                    seen.add(want)
+    # no map with n <= 7 lands at e = 48 (p=97,q=3)
+    assert CPVerification(True, False) in seen
+    assert (CPVerification(True, True) in seen) == (field.profile().e < 8)
 
 
 def test_predicted_dims(cyclo3, cyclo4):

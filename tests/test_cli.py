@@ -522,6 +522,22 @@ def test_forced_n_past_the_size_limit_is_refused(capsys, monkeypatch, argv):
     assert "n=1001 exceeds the size limit 1000" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # row 1 of the map's tableau, 1^30 2^15, has C(45, 15) orderings
+    ("cp-verify", "--field", "p=7,q=2", "--mu", "30,30", "--a", "1", "--gamma", "15"),
+    # at e = 2 no closed form answers the pair: its semistandard solve
+    # meets a merged tableau whose row class is past the limit too
+    ("hom-dim", "--field", "p=2,q=1", "--lambda", "45,15", "--mu", "30,30"),
+])
+def test_a_row_class_past_the_size_limit_is_refused(capsys, monkeypatch, argv):
+    # a forced n = 60 passes the size limit, but the row class of a
+    # tableau is counted before any of its orderings is listed
+    monkeypatch.setattr(homs, "_orderings", _refuse)
+    code, out, err = run_cli(capsys, *argv, "--force")
+    assert (code, out) == (2, "")
+    assert "tableaux exceeds the size limit 500500" in err
+
+
 def test_long_rows_need_no_recursion(capsys):
     # the semistandard fill goes cell by cell and the compositions row by
     # row, with no call per cell or per row
