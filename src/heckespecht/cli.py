@@ -283,8 +283,10 @@ def _verify(args, field):
     return verify_terms(field, terms_of, *params)
 
 
-def _guard(n: int, force: bool):
-    if n > BRUTE_FORCE_LIMIT and not force:
+def _guard(n: int, solve: bool = True, *, force: bool):
+    """Refuse n past the size limit, and, when a solve or a map build
+    follows, n past the brute-force guard unless forced."""
+    if solve and n > BRUTE_FORCE_LIMIT and not force:
         raise ValueError(
             f"n={n} exceeds the brute-force guard ({BRUTE_FORCE_LIMIT}); pass --force to override"
         )

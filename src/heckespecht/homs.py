@@ -478,12 +478,13 @@ def same_block(profile: QuantumProfile, lam, mu) -> bool:
     return e_core(lam, profile.e) == e_core(mu, profile.e)
 
 
-def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n: None) -> int:
+def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n, solve: None) -> int:
     """Dimension of the space of module maps from the Specht module of
     lam to the Specht module of mu: 0 across blocks (``same_block``).
-    Within a block, guard(n) sees the size n before anything is solved.
+    Within a block, guard(n, False) sees the size n before the closed
+    forms are read, and guard(n, True) before anything is solved.
 
-    Then the paper's closed forms answer first (``_closed_form_dimension``):
+    The paper's closed forms answer first (``_closed_form_dimension``):
     Hom(S^(n), S^mu) at every q, and the node-moving pairs when e != 2.
     Every other pair is solved as ``_solved_dimension`` solves it, which
     stays as the closed forms' oracle."""
@@ -491,9 +492,12 @@ def hom_space_dim(field: FieldSpec, lam, mu, guard=lambda n: None) -> int:
     profile = field.profile()
     if not same_block(profile, lam, mu):
         return 0
-    guard(sum(lam))
+    guard(sum(lam), False)
     dim = _closed_form_dimension(profile, lam, mu)
-    return _cheaper_side_dimension(field, lam, mu) if dim is None else dim
+    if dim is not None:
+        return dim
+    guard(sum(lam), True)
+    return _cheaper_side_dimension(field, lam, mu)
 
 
 def _solved_dimension(field: FieldSpec, lam, mu) -> int:

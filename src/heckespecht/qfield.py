@@ -36,7 +36,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import neg, sub
 
 
@@ -851,12 +851,23 @@ def qbinom_rows(spec: FieldSpec, alpha: int, width: int):
 @lru_cache(maxsize=4096)
 def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
     """Gaussian binomial [alpha, beta]: the last of the rows of the
-    triangle cut to the columns b <= beta."""
+    triangle cut to the columns b <= beta.  When q has finite order
+    e <= alpha, by q-Lucas (Olive 1965; Desarmenien 1982) first:
+    [alpha, beta] = C(alpha // e, beta // e) [alpha mod e, beta mod e],
+    zero when beta mod e > alpha mod e; at q = 1 (e = p) this is Lucas's
+    theorem."""
     if beta < 0 or alpha < beta:
         raise ValueError("need 0 <= beta <= alpha")
+    scale = spec.one_rep
+    e = spec.profile().e if beta else None  # [alpha, 0] = 1 needs no order of q
+    if e is not None and alpha >= e:
+        (top, alpha), (bottom, beta) = divmod(alpha, e), divmod(beta, e)
+        if beta > alpha:
+            return spec.zero
+        scale = spec.int_rep(comb(top, bottom))
     for row in qbinom_rows(spec, alpha, beta):
         pass
-    return Scalar(spec, row[beta])
+    return Scalar(spec, spec.mul(scale, row[beta]))
 
 
 def qbinom_sum_oracle(spec: FieldSpec, alpha: int, beta: int) -> Scalar:

@@ -252,14 +252,36 @@ def test_hom_dim(capsys):
     assert "dimension: 0" in out
 
 
-def test_hom_dim_guard(capsys):
-    # (10) and (8,2) share the 3-core (1): the pair would be solved
-    code, _, err = run_cli(
+def test_hom_dim_guard(capsys, monkeypatch):
+    # (9,1) and (6,2,2) share their 3-core and no closed form answers
+    # them: the pair would be solved, and the guard refuses it first
+    profile = parse_field("cyclotomic:e=3").profile()
+    assert same_block(profile, (9, 1), (6, 2, 2))
+    assert homs._closed_form_dimension(profile, (9, 1), (6, 2, 2)) is None
+    for name in ("_route_cost", "_direct_dimension"):
+        monkeypatch.setattr(homs, name, _refuse)
+    code, out, err = run_cli(
         capsys, "hom-dim", "--field", "cyclotomic:e=3",
-        "--lambda", "10", "--mu", "8,2",
+        "--lambda", "9,1", "--mu", "6,2,2",
     )
-    assert code == 2
-    assert "--force" in err
+    assert (code, out) == (2, "")
+    assert "n=10 exceeds the brute-force guard (9); pass --force" in err
+
+
+@pytest.mark.parametrize("spec, lam, mu, dim", [
+    ("p=7,q=2", "10", "5,5", 0), ("cyclotomic:e=3", "10", "8,2", 1),
+    ("p=7,q=2", "600", "599,1", 1),
+])
+def test_hom_dim_closed_forms_need_no_force(capsys, monkeypatch, spec, lam, mu, dim):
+    # past the n guard a pair the paper's closed forms answer is answered
+    # without --force, and nothing is solved
+    for name in ("_route_cost", "_direct_dimension"):
+        monkeypatch.setattr(homs, name, _refuse)
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "hom-dim", "--field", spec, "--lambda", lam, "--mu", mu,
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["dimension"] == dim
 
 
 @pytest.mark.parametrize("spec, lam, mu", [

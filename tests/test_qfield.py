@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 import time
 
 import pytest
 
+from conftest import ROADMAP_FIELDS
 from heckespecht import (
     Cyclotomic,
     PrimeExtension,
@@ -118,6 +120,40 @@ def test_qbinom_symmetry(cyclo4, f7q2):
         for a in range(9):
             for b in range(a + 1):
                 assert qbinom(spec, a, b) == qbinom(spec, a, a - b)
+
+
+# the test fields and three with q = 1 or a further e, where e <= 40
+LUCAS_FIELDS = (*ROADMAP_FIELDS, "p=7,q=2", "p=5,q=1", "ext:p=5,e=6")
+
+
+@pytest.mark.parametrize("spec", LUCAS_FIELDS)
+def test_qbinom_by_q_lucas_matches_the_recurrence(spec):
+    # from alpha = e on, qbinom reads C(alpha // e, beta // e) times
+    # [alpha mod e, beta mod e]; the whole triangle of the recurrence is
+    # its oracle
+    field = parse_field(spec)
+    for a, row in enumerate(qbinom_rows(field, 40, 40)):
+        for b, rep in enumerate(row):
+            assert qbinom(field, a, b).rep == rep, (a, b)
+
+
+@pytest.mark.parametrize("spec", LUCAS_FIELDS)
+def test_qbinom_by_q_lucas_matches_the_sum_oracle(spec):
+    field = parse_field(spec)
+    for a in range(15):
+        for b in range(a + 1):
+            assert qbinom(field, a, b) == qbinom_sum_oracle(field, a, b), (a, b)
+
+
+def test_qbinom_at_q_one_is_lucas():
+    # e = p: C(a, b) mod p, read digit by digit from C(a // p, b // p)
+    field = parse_field("p=5,q=1")
+    for a in range(60):
+        for b in range(a + 1):
+            assert qbinom(field, a, b) == field.of(math.comb(a, b)), (a, b)
+    # base-5 digits 3,0,0,0,2 over 1,0,0,0,1: C(3, 1) C(2, 1) = 6
+    assert qbinom(field, 3 * 5**4 + 2, 5**4 + 1) == field.of(6)
+    assert qbinom(field, 12, 3).is_zero()  # last digits 2 over 3
 
 
 def test_ell_p_and_bstar():
