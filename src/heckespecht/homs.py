@@ -13,18 +13,20 @@ The symbolic composition rule writes psi_{d,t} o theta_T as basis maps
 theta_S with coefficients q^k times Gaussian binomials [a, b], kept
 factored (``_compose_terms``, keyed by (T.rows, d, t)), so one memo entry
 serves ``compose_psi_theta`` and the landing solves at every q.  Those
-solves read the value at z in M^nu off its column-canonical keys
-(``hecke.generator_keys``) and form no vector of M^mu: the value of each
-theta_S at z is computed once over Z[q] (``_z_value``, keyed by (lam,
-S.rows), its oracle the field's ``generator_keys`` of the row-class sum)
-and each polynomial read once per field (``_read``).  The field-free
-memos are bounded by entries and by total stored terms.  Pushing a vector
-through psi_{d,t} remains for membership and as the rule's oracle.
-A constructed map's verdicts (``factored_verdicts``) are decided once for
-every field: its terms, sign q^k times Gaussian binomials, grouped by
-their binomials (``_verdict_groups``), each group summed over Z[q] when a
-field first reads its binomials as nonzero (``_group_sum``).  No row
-class above CELLS_LIMIT tableaux is listed.
+solves have one reader, ``_map_value``, of the value at z in M^nu of a
+map given by factored terms, a constructed map or one theta_T
+(``_one_term``), or of psi_{d,t} of it, off its column-canonical keys
+(``hecke.generator_keys``), with no vector of M^mu formed: the terms are
+grouped by their binomials (``_verdict_groups``), and a group is summed
+over Z[q] (``_group_sum``) only once a field reads its binomials as
+nonzero, from the values of theta_S at z over Z[q] (``_z_value``, keyed
+by (lam, S.rows), its oracle the field's ``generator_keys`` of the
+row-class sum), each polynomial read once per field (``_read``).  So a
+constructed map's verdicts (``factored_verdicts``) are decided once for
+every field.  The field-free memos are bounded by entries and by total
+stored terms.  Pushing a vector through psi_{d,t} remains for
+membership and as the rule's oracle.  No row class above CELLS_LIMIT
+tableaux is listed.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block the paper's closed
 forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
@@ -243,33 +245,6 @@ def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
     return size - len(echelon)
 
 
-def _merged_value(field: FieldSpec, coeffs: dict, lam, d: int, t: int) -> dict:
-    """psi_{d,t} of the value at the Specht generator of lam of the
-    combination of theta_T with the given coefficients, T of type mu: the
-    value of the combination psi_{d,t} o theta_T of maps into M^nu, its
-    factored terms (``_compose_terms``) read at the field's q."""
-    merged: dict = {}
-    one = field.one_rep
-    for tab, c in coeffs.items():
-        for other, factors in _compose_terms(tab.rows, d, t):
-            rep = _coefficient(field, *factors)
-            _acc(field, merged, other, rep if c == one else field.mul(c, rep))
-    return _value_at_z(field, merged, lam)
-
-
-def _value_at_z(field: FieldSpec, coeffs: dict, lam) -> dict:
-    """``generator_keys`` of the combination of basis maps theta_S with the
-    given coefficients: the sum of c_S times the value of theta_S over
-    Z[q] (``_z_value``), read at the field's q."""
-    out: dict = {}
-    one = field.one_rep
-    for tab, c in coeffs.items():
-        for key, poly in _z_value(lam, tab.rows).items():
-            rep = _read(field, poly)
-            _acc(field, out, key, rep if c == one else field.mul(c, rep))
-    return out
-
-
 @lru_cache(maxsize=1 << 14)
 def _read(field: FieldSpec, poly):
     """The polynomial poly over Z[q] read at the field's q, once per
@@ -374,7 +349,7 @@ def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
 def restriction_is_zero(hom: HomSpec) -> bool:
     """Whether the restriction is zero: its value at the Specht generator
     has no column-canonical key (``generator_keys``)."""
-    return not _value_at_z(hom.field, hom.coeffs, hom.source)
+    return not _hom_value(hom, 0, 0)
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:
@@ -388,8 +363,7 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     target = check_partition(drop_trailing_zeros(hom.target))
     if restriction_is_zero(hom):
         return True, True
-    return False, _landing_solve(hom.field, target, 1, lambda d, t: [
-        _merged_value(hom.field, hom.coeffs, hom.source, d, t)]) == 1
+    return False, _landing_solve(hom.field, target, 1, lambda d, t: [_hom_value(hom, d, t)]) == 1
 
 
 def factored_verdicts(field: FieldSpec, mu, terms_of, params) -> tuple[bool, bool]:
@@ -397,28 +371,50 @@ def factored_verdicts(field: FieldSpec, mu, terms_of, params) -> tuple[bool, boo
     terms_of(*params) lists, (T.rows, (sign, k, pairs)) for sign q^k times
     the Gaussian binomials [a, b] of the pairs, with no map built: its
     value at z, then psi_{d,t} of it in ``_landing_solve``'s order up to
-    the first that is not zero, each read off ``_verdict_groups``."""
-    one = field.one_rep
-
-    def value(d, t):  # a group whose binomials vanish is skipped, its sum never built
-        out: dict = {}
-        for i, (pairs, group) in enumerate(_verdict_groups(terms_of, params, d, t)):
-            c = _coefficient(field, 0, pairs) if pairs else one
-            if field.is_zero(c):
-                continue
-            (shift, n, rows), *more = group
-            if more or shift or n != 1:
-                sums = _group_sum(terms_of, params, d, t, i)
-            else:  # one theta_S at shift 0 is its own sum
-                sums = _z_value(tuple(map(len, rows)), rows)
-            for key, poly in sums.items():
-                rep = _read(field, poly)
-                _acc(field, out, key, rep if c == one else field.mul(c, rep))
-        return out
-
-    if not value(0, 0):
+    the first that is not zero, each read by ``_map_value``."""
+    if not _map_value(field, terms_of, params, 0, 0):
         return True, True
-    return False, not any(value(d, t) for d in range(1, len(mu)) for t in range(mu[d]))
+    return False, not any(_map_value(field, terms_of, params, d, t)
+                          for d in range(1, len(mu)) for t in range(mu[d]))
+
+
+def _one_term(rows) -> tuple:
+    """The terms of the basis map theta_T, T row standard with these rows:
+    its least power of q is q^0, so ``_map_value`` reads it exactly."""
+    return ((rows, (1, 0, ())),)
+
+
+def _hom_value(hom: HomSpec, d: int, t: int) -> dict:
+    """``_map_value`` of hom: the sum of c_T times that of each theta_T."""
+    f, one = hom.field, hom.field.one_rep
+    out: dict = {}
+    for tab, c in hom.coeffs.items():
+        for key, rep in _map_value(f, _one_term, (tab.rows,), d, t).items():
+            _acc(f, out, key, rep if c == one else f.mul(c, rep))
+    return out
+
+
+def _map_value(field: FieldSpec, terms_of, params, d: int, t: int) -> dict:
+    """``generator_keys`` at the field's q of the value at z of the map
+    whose terms terms_of(*params) lists (d = 0), or of psi_{d,t} of it,
+    divided by the least q^k of its terms: the sum of its
+    ``_verdict_groups``, each group's binomials read in the field and its
+    sum over Z[q] built only where they are nonzero."""
+    one = field.one_rep
+    out: dict = {}
+    for i, (pairs, group) in enumerate(_verdict_groups(terms_of, params, d, t)):
+        c = _coefficient(field, 0, pairs) if pairs else one
+        if field.is_zero(c):
+            continue
+        (shift, n, rows), *more = group
+        if more or shift or n != 1:
+            sums = _group_sum(terms_of, params, d, t, i)
+        else:  # one theta_S at shift 0 is its own sum
+            sums = _z_value(tuple(map(len, rows)), rows)
+        for key, poly in sums.items():
+            rep = _read(field, poly)
+            _acc(field, out, key, rep if c == one else field.mul(c, rep))
+    return out
 
 
 # one value's groups hold at most 2^12 terms, 2^16 in all; one group's sum
@@ -582,7 +578,7 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
     merge map applied to them through the composition rule."""
     tabs = enumerate_semistandard(lam, mu)
     return _landing_solve(field, mu, len(tabs), lambda d, t: [
-        _merged_value(field, {tab: field.one_rep}, lam, d, t) for tab in tabs])
+        _map_value(field, _one_term, (tab.rows,), d, t) for tab in tabs])
 
 
 def _cyclic_dimension(field, sa, sb) -> int:

@@ -855,7 +855,8 @@ def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
     e <= alpha, by q-Lucas (Olive 1965; Desarmenien 1982) first:
     [alpha, beta] = C(alpha // e, beta // e) [alpha mod e, beta mod e],
     zero when beta mod e > alpha mod e; at q = 1 (e = p) this is Lucas's
-    theorem."""
+    theorem.  In characteristic p > 0 the binomial C is formed mod p
+    (``_binom_mod``), never as an exact integer."""
     if beta < 0 or alpha < beta:
         raise ValueError("need 0 <= beta <= alpha")
     scale = spec.one_rep
@@ -864,10 +865,26 @@ def qbinom(spec: FieldSpec, alpha: int, beta: int) -> Scalar:
         (top, alpha), (bottom, beta) = divmod(alpha, e), divmod(beta, e)
         if beta > alpha:
             return spec.zero
-        scale = spec.int_rep(comb(top, bottom))
+        p = spec.profile().p
+        scale = spec.int_rep(_binom_mod(top, bottom, p) if p else comb(top, bottom))
     for row in qbinom_rows(spec, alpha, beta):
         pass
     return Scalar(spec, spec.mul(scale, row[beta]))
+
+
+def _binom_mod(top: int, bottom: int, p: int) -> int:
+    """C(top, bottom) mod the prime p by Lucas's theorem: the product of
+    the binomials of their base-p digits, each formed mod p."""
+    out = 1
+    while bottom and out:
+        (top, a), (bottom, b) = divmod(top, p), divmod(bottom, p)
+        if b > a:
+            return 0
+        num = den = 1
+        for i in range(min(b, a - b)):
+            num, den = num * (a - i) % p, den * (i + 1) % p
+        out = out * num * pow(den, -1, p) % p
+    return out
 
 
 def qbinom_sum_oracle(spec: FieldSpec, alpha: int, beta: int) -> Scalar:

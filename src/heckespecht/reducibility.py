@@ -10,8 +10,6 @@ caveat.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .partitions import check_partition, partitions_of
 from .qfield import QuantumProfile, nu_ep
 
@@ -63,7 +61,6 @@ class ReducibilityReport:
         )
 
 
-@lru_cache(maxsize=256)
 def _valuation_table(profile: QuantumProfile, n: int) -> tuple[int, ...]:
     """nu_ep(profile, h) at index h for h = 1..n (index 0 unused): every
     hook of a partition of n is at most n."""

@@ -95,9 +95,6 @@ class Tableau:
                 top = max(top, v)
         return tuple(counts.get(v, 0) for v in range(1, top + 1))
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
     def is_row_standard(self) -> bool:
         return all(row[k] <= row[k + 1] for row in self.rows for k in range(len(row) - 1))
 
@@ -228,16 +225,9 @@ def enumerate_row_standard(shape, mu) -> list[Tableau]:
 
 
 def enumerate_semistandard(shape, mu) -> list[Tableau]:
-    """All semistandard tableaux of the given shape and type, reading word
-    order: a fresh list of the memo's tableaux."""
-    return list(_semistandard(check_composition(shape), check_composition(mu)))
-
-
-# the semistandard tableaux of (shape, type) serve every field: at most
-# 2^12 are kept per pair and 2^16 in all
-@sized_cache(maxsize=4096, maxterms=1 << 16, maxentry=1 << 12)
-def _semistandard(shape, mu) -> tuple[Tableau, ...]:
-    return tuple(_tableaux(shape, mu, columns=True))
+    """All semistandard tableaux of the given shape and type, in reading
+    word order."""
+    return _tableaux(shape, mu, columns=True)
 
 
 def enumerate_standard(shape) -> list[Tableau]:
@@ -245,7 +235,6 @@ def enumerate_standard(shape) -> list[Tableau]:
     return enumerate_semistandard(shape, (1,) * sum(shape))
 
 
-@lru_cache(maxsize=4096)
 def standard_count(shape) -> int:
     """dim S^shape by the hook length formula: n! over the product of the
     hook lengths.  Column c (0-based) of height conj[c] holds the cells

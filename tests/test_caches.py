@@ -33,9 +33,10 @@ from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
 from heckespecht.homs import (
     _compose_terms,
     _group_sum,
+    _map_value,
+    _one_term,
     _read,
     _verdict_groups,
-    _value_at_z,
     _z_value,
     compose_psi_theta,
     theta_image_of_x,
@@ -43,8 +44,7 @@ from heckespecht.homs import (
 from heckespecht.memo import sized_cache
 from heckespecht.partitions import _e_core
 from heckespecht.qfield import ZQ, FieldSpec
-from heckespecht.tableaux import Tableau, _orderings, _semistandard, enumerate_semistandard
-from heckespecht.reducibility import _valuation_table, classify_range
+from heckespecht.tableaux import Tableau, _orderings, enumerate_semistandard
 
 
 def package_caches():
@@ -65,15 +65,14 @@ def test_every_cache_is_bounded():
     assert {name for name, _ in caches} >= {
         "hecke._spin_specht", "hecke._generator_plan", "homs._psi_base",
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
-        "tableaux.coset_reps", "tableaux.standard_count", "tableaux._orderings",
-        "reducibility._valuation_table", "homs._z_value", "homs._read",
-        "homs._compose_terms", "tableaux._semistandard", "qfield.parse_field",
+        "tableaux.coset_reps", "tableaux._orderings", "homs._z_value", "homs._read",
+        "homs._compose_terms", "qfield.parse_field",
         "partitions._e_core", "homs._verdict_groups", "homs._group_sum",
         "carter_payne.one_node_terms", "carter_payne.adjacent_terms"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
-    for cache in (_z_value, _orderings, _compose_terms, _semistandard, _verdict_groups,
-                  _group_sum, one_node_terms, adjacent_terms):
+    for cache in (_z_value, _orderings, _compose_terms, _verdict_groups, _group_sum,
+                  one_node_terms, adjacent_terms):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
 
@@ -162,8 +161,6 @@ def test_sweep_past_the_smallest_bound():
         assert info.currsize <= info.maxsize, name
     clear_caches()
     assert _sweep(fields) == first
-    list(classify_range(6, fields[0].profile()))
-    assert _valuation_table.cache_info().currsize == 1
     clear_caches()
     for name, cache in package_caches():
         # the CLI's parser is built once per process and memoises no result
@@ -205,7 +202,7 @@ def test_one_value_over_zq_serves_every_field():
     # empties it
     clear_caches()
     tab = Tableau([[1, 1, 2], [2, 3]])
-    values = [_value_at_z(parse_field(spec), {tab: parse_field(spec).one_rep}, (3, 2))
+    values = [_map_value(parse_field(spec), _one_term, (tab.rows,), 0, 0)
               for spec in ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3")]
     assert all(values)
     info = _z_value.cache_info()
@@ -260,11 +257,10 @@ def _answer(spec, argv):
 
 
 def test_interleaved_fields_answer_as_if_cold():
-    # the field-free memos (the grouped verdict terms of each constructed
-    # map and their sums over Z[q], the semistandard tableaux) and the
-    # per-field reads, shared by four fields asked in two interleaved
-    # orders in one process, give each query the answer it has with every
-    # memo emptied first
+    # the field-free memos (the grouped verdict terms of each map and their
+    # sums over Z[q]) and the per-field reads, shared by four fields asked
+    # in two interleaved orders in one process, give each query the answer
+    # it has with every memo emptied first
     cold = {}
     for spec in LANDING_FIELDS:
         for argv in LANDING_QUERIES:
@@ -305,15 +301,11 @@ def test_one_polynomial_read_is_kept_per_field(monkeypatch):
 
 
 def test_semistandard_tableaux_are_listed_once_per_shape_and_type():
-    # every caller gets a fresh list of the one stored tuple
-    clear_caches()
+    # every caller gets a fresh list: clearing one leaves the next whole
     first = enumerate_semistandard((3, 2), (2, 2, 1))
     first.clear()
     again = enumerate_semistandard([3, 2], [2, 2, 1])
     assert [tab.rows for tab in again] == [((1, 1, 2), (2, 3)), ((1, 1, 3), (2, 2))]
-    info = _semistandard.cache_info()
-    assert (info.currsize, info.hits, info.misses, info.terms) == (1, 1, 1, 2)
-    clear_caches()
 
 
 def test_compose_stays_in_its_field(monkeypatch):
@@ -347,10 +339,10 @@ def test_an_oversized_value_is_computed_but_not_stored():
     field = parse_field("p=7,q=2")
     clear_caches()
     small = Tableau([[1, 1, 2]])
-    _value_at_z(field, {small: field.one_rep}, (3,))
+    _map_value(field, _one_term, (small.rows,), 0, 0)
     big = Tableau([list(range(1, 9))])
     for calls in (1, 2):
-        assert len(_value_at_z(field, {big: field.one_rep}, (8,))) == 40320
+        assert len(_map_value(field, _one_term, (big.rows,), 0, 0)) == 40320
         info = _z_value.cache_info()
         assert (info.currsize, info.misses, info.terms) == (1, 1 + calls, 3)
     clear_caches()

@@ -166,31 +166,39 @@ def test_verify_evaluates_generator_once(cyclo4, monkeypatch):
 
 
 def _built_maps(field, max_n):
-    """Every one-node and adjacent-rows map that builds, 2 <= n <= max_n."""
+    """Every one-node and adjacent-rows map that builds, 2 <= n <= max_n,
+    with the function that lists its terms and that function's arguments."""
     for n in range(2, max_n + 1):
         for mu in partitions_of(n):
             for a in range(1, len(mu)):
-                builds = [(one_node_map, mu, a, b) for b in range(a + 1, len(mu) + 1)]
-                builds += [(adjacent_map, mu, a, g) for g in range(1, mu[a] + 1)]
-                for build, *args in builds:
+                builds = [(one_node_map, one_node_terms, mu, a, b)
+                          for b in range(a + 1, len(mu) + 1)]
+                builds += [(adjacent_map, adjacent_terms, mu, a, g) for g in range(1, mu[a] + 1)]
+                for build, terms_of, *args in builds:
                     try:
-                        yield build(field, *args)
+                        hom = build(field, *args)
                     except ValueError:
-                        pass
+                        continue
+                    yield hom, terms_of, args
 
 
-@pytest.mark.parametrize("spec", ["p=7,q=2", "cyclotomic:e=3", "ext:p=2,e=3"])
+@pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
 def test_symbolic_landing_matches_membership_of_the_value(spec):
-    # the verdict composes the merge maps with the map symbolically; the
-    # oracle pushes the value at the generator through every merge map
+    # the verdicts compose the merge maps with the map symbolically, of the
+    # built map (restriction_verdicts) and of its terms with no map built
+    # (verify_terms); the oracle pushes the value at the generator through
+    # every merge map, sharing no code with either
     field = parse_field(spec)
     seen = set()
-    for hom in _built_maps(field, 6):
+    for hom, terms_of, args in _built_maps(field, 6):
         value = evaluate_on_generator(hom)
-        verdicts = restriction_verdicts(hom)
-        assert verdicts == (value.is_zero(), specht_membership(value)), hom
-        seen.add(verdicts)
-    assert {(False, True), (False, False)} <= seen
+        want = value.is_zero(), specht_membership(value)
+        assert restriction_verdicts(hom) == want, hom
+        assert verify_terms(field, terms_of, *args) == (not want[0], want[1]), hom
+        seen.add(want)
+    # no map with n <= 6 lands at e = 48 (p=97,q=3)
+    assert (False, False) in seen
+    assert ((False, True) in seen) == (field.profile().e < 8)
 
 
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))

@@ -156,6 +156,30 @@ def test_qbinom_at_q_one_is_lucas():
     assert qbinom(field, 12, 3).is_zero()  # last digits 2 over 3
 
 
+@pytest.mark.parametrize("spec", ["p=2,q=1", "p=3,q=1", "p=5,q=1", "p=7,q=2"])
+def test_q_lucas_binomial_is_formed_mod_p(spec):
+    # in characteristic p, C(alpha // e, beta // e) is the product of its
+    # base-p digit binomials mod p; the exact binomial, read in the field,
+    # is its oracle
+    field = parse_field(spec)
+    e = field.profile().e
+    for a in range(301):
+        for b in range(a + 1):
+            (top, low), (bottom, rest) = divmod(a, e), divmod(b, e)
+            want = field.zero_rep if rest > low else field.mul(
+                field.int_rep(math.comb(top, bottom)), qbinom(field, low, rest).rep)
+            assert qbinom(field, a, b).rep == want, (a, b)
+
+
+def test_q_lucas_forms_no_exact_binomial(monkeypatch):
+    # C(200000, 78125) has some 58,000 digits; mod 5 it is 2
+    def refuse(*args):
+        raise AssertionError("an exact binomial was formed")
+
+    monkeypatch.setattr(qfield, "comb", refuse)
+    assert qbinom.__wrapped__(parse_field("p=5,q=1"), 10**6, 5**8) == parse_field("p=5,q=1").of(2)
+
+
 def test_ell_p_and_bstar():
     assert ell_p(7, 1) == 1
     assert ell_p(2, 4) == 3
