@@ -111,7 +111,7 @@ def verify_terms(field: FieldSpec, terms_of, mu, *args) -> CPVerification:
     terms_of(mu, *args), ``one_node_terms`` or ``adjacent_terms``, with no
     map built (``homs.factored_verdicts``)."""
     mu = check_partition(mu)
-    is_zero, lands = factored_verdicts(field, mu, terms_of, (mu, *args))
+    is_zero, lands = factored_verdicts(field, mu, terms_of(mu, *args))
     return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
 
 

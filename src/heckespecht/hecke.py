@@ -71,7 +71,7 @@ class ModuleVector:
 
     def scale(self, scalar) -> "ModuleVector":
         f = self.field
-        rep = scalar.rep if hasattr(scalar, "rep") else scalar
+        rep = f.rep_of(scalar)
         if f.is_zero(rep):
             return ModuleVector(f, self.shape, {})
         return ModuleVector(f, self.shape, {k: f.mul(v, rep) for k, v in self.coeffs.items()})
@@ -255,9 +255,7 @@ class HeckeElement:
     @classmethod
     def from_perm(cls, field, w, scalar=None) -> "HeckeElement":
         w = tuple(w)
-        rep = field.one_rep if scalar is None else (
-            scalar.rep if hasattr(scalar, "rep") else scalar
-        )
+        rep = field.one_rep if scalar is None else field.rep_of(scalar)
         return cls(field, len(w), {w: rep})
 
     def is_zero(self) -> bool:
@@ -271,7 +269,7 @@ class HeckeElement:
 
     def scale(self, scalar) -> "HeckeElement":
         f = self.field
-        rep = scalar.rep if hasattr(scalar, "rep") else scalar
+        rep = f.rep_of(scalar)
         if f.is_zero(rep):
             return HeckeElement(f, self.n, {})
         return HeckeElement(f, self.n, {k: f.mul(v, rep) for k, v in self.coeffs.items()})

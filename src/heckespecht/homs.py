@@ -14,19 +14,18 @@ theta_S with coefficients q^k times Gaussian binomials [a, b], kept
 factored (``_compose_terms``, keyed by (T.rows, d, t)), so one memo entry
 serves ``compose_psi_theta`` and the landing solves at every q.  Those
 solves have one reader, ``_map_value``, of the value at z in M^nu of a
-map given by factored terms, a constructed map or one theta_T
-(``_one_term``), or of psi_{d,t} of it, off its column-canonical keys
-(``hecke.generator_keys``), with no vector of M^mu formed: the terms are
-grouped by their binomials (``_verdict_groups``), and a group is summed
-over Z[q] (``_group_sum``) only once a field reads its binomials as
-nonzero, from the values of theta_S at z over Z[q] (``_z_value``, keyed
-by (lam, S.rows), its oracle the field's ``generator_keys`` of the
-row-class sum), each polynomial read once per field (``_read``).  So a
-constructed map's verdicts (``factored_verdicts``) are decided once for
-every field.  The field-free memos are bounded by entries and by total
-stored terms.  Pushing a vector through psi_{d,t} remains for
-membership and as the rule's oracle.  No row class above CELLS_LIMIT
-tableaux is listed.
+map given by its terms (T.rows, (sign, k, pairs)), a constructed map or
+one theta_T (``_one_term``), or of psi_{d,t} of it, off its
+column-canonical keys (``hecke.generator_keys``), with no vector of M^mu
+formed.  It reads the map term by term: each theta_S whose coefficient
+is nonzero in the field adds that coefficient times its value at z over
+Z[q] (``_z_value``, keyed by (lam, S.rows), its oracle the field's
+``generator_keys`` of the row-class sum), each polynomial read once per
+field (``_read``).  So a constructed map's verdicts
+(``factored_verdicts``) share every field-free memo across fields.  The
+field-free memos are bounded by entries and by total stored terms.
+Pushing a vector through psi_{d,t} remains for membership and as the
+rule's oracle.  No row class above CELLS_LIMIT tableaux is listed.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block the paper's closed
 forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
@@ -92,8 +91,7 @@ class HomSpec:
         want = None
         clean = {}
         for tab, rep in coeffs.items():
-            if hasattr(rep, "rep"):
-                rep = rep.rep
+            rep = field.rep_of(rep)
             if field.is_zero(rep):
                 continue
             if tab.shape != self.source:
@@ -366,21 +364,20 @@ def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     return False, _landing_solve(hom.field, target, 1, lambda d, t: [_hom_value(hom, d, t)]) == 1
 
 
-def factored_verdicts(field: FieldSpec, mu, terms_of, params) -> tuple[bool, bool]:
-    """``restriction_verdicts`` of the map into M^mu whose terms
-    terms_of(*params) lists, (T.rows, (sign, k, pairs)) for sign q^k times
-    the Gaussian binomials [a, b] of the pairs, with no map built: its
-    value at z, then psi_{d,t} of it in ``_landing_solve``'s order up to
-    the first that is not zero, each read by ``_map_value``."""
-    if not _map_value(field, terms_of, params, 0, 0):
+def factored_verdicts(field: FieldSpec, mu, terms) -> tuple[bool, bool]:
+    """``restriction_verdicts`` of the map into M^mu whose terms are
+    (T.rows, (sign, k, pairs)) for sign q^k times the Gaussian binomials
+    [a, b] of the pairs, with no map built: its value at z, then psi_{d,t}
+    of it in ``_landing_solve``'s order up to the first that is not zero,
+    each read by ``_map_value``."""
+    if not _map_value(field, terms, 0, 0):
         return True, True
-    return False, not any(_map_value(field, terms_of, params, d, t)
+    return False, not any(_map_value(field, terms, d, t)
                           for d in range(1, len(mu)) for t in range(mu[d]))
 
 
 def _one_term(rows) -> tuple:
-    """The terms of the basis map theta_T, T row standard with these rows:
-    its least power of q is q^0, so ``_map_value`` reads it exactly."""
+    """The terms of the basis map theta_T, T row standard with these rows."""
     return ((rows, (1, 0, ())),)
 
 
@@ -389,67 +386,32 @@ def _hom_value(hom: HomSpec, d: int, t: int) -> dict:
     f, one = hom.field, hom.field.one_rep
     out: dict = {}
     for tab, c in hom.coeffs.items():
-        for key, rep in _map_value(f, _one_term, (tab.rows,), d, t).items():
+        for key, rep in _map_value(f, _one_term(tab.rows), d, t).items():
             _acc(f, out, key, rep if c == one else f.mul(c, rep))
     return out
 
 
-def _map_value(field: FieldSpec, terms_of, params, d: int, t: int) -> dict:
+def _map_value(field: FieldSpec, terms, d: int, t: int) -> dict:
     """``generator_keys`` at the field's q of the value at z of the map
-    whose terms terms_of(*params) lists (d = 0), or of psi_{d,t} of it,
-    divided by the least q^k of its terms: the sum of its
-    ``_verdict_groups``, each group's binomials read in the field and its
-    sum over Z[q] built only where they are nonzero."""
+    whose terms are (T.rows, (sign, k, pairs)), sign q^k times the Gaussian
+    binomials [a, b] of the pairs (d = 0), or of psi_{d,t} of it: term by
+    term, each theta_S of psi_{d,t} o theta_T (``_compose_terms``), or
+    theta_T itself, its value over Z[q] (``_z_value``) read at q and times
+    its coefficient in the field, skipped where that is zero."""
     one = field.one_rep
     out: dict = {}
-    for i, (pairs, group) in enumerate(_verdict_groups(terms_of, params, d, t)):
-        c = _coefficient(field, 0, pairs) if pairs else one
-        if field.is_zero(c):
-            continue
-        (shift, n, rows), *more = group
-        if more or shift or n != 1:
-            sums = _group_sum(terms_of, params, d, t, i)
-        else:  # one theta_S at shift 0 is its own sum
-            sums = _z_value(tuple(map(len, rows)), rows)
-        for key, poly in sums.items():
-            rep = _read(field, poly)
-            _acc(field, out, key, rep if c == one else field.mul(c, rep))
-    return out
-
-
-# one value's groups hold at most 2^12 terms, 2^16 in all; one group's sum
-# at most 2^15 keys, 2^18 in all
-@sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12,
-             size=lambda groups: sum(len(terms) for _, terms in groups))
-def _verdict_groups(terms_of, params, d: int, t: int) -> tuple:
-    """The terms of the value at z of the map terms_of(*params) (d = 0), or
-    of psi_{d,t} of it, grouped by the multiset of their Gaussian
-    binomials: (pairs, ((shift, n, S.rows), ...)) for n q^shift theta_S,
-    shift the power of q above the map's least.  Terms of one S and shift
-    are added, and those that cancel dropped.  It holds no field's results."""
-    terms = terms_of(*params)
-    least = min(k for _, (_, k, _) in terms)
-    groups: dict = {}
     for rows, (sign, k, pairs) in terms:
         merged = ([(S.rows, more) for S, more in _compose_terms(rows, d, t)] if d
                   else [(rows, (0, ()))])
         for other, (more_k, more) in merged:
-            group = groups.setdefault(tuple(sorted(pairs + more)), {})
-            key = k + more_k - least, other
-            group[key] = group.get(key, 0) + sign
-    kept = ((pairs, tuple((shift, n, rows) for (shift, rows), n in group.items() if n))
-            for pairs, group in groups.items())
-    return tuple((pairs, group) for pairs, group in kept if group)
-
-
-@sized_cache(maxsize=8192, maxterms=1 << 18, maxentry=1 << 15)
-def _group_sum(terms_of, params, d: int, t: int, i: int) -> dict:
-    """Group i of ``_verdict_groups`` over Z[q]: the sum of n q^shift times
-    the value of theta_S at z (``_z_value``)."""
-    out: dict = {}
-    for shift, n, rows in _verdict_groups(terms_of, params, d, t)[i][1]:
-        for key, poly in _z_value(tuple(map(len, rows)), rows).items():
-            _acc(ZQ, out, key, ZQ.mul((0,) * shift + (n,), poly))
+            c = _coefficient(field, k + more_k, pairs + more)
+            if field.is_zero(c):
+                continue
+            if sign < 0:
+                c = field.neg(c)
+            for key, poly in _z_value(tuple(map(len, other)), other).items():
+                rep = _read(field, poly)
+                _acc(field, out, key, rep if c == one else field.mul(c, rep))
     return out
 
 
@@ -578,7 +540,7 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
     merge map applied to them through the composition rule."""
     tabs = enumerate_semistandard(lam, mu)
     return _landing_solve(field, mu, len(tabs), lambda d, t: [
-        _map_value(field, _one_term, (tab.rows,), d, t) for tab in tabs])
+        _map_value(field, _one_term(tab.rows), d, t) for tab in tabs])
 
 
 def _cyclic_dimension(field, sa, sb) -> int:

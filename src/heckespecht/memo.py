@@ -16,10 +16,10 @@ class SizedCacheInfo(tuple):
     hits, misses, maxsize, currsize, maxterms, terms = map(property, map(itemgetter, range(6)))
 
 
-def sized_cache(maxsize: int, maxterms: int, maxentry: int, size=len):
+def sized_cache(maxsize: int, maxterms: int, maxentry: int):
     """Decorator like ``functools.lru_cache(maxsize)`` on positional
     arguments, whose stored values also hold at most maxterms terms in
-    all, size(value) each.  A value of more than maxentry terms is
+    all, len(value) each.  A value of more than maxentry terms is
     computed on every call and never stored; the least recently used
     entries go first when either bound is passed."""
 
@@ -35,12 +35,12 @@ def sized_cache(maxsize: int, maxterms: int, maxentry: int, size=len):
                 return value
             counts[1] += 1
             value = fn(*args)
-            terms = size(value)
+            terms = len(value)
             if terms <= maxentry:
                 store[args] = value
                 counts[2] += terms
                 while len(store) > maxsize or counts[2] > maxterms:
-                    counts[2] -= size(store.popitem(last=False)[1])
+                    counts[2] -= len(store.popitem(last=False)[1])
             return value
 
         def cache_info() -> SizedCacheInfo:

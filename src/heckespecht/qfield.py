@@ -233,9 +233,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise ValueError("scalars from different fields")
-            return other.rep
+            return self.field.rep_of(other)
         if isinstance(other, int):
             return self.field.int_rep(other)
         return NotImplemented
@@ -344,6 +342,15 @@ class FieldSpec:
 
     def scalar(self, rep) -> Scalar:
         return Scalar(self, rep)
+
+    def rep_of(self, value):
+        """The rep of value, a Scalar of this field or a rep already;
+        raises ValueError on a Scalar of another field."""
+        if isinstance(value, Scalar):
+            if value.field != self:
+                raise ValueError("scalars from different fields")
+            return value.rep
+        return value
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

@@ -32,11 +32,9 @@ from heckespecht.carter_payne import (
 from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
 from heckespecht.homs import (
     _compose_terms,
-    _group_sum,
     _map_value,
     _one_term,
     _read,
-    _verdict_groups,
     _z_value,
     compose_psi_theta,
     theta_image_of_x,
@@ -67,12 +65,10 @@ def test_every_cache_is_bounded():
         "qfield.cyclotomic_polynomial", "qfield.qbinom", "tableaux.reduced_word",
         "tableaux.coset_reps", "tableaux._orderings", "homs._z_value", "homs._read",
         "homs._compose_terms", "qfield.parse_field",
-        "partitions._e_core", "homs._verdict_groups", "homs._group_sum",
-        "carter_payne.one_node_terms", "carter_payne.adjacent_terms"}
+        "partitions._e_core", "carter_payne.one_node_terms", "carter_payne.adjacent_terms"}
     for name, cache in caches:
         assert cache.cache_info().maxsize is not None, name
-    for cache in (_z_value, _orderings, _compose_terms, _verdict_groups, _group_sum,
-                  one_node_terms, adjacent_terms):
+    for cache in (_z_value, _orderings, _compose_terms, one_node_terms, adjacent_terms):
         info = cache.cache_info()
         assert info.terms <= info.maxterms
 
@@ -202,7 +198,7 @@ def test_one_value_over_zq_serves_every_field():
     # empties it
     clear_caches()
     tab = Tableau([[1, 1, 2], [2, 3]])
-    values = [_map_value(parse_field(spec), _one_term, (tab.rows,), 0, 0)
+    values = [_map_value(parse_field(spec), _one_term(tab.rows), 0, 0)
               for spec in ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3")]
     assert all(values)
     info = _z_value.cache_info()
@@ -214,27 +210,26 @@ def test_one_value_over_zq_serves_every_field():
 
 
 def test_a_constructed_map_is_decided_once_for_every_field():
-    # a constructed map's verdict data is grouped and summed over Z[q] once,
-    # keyed by the construction: a second field asking the map adds no
-    # _z_value and no _compose_terms miss.  At q = -1 the groups whose
-    # binomials hold [2] vanish, and their sums wait for a field that reads
-    # them as nonzero
+    # a constructed map's terms and their compositions are field-free, and
+    # so is each theta_S's value at z over Z[q]: a second field asking the
+    # map adds no _z_value and no _compose_terms miss.  At q = -1 the terms
+    # whose binomials hold [2] vanish, and their values wait for a field
+    # that reads them as nonzero
     clear_caches()
     args = ((3, 2, 2, 1), 1, 4)  # one term has the binomial [2, 1]
     e2, e3, f7 = map(parse_field, ("cyclotomic:e=2", "cyclotomic:e=3", "p=7,q=2"))
     assert verify_terms(e2, one_node_terms, *args) == (True, True)
-    at_e2 = _group_sum.cache_info().misses
+    at_e2 = _z_value.cache_info().misses
     assert verify_terms(e3, one_node_terms, *args) == (True, True)
-    assert _group_sum.cache_info().misses > at_e2
-    misses = [cache.cache_info().misses for cache in (_z_value, _compose_terms, _group_sum)]
+    assert _z_value.cache_info().misses > at_e2 > 0
+    misses = [cache.cache_info().misses for cache in (_z_value, _compose_terms)]
     assert verify_terms(f7, one_node_terms, *args) == (True, True)
-    assert [cache.cache_info().misses
-            for cache in (_z_value, _compose_terms, _group_sum)] == misses
-    assert _verdict_groups.cache_info().hits
+    assert [cache.cache_info().misses for cache in (_z_value, _compose_terms)] == misses
+    assert _compose_terms.cache_info().hits
     for field in (e2, e3, f7):
         assert verify_terms(field, one_node_terms, *args) == verify_cp(one_node_map(field, *args))
     clear_caches()
-    for cache in (_verdict_groups, _group_sum, one_node_terms):
+    for cache in (_z_value, _compose_terms, one_node_terms):
         info = cache.cache_info()
         assert (info.currsize, info.terms, info.hits, info.misses) == (0, 0, 0, 0)
 
@@ -257,10 +252,10 @@ def _answer(spec, argv):
 
 
 def test_interleaved_fields_answer_as_if_cold():
-    # the field-free memos (the grouped verdict terms of each map and their
-    # sums over Z[q]) and the per-field reads, shared by four fields asked
-    # in two interleaved orders in one process, give each query the answer
-    # it has with every memo emptied first
+    # the field-free memos (the composition terms of each map and the
+    # values of theta_S at z over Z[q]) and the per-field reads, shared by
+    # four fields asked in two interleaved orders in one process, give each
+    # query the answer it has with every memo emptied first
     cold = {}
     for spec in LANDING_FIELDS:
         for argv in LANDING_QUERIES:
@@ -274,7 +269,7 @@ def test_interleaved_fields_answer_as_if_cold():
     ):
         for spec, argv in order:
             assert _answer(spec, argv) == cold[spec, argv], (spec, argv)
-    assert _read.cache_info().hits and _verdict_groups.cache_info().hits
+    assert _read.cache_info().hits and _z_value.cache_info().hits
     clear_caches()
 
 
@@ -339,10 +334,10 @@ def test_an_oversized_value_is_computed_but_not_stored():
     field = parse_field("p=7,q=2")
     clear_caches()
     small = Tableau([[1, 1, 2]])
-    _map_value(field, _one_term, (small.rows,), 0, 0)
+    _map_value(field, _one_term(small.rows), 0, 0)
     big = Tableau([list(range(1, 9))])
     for calls in (1, 2):
-        assert len(_map_value(field, _one_term, (big.rows,), 0, 0)) == 40320
+        assert len(_map_value(field, _one_term(big.rows), 0, 0)) == 40320
         info = _z_value.cache_info()
         assert (info.currsize, info.misses, info.terms) == (1, 1 + calls, 3)
     clear_caches()

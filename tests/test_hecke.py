@@ -387,6 +387,26 @@ def test_sparse_echelon_kernel(field_name, request):
         assert min(row) == pivot and row[pivot] == field.one_rep
 
 
+def test_module_vector_scale_refuses_a_scalar_of_another_field(cyclo3, f7q2):
+    v = specht_generator(f7q2, (2, 1))
+    with pytest.raises(ValueError, match="different fields"):
+        v.scale(cyclo3.of(3))
+    assert v.scale(f7q2.of(3)) == v.scale(3)
+
+
+def test_hecke_element_scale_refuses_a_scalar_of_another_field(cyclo3, f7q2):
+    h = HeckeElement.from_perm(f7q2, perm_identity(3))
+    with pytest.raises(ValueError, match="different fields"):
+        h.scale(cyclo3.of(3))
+    assert h.scale(f7q2.of(3)) == h.scale(3)
+
+
+def test_hecke_element_from_perm_refuses_a_scalar_of_another_field(cyclo3, f7q2):
+    with pytest.raises(ValueError, match="different fields"):
+        HeckeElement.from_perm(f7q2, perm_identity(3), cyclo3.of(3))
+    assert HeckeElement.from_perm(f7q2, perm_identity(3), f7q2.of(3)).coeffs == {(1, 2, 3): 3}
+
+
 def test_module_vector_json(cyclo3):
     v = specht_generator(cyclo3, (2, 1))
     data = v.to_json()

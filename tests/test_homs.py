@@ -824,6 +824,17 @@ def test_hom_spec_json_round_trip(cyclo4):
     assert scalars == {"1", "z"}
 
 
+def test_hom_spec_refuses_a_scalar_of_another_field(cyclo3, f7q2):
+    # a cyclotomic scalar in a prime-field map is refused when the map is
+    # built, not met later as an unrelated TypeError; its own field's
+    # scalars and plain reps are kept
+    tab = Tableau([[1, 1], [2]])
+    with pytest.raises(ValueError, match="different fields"):
+        HomSpec(f7q2, (2, 1), (2, 1), {tab: cyclo3.of(3)})
+    assert HomSpec(f7q2, (2, 1), (2, 1), {tab: f7q2.of(3)}).coeffs == {tab: 3}
+    assert HomSpec(f7q2, (2, 1), (2, 1), {tab: 3}).coeffs == {tab: 3}
+
+
 def test_hom_spec_json_round_trip_extension_field(ext23):
     hom = one_node_map(ext23, (2, 2, 1), 1, 3)
     data = json.loads(json.dumps(hom.to_json()))
@@ -863,7 +874,7 @@ def test_values_over_zq_read_at_q_match_the_field_route(spec):
         for lam in partitions_of(n):
             for mu in _types(n):
                 for tab in enumerate_row_standard(lam, mu):
-                    got = homs._map_value(field, homs._one_term, (tab.rows,), 0, 0)
+                    got = homs._map_value(field, homs._one_term(tab.rows), 0, 0)
                     v = theta_image_of_x(field, tab, mu)
                     assert got == generator_keys(v, lam), (lam, tab)
                     if n <= 5:
