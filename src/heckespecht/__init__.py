@@ -12,8 +12,9 @@ import sys
 _EXPORTS = {
     name: module
     for module, names in {
-        "carter_payne": "CPVerification adjacent_map one_node_map predicted_hom_dim verify_cp",
-        "criteria": "CPInstance OutsideProvenScope cp_eligible cp_pair_data trivial_hom_exists",
+        "carter_payne": "CPVerification adjacent_map one_node_map verify_cp",
+        "criteria": "CPInstance OutsideProvenScope cp_eligible cp_pair_data predicted_hom_dim "
+                    "trivial_hom_exists",
         "hecke": "HeckeElement ModuleVector SpechtModule act_gen act_word basis_vector "
                  "specht_generator spin_specht",
         "homs": "HomSpec compose_psi_theta hom_space_dim one_node_conditions_check psi_dt "

@@ -6,11 +6,13 @@ Two families are constructible: moving gamma nodes between adjacent rows
 explicit signed Gaussian-binomial combination of semistandard basis
 homomorphisms).  Each map's coefficients have one field-free source,
 its memoised terms (T.rows, (sign, k, pairs)), sign q^k times Gaussian
-binomials, which the constructors read in a field and ``verify_terms``
-decides with no map built.  The divisibility criteria, defined in
-``criteria`` and bound here, decide when the constructed map lands in
-the Specht submodule; the general several-rows, several-nodes case is
-reported as outside the proven scope.
+binomials.  ``_field_terms`` reads them in a field as (T.rows, c), the
+terms every map has in ``homs``: the constructors build a ``HomSpec``
+of them, and ``verify_terms`` decides them by ``homs.map_verdicts``
+with no map built.  The divisibility criteria and the predicted hom
+dimension, defined in ``criteria`` and bound here, decide when the
+constructed map lands in the Specht submodule; the general several-rows,
+several-nodes case is reported as outside the proven scope.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from .criteria import (  # noqa: F401
     OutsideProvenScope,
     cp_eligible,
     cp_pair_data,
+    predicted_hom_dim,
+    semistandard_scope,
     trivial_hom_exists,
 )
-from .homs import (
-    HomSpec, _coefficient, factored_verdicts, restriction_verdicts, semistandard_scope)
+from .homs import HomSpec, _coefficient, map_verdicts, restriction_verdicts
 from .memo import sized_cache
 from .partitions import check_partition
-from .qfield import FieldSpec, QuantumProfile
+from .qfield import FieldSpec
 from .tableaux import Tableau, enumerate_semistandard
 
 
@@ -48,11 +51,16 @@ def adjacent_map(field: FieldSpec, mu, a: int, gamma: int) -> HomSpec:
 
 
 def _from_terms(field: FieldSpec, inst: CPInstance, terms) -> HomSpec:
-    coeffs = {}
-    for rows, (sign, k, pairs) in terms:
-        rep = _coefficient(field, k, pairs)
-        coeffs[Tableau(rows)] = rep if sign > 0 else field.neg(rep)
-    return HomSpec(field, inst.lam, inst.mu, coeffs)
+    return HomSpec(field, inst.lam, inst.mu,
+                   {Tableau(rows): c for rows, c in _field_terms(field, terms)})
+
+
+def _field_terms(field: FieldSpec, terms) -> tuple:
+    """The terms (T.rows, (sign, k, pairs)) read in the field as (T.rows,
+    c), c = sign q^k times the binomials, the terms whose c is zero left out."""
+    read = ((rows, sign, _coefficient(field, k, pairs)) for rows, (sign, k, pairs) in terms)
+    return tuple((rows, c if sign > 0 else field.neg(c)) for rows, sign, c in read
+                 if not field.is_zero(c))
 
 
 # a map's terms serve every field: at most 2^12 per map, 2^16 in all
@@ -108,29 +116,9 @@ def verify_cp(hom: HomSpec) -> CPVerification:
 
 def verify_terms(field: FieldSpec, terms_of, mu, *args) -> CPVerification:
     """``verify_cp`` over field of the map into M^mu whose terms are
-    terms_of(mu, *args), ``one_node_terms`` or ``adjacent_terms``, with no
-    map built (``homs.factored_verdicts``)."""
+    terms_of(mu, *args), ``one_node_terms`` or ``adjacent_terms``, read in
+    the field once and decided with no map built (``homs.map_verdicts``)."""
     mu = check_partition(mu)
-    is_zero, lands = factored_verdicts(field, mu, terms_of(mu, *args))
+    is_zero, lands = map_verdicts(field, mu, _field_terms(field, terms_of(mu, *args)))
     return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
 
-
-def predicted_hom_dim(lam, mu, profile: QuantumProfile):
-    """Predicted dimension of the hom space between the Specht modules of
-    a node-moving pair: 0, 1, ">=1" or "unknown".  Where it says 0 or 1
-    and e != 2, ``hom_space_dim`` answers from the same ``cp_eligible``
-    with nothing solved."""
-    a, b, gamma = cp_pair_data(lam, mu)
-    inst = CPInstance(mu, a, b, gamma)
-    regular_ok = semistandard_scope(profile, lam)
-    if gamma == 1:
-        eligible = cp_eligible(inst, profile)
-        if not eligible:
-            return 0
-        return 1 if regular_ok else ">=1"
-    if b == a + 1:
-        eligible = cp_eligible(inst, profile)
-        if regular_ok:
-            return 1 if eligible else 0
-        return ">=1" if eligible else "unknown"
-    return "unknown"

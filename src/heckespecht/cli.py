@@ -5,9 +5,10 @@ derived pair (e, p) alongside the result, in the selected output format
 (text, json or csv).  Each subcommand computes only its JSON result;
 text and CSV are rendered from it by one layout (``_table``: a CSV
 header, the rows and each row's text line), so the three formats show
-the same fields.  ``cp-verify`` decides a map named by construction
-flags off its field-free terms (``verify_terms``), with no ``HomSpec``
-built; a ``--hom-json`` map is read and verified as given.
+the same fields.  ``cp-verify`` decides every map by the one landing
+test, ``homs.map_verdicts`` of its terms: a map named by construction
+flags from its field-free terms (``verify_terms``), with no ``HomSpec``
+built, and a ``--hom-json`` map from its coefficients as given.
 ``classify``'s result is its reports, made one at a time; its JSON is
 written straight from each report's attributes, the bytes of
 ``json.dumps(report.to_json())``.  Inputs are validated strictly;

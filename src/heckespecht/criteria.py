@@ -1,14 +1,15 @@
 """The paper's closed-form criteria: the trivial submodule of a Specht
-module, and the divisibility criteria of the node-moving pairs.
+module, the divisibility criteria of the node-moving pairs, and the hom
+dimension they predict for such a pair.
 
 Each criterion has this one definition.  ``homs.hom_space_dim`` answers
 from them before it solves anything, and ``carter_payne`` re-exports
-them for its predictions and constructors.
+them for its constructors.
 """
 
 from __future__ import annotations
 
-from .partitions import check_partition, drop_trailing_zeros
+from .partitions import check_partition, drop_trailing_zeros, is_2regular
 from .qfield import QuantumProfile, vanish_run
 
 
@@ -91,3 +92,25 @@ def trivial_hom_exists(mu, profile: QuantumProfile) -> bool:
     return all(
         vanish_run(profile, mu[d - 1], mu[d]) for d in range(1, len(mu))
     )
+
+
+def semistandard_scope(profile: QuantumProfile, lam) -> bool:
+    """Whether the semistandard homomorphism theorem (Dipper-James) holds
+    for maps out of the Specht module of lam: q != -1, that is e != 2, or
+    lam 2-regular.  Then the restricted basis maps of the semistandard
+    tableaux of shape lam and type mu form a basis of the maps into the
+    permutation module of mu, for every mu."""
+    return profile.e != 2 or is_2regular(lam)
+
+
+def predicted_hom_dim(lam, mu, profile: QuantumProfile):
+    """Predicted dimension of the hom space between the Specht modules of
+    a node-moving pair: 0, 1, ">=1" or "unknown".  Where it says 0 or 1
+    and e != 2, ``homs.hom_space_dim`` answers with it, nothing solved."""
+    a, b, gamma = cp_pair_data(lam, mu)
+    if gamma > 1 and b > a + 1:
+        return "unknown"
+    eligible = cp_eligible(CPInstance(mu, a, b, gamma), profile)
+    if semistandard_scope(profile, lam):
+        return int(eligible)
+    return ">=1" if eligible else 0 if gamma == 1 else "unknown"

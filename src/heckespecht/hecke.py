@@ -137,8 +137,9 @@ class SparseEchelon:
 
     The single elimination kernel behind spinning (which indexes its rows
     in the order kept, not by pivot), the left kernels of
-    ``homs._cyclic_dimension``, the intertwiner solve and
-    ``homs._landing_solve``.  Reducing against the rows in pivot order
+    ``homs._cyclic_dimension``, the intertwiner solve and the semistandard
+    solve's ``homs._landing_solve``; a single map's landing verdict
+    eliminates nothing.  Reducing against the rows in pivot order
     clears every pivot, since a row has no key before its own pivot."""
 
     __slots__ = ("field", "rows")

@@ -12,20 +12,23 @@ module when every one-row-merge map psi_{d,t} kills it.
 The symbolic composition rule writes psi_{d,t} o theta_T as basis maps
 theta_S with coefficients q^k times Gaussian binomials [a, b], kept
 factored (``_compose_terms``, keyed by (T.rows, d, t)), so one memo entry
-serves ``compose_psi_theta`` and the landing solves at every q.  Those
-solves have one reader, ``_map_value``, of the value at z in M^nu of a
-map given by its terms (T.rows, (sign, k, pairs)), a constructed map or
-one theta_T (``_one_term``), or of psi_{d,t} of it, off its
+serves ``compose_psi_theta`` and every landing question at every q.
+Every map is read as its terms (T.rows, c), c a nonzero rep of the
+field: a ``HomSpec``'s coefficients, a constructed map's terms read in
+the field, or one theta_T with c = 1.  One reader, ``_map_value``, gives
+the value at z in M^nu of such a map, or of psi_{d,t} of it, off its
 column-canonical keys (``hecke.generator_keys``), with no vector of M^mu
-formed.  It reads the map term by term: each theta_S whose coefficient
-is nonzero in the field adds that coefficient times its value at z over
-Z[q] (``_z_value``, keyed by (lam, S.rows), its oracle the field's
-``generator_keys`` of the row-class sum), each polynomial read once per
-field (``_read``).  So a constructed map's verdicts
-(``factored_verdicts``) share every field-free memo across fields.  The
-field-free memos are bounded by entries and by total stored terms.
-Pushing a vector through psi_{d,t} remains for membership and as the
-rule's oracle.  No row class above CELLS_LIMIT tableaux is listed.
+formed: each theta_S whose coefficient, c times q^k and the binomials
+of its composition, is nonzero adds that coefficient times its value at
+z over Z[q] (``_z_value``, keyed by (lam, S.rows), its oracle the
+field's ``generator_keys`` of the row-class sum), each polynomial read
+once per field (``_read``).  A single map's verdicts (``map_verdicts``)
+test those values for zero, so nothing is eliminated and no scalar
+inverted; only the semistandard solve, over several maps, eliminates
+(``_landing_solve``).  The field-free memos are bounded by entries and
+by total stored terms.  Pushing a vector through psi_{d,t} remains for
+membership and as the rule's oracle.  No row class above CELLS_LIMIT
+tableaux is listed.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block the paper's closed
 forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
@@ -46,7 +49,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial, prod
 
-from .criteria import CPInstance, cp_eligible, cp_pair_data, trivial_hom_exists
+from .criteria import predicted_hom_dim, semistandard_scope, trivial_hom_exists
 from .hecke import (
     ModuleVector,
     SparseEchelon,
@@ -66,7 +69,6 @@ from .partitions import (
     conjugate,
     drop_trailing_zeros,
     e_core,
-    is_2regular,
     nu_composition,
 )
 from .memo import sized_cache
@@ -222,25 +224,8 @@ def psi_dt(v: ModuleVector, d: int, t: int) -> ModuleVector:
 def specht_membership(v: ModuleVector) -> bool:
     """Whether v lies in the Specht submodule of its permutation module:
     all one-row-merge maps send it to zero."""
-    return _landing_solve(v.field, check_partition(v.shape), 1,
-                          lambda d, t: [psi_dt(v, d, t).coeffs]) == 1
-
-
-def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
-    """Dimension of the combinations of size vectors of M^mu in the Specht
-    submodule, which every psi_{d,t} kills; images(d, t) lists the
-    coefficient dicts of the vectors' images under psi_{d,t}.  One
-    equation per merge map and key of its images, eliminated at once, so
-    the solve stops at the first merge map that brings the rank to size."""
-    echelon = SparseEchelon(field)
-    for d in range(1, len(mu)):
-        for t in range(mu[d]):
-            found = images(d, t)
-            for k in dict.fromkeys(k for image in found for k in image):
-                row = {j: image[k] for j, image in enumerate(found) if k in image}
-                if echelon.insert(row) and len(echelon) == size:
-                    return 0
-    return size - len(echelon)
+    mu = check_partition(v.shape)
+    return not any(psi_dt(v, d, t).coeffs for d in range(1, len(mu)) for t in range(mu[d]))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -347,7 +332,7 @@ def evaluate_on_generator(hom: HomSpec) -> ModuleVector:
 def restriction_is_zero(hom: HomSpec) -> bool:
     """Whether the restriction is zero: its value at the Specht generator
     has no column-canonical key (``generator_keys``)."""
-    return not _hom_value(hom, 0, 0)
+    return not _map_value(hom.field, _terms(hom), 0, 0)
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:
@@ -356,77 +341,52 @@ def restriction_into_specht(hom: HomSpec) -> bool:
 
 def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
     """(is the restriction zero, does it land in the Specht submodule of
-    the target), from a single evaluation at the generator; the landing
-    equations come from the merge maps composed with hom symbolically."""
-    target = check_partition(drop_trailing_zeros(hom.target))
-    if restriction_is_zero(hom):
-        return True, True
-    return False, _landing_solve(hom.field, target, 1, lambda d, t: [_hom_value(hom, d, t)]) == 1
+    the target), by ``map_verdicts`` of its terms."""
+    return map_verdicts(hom.field, check_partition(drop_trailing_zeros(hom.target)), _terms(hom))
 
 
-def factored_verdicts(field: FieldSpec, mu, terms) -> tuple[bool, bool]:
-    """``restriction_verdicts`` of the map into M^mu whose terms are
-    (T.rows, (sign, k, pairs)) for sign q^k times the Gaussian binomials
-    [a, b] of the pairs, with no map built: its value at z, then psi_{d,t}
-    of it in ``_landing_solve``'s order up to the first that is not zero,
-    each read by ``_map_value``."""
+def _terms(hom: HomSpec) -> tuple:
+    """The terms (T.rows, c) of hom, c its nonzero coefficient rep."""
+    return tuple((tab.rows, c) for tab, c in hom.coeffs.items())
+
+
+def map_verdicts(field: FieldSpec, mu, terms) -> tuple[bool, bool]:
+    """(is the restriction zero, does it land in the Specht submodule) of
+    the map into M^mu with the terms (T.rows, c), c a nonzero rep of the
+    field: its value at z, then psi_{d,t} of it up to the first that is
+    not zero, each read by ``_map_value``.  A single map lands when every
+    merge map kills it, so nothing is eliminated and no scalar inverted."""
     if not _map_value(field, terms, 0, 0):
         return True, True
     return False, not any(_map_value(field, terms, d, t)
                           for d in range(1, len(mu)) for t in range(mu[d]))
 
 
-def _one_term(rows) -> tuple:
-    """The terms of the basis map theta_T, T row standard with these rows."""
-    return ((rows, (1, 0, ())),)
-
-
-def _hom_value(hom: HomSpec, d: int, t: int) -> dict:
-    """``_map_value`` of hom: the sum of c_T times that of each theta_T."""
-    f, one = hom.field, hom.field.one_rep
-    out: dict = {}
-    for tab, c in hom.coeffs.items():
-        for key, rep in _map_value(f, _one_term(tab.rows), d, t).items():
-            _acc(f, out, key, rep if c == one else f.mul(c, rep))
-    return out
-
-
 def _map_value(field: FieldSpec, terms, d: int, t: int) -> dict:
     """``generator_keys`` at the field's q of the value at z of the map
-    whose terms are (T.rows, (sign, k, pairs)), sign q^k times the Gaussian
-    binomials [a, b] of the pairs (d = 0), or of psi_{d,t} of it: term by
-    term, each theta_S of psi_{d,t} o theta_T (``_compose_terms``), or
-    theta_T itself, its value over Z[q] (``_z_value``) read at q and times
-    its coefficient in the field, skipped where that is zero."""
+    whose terms are (T.rows, c), c a nonzero rep of the field (d = 0), or
+    of psi_{d,t} of it: term by term, each theta_S of psi_{d,t} o theta_T
+    (``_compose_terms``), or theta_T itself, its value over Z[q]
+    (``_z_value``) read at q and times c and S's coefficient in the field,
+    skipped where that is zero."""
     one = field.one_rep
     out: dict = {}
-    for rows, (sign, k, pairs) in terms:
-        merged = ([(S.rows, more) for S, more in _compose_terms(rows, d, t)] if d
-                  else [(rows, (0, ()))])
-        for other, (more_k, more) in merged:
-            c = _coefficient(field, k + more_k, pairs + more)
-            if field.is_zero(c):
+    for rows, c in terms:
+        merged = ([(S.rows, _coefficient(field, *factors))
+                   for S, factors in _compose_terms(rows, d, t)] if d else [(rows, one)])
+        for other, more in merged:
+            if field.is_zero(more):
                 continue
-            if sign < 0:
-                c = field.neg(c)
+            coeff = c if more == one else field.mul(c, more)
             for key, poly in _z_value(tuple(map(len, other)), other).items():
                 rep = _read(field, poly)
-                _acc(field, out, key, rep if c == one else field.mul(c, rep))
+                _acc(field, out, key, rep if coeff == one else field.mul(coeff, rep))
     return out
 
 
 # ---------------------------------------------------------------------------
 # hom-space dimensions: the paper's closed forms, else semistandard basis
 # maps or the cyclic route, with the intertwiner system as its oracle
-
-def semistandard_scope(profile: QuantumProfile, lam) -> bool:
-    """Whether the semistandard homomorphism theorem (Dipper-James) holds
-    for maps out of the Specht module of lam: q != -1, that is e != 2, or
-    lam 2-regular.  Then the restricted basis maps of the semistandard
-    tableaux of shape lam and type mu form a basis of the maps into the
-    permutation module of mu, for every mu."""
-    return profile.e != 2 or is_2regular(lam)
-
 
 def same_block(profile: QuantumProfile, lam, mu) -> bool:
     """Whether lam and mu have the same e-core.  Otherwise their Specht
@@ -483,10 +443,11 @@ def _closed_form_dimension(profile: QuantumProfile, lam, mu):
     Hom(S^(n), S^mu) is one-dimensional when ``trivial_hom_exists`` and
     zero otherwise, at every q: (n) is 2-regular, so within
     ``semistandard_scope``, with one semistandard tableau.  Hom(S^lam,
-    S^(1^n)) is its dual, (n) -> lam'.  When e != 2 the node-moving pairs
-    with gamma = 1, or across adjacent rows, have dimension 1 exactly when
-    ``cp_eligible``, tried for (lam, mu) and then its dual (mu', lam'); at
-    q = -1 they lie outside the paper's hypothesis and are solved."""
+    S^(1^n)) is its dual, (n) -> lam'.  When e != 2 a node-moving pair
+    has the dimension ``predicted_hom_dim`` gives it, 0 or 1 from
+    ``cp_eligible`` for gamma = 1 or adjacent rows, tried for (lam, mu) and
+    then its dual (mu', lam'); at q = -1 such pairs lie outside the paper's
+    hypothesis and are solved."""
     if len(lam) == 1:
         return int(trivial_hom_exists(mu, profile))
     if mu and mu[0] == 1:
@@ -495,11 +456,11 @@ def _closed_form_dimension(profile: QuantumProfile, lam, mu):
         return None
     for source, target in ((lam, mu), (conjugate(mu), conjugate(lam))):
         try:
-            a, b, gamma = cp_pair_data(source, target)
+            dim = predicted_hom_dim(source, target, profile)
         except ValueError:
             continue
-        if gamma == 1 or b == a + 1:
-            return int(cp_eligible(CPInstance(target, a, b, gamma), profile))
+        if dim != "unknown":
+            return dim
     return None
 
 
@@ -540,7 +501,24 @@ def _semistandard_dimension(field: FieldSpec, lam, mu) -> int:
     merge map applied to them through the composition rule."""
     tabs = enumerate_semistandard(lam, mu)
     return _landing_solve(field, mu, len(tabs), lambda d, t: [
-        _map_value(field, _one_term(tab.rows), d, t) for tab in tabs])
+        _map_value(field, ((tab.rows, field.one_rep),), d, t) for tab in tabs])
+
+
+def _landing_solve(field: FieldSpec, mu, size: int, images) -> int:
+    """Dimension of the combinations of size vectors of M^mu in the Specht
+    submodule, which every psi_{d,t} kills; images(d, t) lists the
+    coefficient dicts of the vectors' images under psi_{d,t}.  One
+    equation per merge map and key of its images, eliminated at once, so
+    the solve stops at the first merge map that brings the rank to size."""
+    echelon = SparseEchelon(field)
+    for d in range(1, len(mu)):
+        for t in range(mu[d]):
+            found = images(d, t)
+            for k in dict.fromkeys(k for image in found for k in image):
+                row = {j: image[k] for j, image in enumerate(found) if k in image}
+                if echelon.insert(row) and len(echelon) == size:
+                    return 0
+    return size - len(echelon)
 
 
 def _cyclic_dimension(field, sa, sb) -> int:

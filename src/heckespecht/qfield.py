@@ -821,13 +821,10 @@ def spec_for_profile(e: int, p: int) -> FieldSpec:
 # quantum integers, factorials, Gaussian binomials
 
 def qint(spec: FieldSpec, alpha: int) -> Scalar:
-    """[alpha] = 1 + q + ... + q^(alpha-1), with [0] = 0."""
+    """[alpha] = 1 + q + ... + q^(alpha-1) = [alpha, 1], with [0] = 0."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    out = spec.zero_rep
-    for k in range(alpha):
-        out = spec.add(out, spec.q_power(k))
-    return Scalar(spec, out)
+    return qbinom(spec, alpha, 1) if alpha else spec.zero
 
 
 def qfact(spec: FieldSpec, alpha: int) -> Scalar:

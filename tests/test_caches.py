@@ -33,7 +33,6 @@ from heckespecht.hecke import _generator_plan, _spin_specht, generator_keys
 from heckespecht.homs import (
     _compose_terms,
     _map_value,
-    _one_term,
     _read,
     _z_value,
     compose_psi_theta,
@@ -198,8 +197,8 @@ def test_one_value_over_zq_serves_every_field():
     # empties it
     clear_caches()
     tab = Tableau([[1, 1, 2], [2, 3]])
-    values = [_map_value(parse_field(spec), _one_term(tab.rows), 0, 0)
-              for spec in ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3")]
+    fields = map(parse_field, ("cyclotomic:e=3", "p=97,q=3", "ext:p=2,e=3"))
+    values = [_map_value(field, ((tab.rows, field.one_rep),), 0, 0) for field in fields]
     assert all(values)
     info = _z_value.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
@@ -334,10 +333,10 @@ def test_an_oversized_value_is_computed_but_not_stored():
     field = parse_field("p=7,q=2")
     clear_caches()
     small = Tableau([[1, 1, 2]])
-    _map_value(field, _one_term(small.rows), 0, 0)
+    _map_value(field, ((small.rows, field.one_rep),), 0, 0)
     big = Tableau([list(range(1, 9))])
     for calls in (1, 2):
-        assert len(_map_value(field, _one_term(big.rows), 0, 0)) == 40320
+        assert len(_map_value(field, ((big.rows, field.one_rep),), 0, 0)) == 40320
         info = _z_value.cache_info()
         assert (info.currsize, info.misses, info.terms) == (1, 1 + calls, 3)
     clear_caches()

@@ -3,6 +3,7 @@ import re
 import pytest
 from conftest import ROADMAP_FIELDS
 
+from heckespecht import clear_caches
 from heckespecht.carter_payne import (
     CPInstance,
     CPVerification,
@@ -151,18 +152,34 @@ def test_verify_examples(cyclo3, cyclo4):
 def test_verify_evaluates_generator_once(cyclo4, monkeypatch):
     from heckespecht import homs
 
-    # one zero test of the value at the generator; the landing equations
+    # one zero test of the value at the generator; the landing tests
     # then come from the merge maps, not from that value
     calls = []
-    original = homs.restriction_is_zero
+    original = homs._map_value
 
-    def counting(hom):
-        calls.append(hom)
-        return original(hom)
+    def counting(field, terms, d, t):
+        calls.append((d, t))
+        return original(field, terms, d, t)
 
-    monkeypatch.setattr(homs, "restriction_is_zero", counting)
+    monkeypatch.setattr(homs, "_map_value", counting)
     assert verify_cp(one_node_map(cyclo4, (2, 1, 1), 1, 3)) == CPVerification(True, True)
-    assert len(calls) == 1
+    assert calls.count((0, 0)) == 1
+
+
+def test_a_single_map_verdict_inverts_no_scalar(cyclo4, monkeypatch):
+    # a single map lands when every merge map kills its value, so neither
+    # verdict nor the membership oracle eliminates anything: with
+    # Cyclotomic.inv refused, all three answer, every memo emptied first
+    def refused(self, a):
+        raise AssertionError("a single map's verdict inverted a scalar")
+
+    monkeypatch.setattr(Cyclotomic, "inv", refused)
+    clear_caches()
+    hom = one_node_map(cyclo4, (2, 1), 1, 2)
+    assert verify_cp(hom) == CPVerification(True, False)
+    assert verify_terms(cyclo4, one_node_terms, (2, 1), 1, 2) == CPVerification(True, False)
+    assert not specht_membership(evaluate_on_generator(hom))
+    clear_caches()
 
 
 def _built_maps(field, max_n):
@@ -203,8 +220,8 @@ def test_symbolic_landing_matches_membership_of_the_value(spec):
 
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
 def test_factored_verdict_matches_the_built_map(spec):
-    # the verdict read off a map's field-free terms, grouped by their
-    # Gaussian binomials, is verify_cp of the map built over the field, on
+    # the verdict read off a map's field-free terms, read in the field
+    # once, is verify_cp of the map built over the field, on
     # every one-node and adjacent-rows map with n <= 7; a construction the
     # builder refuses is refused with the same message
     field = parse_field(spec)

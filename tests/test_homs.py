@@ -874,7 +874,7 @@ def test_values_over_zq_read_at_q_match_the_field_route(spec):
         for lam in partitions_of(n):
             for mu in _types(n):
                 for tab in enumerate_row_standard(lam, mu):
-                    got = homs._map_value(field, homs._one_term(tab.rows), 0, 0)
+                    got = homs._map_value(field, ((tab.rows, field.one_rep),), 0, 0)
                     v = theta_image_of_x(field, tab, mu)
                     assert got == generator_keys(v, lam), (lam, tab)
                     if n <= 5:
