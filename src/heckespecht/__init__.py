@@ -12,13 +12,13 @@ import sys
 _EXPORTS = {
     name: module
     for module, names in {
-        "carter_payne": "CPVerification adjacent_map one_node_map verify_cp",
+        "carter_payne": "adjacent_map one_node_map",
         "criteria": "CPInstance OutsideProvenScope cp_eligible cp_pair_data predicted_hom_dim "
                     "trivial_hom_exists",
         "hecke": "HeckeElement ModuleVector SpechtModule act_gen act_word basis_vector "
                  "specht_generator spin_specht",
-        "homs": "HomSpec compose_psi_theta hom_space_dim one_node_conditions_check psi_dt "
-                "restriction_into_specht restriction_is_zero specht_membership",
+        "homs": "CPVerification HomSpec compose_psi_theta hom_space_dim one_node_conditions_check "
+                "psi_dt restriction_into_specht restriction_is_zero specht_membership verify_cp",
         "partitions": "conjugate dominates hook_length is_2regular nu_composition partitions_of",
         "qfield": "Cyclotomic FieldSpec PrimeExtension PrimeField QuantumProfile Scalar bstar "
                   "ell_p nu_ep parse_field prime_extension_auto qbinom qbinom_sum_oracle qfact "

@@ -5,21 +5,19 @@ Two families are constructible: moving gamma nodes between adjacent rows
 (a single-tableau map), and moving one node between arbitrary rows (an
 explicit signed Gaussian-binomial combination of semistandard basis
 homomorphisms).  Each map's coefficients have one field-free source,
-its memoised terms (T.rows, (sign, k, pairs)), sign q^k times Gaussian
-binomials.  ``_field_terms`` reads them in a field as (T.rows, c), the
-terms every map has in ``homs``: the constructors build a ``HomSpec``
-of them, and ``verify_terms`` decides them by ``homs.map_verdicts``
-with no map built.  The divisibility criteria and the predicted hom
-dimension, defined in ``criteria`` and bound here, decide when the
-constructed map lands in the Specht submodule; the general several-rows,
-several-nodes case is reported as outside the proven scope.
+its memoised terms (T.rows, (sign, k, pairs)), the one factored form of
+``homs``, read in a field by ``homs._field_terms`` alone: the
+constructors build a ``HomSpec`` of what it reads, and ``verify_terms``
+gives its ``CPVerification`` (``homs.map_verdicts``) with no map built.
+The verdict and ``verify_cp`` are defined in ``homs``, the divisibility
+criteria and the predicted hom dimension in ``criteria``; all are bound
+here.  The general several-rows, several-nodes case is reported as
+outside the proven scope.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-# defined in ``criteria``, where ``homs`` reads them too
+# defined in ``criteria`` and ``homs``, where the library reads them too
 from .criteria import (  # noqa: F401
     CPInstance,
     OutsideProvenScope,
@@ -29,7 +27,7 @@ from .criteria import (  # noqa: F401
     semistandard_scope,
     trivial_hom_exists,
 )
-from .homs import HomSpec, _coefficient, map_verdicts, restriction_verdicts
+from .homs import CPVerification, HomSpec, _field_terms, map_verdicts, verify_cp  # noqa: F401
 from .memo import sized_cache
 from .partitions import check_partition
 from .qfield import FieldSpec
@@ -53,14 +51,6 @@ def adjacent_map(field: FieldSpec, mu, a: int, gamma: int) -> HomSpec:
 def _from_terms(field: FieldSpec, inst: CPInstance, terms) -> HomSpec:
     return HomSpec(field, inst.lam, inst.mu,
                    {Tableau(rows): c for rows, c in _field_terms(field, terms)})
-
-
-def _field_terms(field: FieldSpec, terms) -> tuple:
-    """The terms (T.rows, (sign, k, pairs)) read in the field as (T.rows,
-    c), c = sign q^k times the binomials, the terms whose c is zero left out."""
-    read = ((rows, sign, _coefficient(field, k, pairs)) for rows, (sign, k, pairs) in terms)
-    return tuple((rows, c if sign > 0 else field.neg(c)) for rows, sign, c in read
-                 if not field.is_zero(c))
 
 
 # a map's terms serve every field: at most 2^12 per map, 2^16 in all
@@ -97,28 +87,9 @@ def adjacent_terms(mu, a: int, gamma: int) -> tuple:
     return ((tab.rows, (1, 0, ())),)
 
 
-class CPVerification(namedtuple("CPVerification", "nonzero lands_in_specht")):
-    """Is a constructed map's restriction nonzero, and does it land in the
-    Specht submodule of its target."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        return self._asdict()
-
-
-def verify_cp(hom: HomSpec) -> CPVerification:
-    """Brute-force verdict on a constructed map: is its restriction
-    nonzero, and does the restriction land in the Specht submodule."""
-    is_zero, lands = restriction_verdicts(hom)
-    return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
-
-
 def verify_terms(field: FieldSpec, terms_of, mu, *args) -> CPVerification:
     """``verify_cp`` over field of the map into M^mu whose terms are
     terms_of(mu, *args), ``one_node_terms`` or ``adjacent_terms``, read in
     the field once and decided with no map built (``homs.map_verdicts``)."""
     mu = check_partition(mu)
-    is_zero, lands = map_verdicts(field, mu, _field_terms(field, terms_of(mu, *args)))
-    return CPVerification(nonzero=not is_zero, lands_in_specht=lands)
-
+    return map_verdicts(field, mu, _field_terms(field, terms_of(mu, *args)))

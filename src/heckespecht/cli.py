@@ -5,18 +5,18 @@ derived pair (e, p) alongside the result, in the selected output format
 (text, json or csv).  Each subcommand computes only its JSON result;
 text and CSV are rendered from it by one layout (``_table``: a CSV
 header, the rows and each row's text line), so the three formats show
-the same fields.  ``cp-verify`` decides every map by the one landing
-test, ``homs.map_verdicts`` of its terms: a map named by construction
-flags from its field-free terms (``verify_terms``), with no ``HomSpec``
-built, and a ``--hom-json`` map from its coefficients as given.
+the same fields.  ``cp-verify`` prints one ``CPVerification``, which
+``homs.map_verdicts`` gives of a map's terms: a map named by
+construction flags from its field-free terms (``verify_terms``), with no
+``HomSpec`` built, a ``--hom-json`` map from its coefficients as given.
 ``classify``'s result is its reports, made one at a time; its JSON is
 written straight from each report's attributes, the bytes of
 ``json.dumps(report.to_json())``.  Inputs are validated strictly;
 malformed partitions, out-of-range indices and unknown flags exit with
-status 2, unexpected internal failures with status 1.  The common argv
-form is read off the flag table ``COMMANDS`` in one pass; argparse,
-built from the same table on first need, reads every other form, so
-help, messages and exit codes are its own.
+status 2 (a ValueError or OSError), any other failure, a library bug,
+with 1.  The common argv form is read off the flag table ``COMMANDS`` in
+one pass; argparse, built from the same table on first need, reads every
+other form, so help, messages and exit codes are its own.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ def main(argv=None) -> int:
         result = _dispatch(args, field)
     except OutsideProvenScope as exc:
         return _emit(args, profile, "outside proven scope", note=str(exc))
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal failures
+    except Exception as exc:  # a library bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
     return _emit(args, profile, result)

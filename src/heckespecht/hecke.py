@@ -263,6 +263,8 @@ class HeckeElement:
         return not self.coeffs
 
     def add(self, other: "HeckeElement") -> "HeckeElement":
+        if self.field != other.field or self.n != other.n:
+            raise ValueError("elements live in different Hecke algebras")
         out = dict(self.coeffs)
         for k, rep in other.coeffs.items():
             _acc(self.field, out, k, rep)
@@ -299,6 +301,7 @@ class HeckeElement:
         return (
             isinstance(other, HeckeElement)
             and self.field == other.field
+            and self.n == other.n
             and self.coeffs == other.coeffs
         )
 

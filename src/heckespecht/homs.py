@@ -9,26 +9,28 @@ no tableau built.  Since Specht modules are cyclic, evaluating at the
 canonical generator z is faithful, and a value lies in the target Specht
 module when every one-row-merge map psi_{d,t} kills it.
 
-The symbolic composition rule writes psi_{d,t} o theta_T as basis maps
-theta_S with coefficients q^k times Gaussian binomials [a, b], kept
-factored (``_compose_terms``, keyed by (T.rows, d, t)), so one memo entry
-serves ``compose_psi_theta`` and every landing question at every q.
-Every map is read as its terms (T.rows, c), c a nonzero rep of the
-field: a ``HomSpec``'s coefficients, a constructed map's terms read in
-the field, or one theta_T with c = 1.  One reader, ``_map_value``, gives
-the value at z in M^nu of such a map, or of psi_{d,t} of it, off its
-column-canonical keys (``hecke.generator_keys``), with no vector of M^mu
-formed: each theta_S whose coefficient, c times q^k and the binomials
-of its composition, is nonzero adds that coefficient times its value at
-z over Z[q] (``_z_value``, keyed by (lam, S.rows), its oracle the
-field's ``generator_keys`` of the row-class sum), each polynomial read
-once per field (``_read``).  A single map's verdicts (``map_verdicts``)
-test those values for zero, so nothing is eliminated and no scalar
-inverted; only the semistandard solve, over several maps, eliminates
-(``_landing_solve``).  The field-free memos are bounded by entries and
-by total stored terms.  Pushing a vector through psi_{d,t} remains for
-membership and as the rule's oracle.  No row class above CELLS_LIMIT
-tableaux is listed.
+The paper's coefficients have one shape, sign q^k times Gaussian
+binomials [a, b], kept in one field-free form, the factored terms (rows,
+(sign, k, pairs)) of a constructed map (``carter_payne``) or of the
+composition rule for psi_{d,t} o theta_T (``_compose_terms``, keyed by
+(T.rows, d, t), one entry serving ``compose_psi_theta`` and every
+landing question at every q); ``_field_terms`` alone reads them in a
+field, as (rows, c) with the zeros left out.  Every map is read as its
+terms (T.rows, c), c a nonzero rep: a ``HomSpec``'s coefficients, a
+constructed map's terms read in the field, or one theta_T with c = 1.
+One reader, ``_map_value``, gives the value at z in M^nu of such a map,
+or of psi_{d,t} of it, off its column-canonical keys
+(``hecke.generator_keys``), with no vector of M^mu formed: each theta_S
+adds c times its read coefficient times its value at z over Z[q]
+(``_z_value``, keyed by (lam, S.rows), its oracle the field's
+``generator_keys`` of the row-class sum), each polynomial read once per
+field (``_read``).  A single map's verdict is one ``CPVerification``
+(``map_verdicts``, ``verify_cp``): those values tested for zero, so
+nothing is eliminated and no scalar inverted; only the semistandard
+solve, over several maps, eliminates (``_landing_solve``).  The
+field-free memos are bounded by entries and by total stored terms.
+Pushing a vector through psi_{d,t} remains for membership and as the
+rule's oracle.  No row class above CELLS_LIMIT tableaux is listed.
 A hom-space dimension across blocks, where lam and mu have different
 e-cores, is 0 with nothing solved.  Within a block the paper's closed
 forms answer Hom(S^(n), S^mu) and, when e != 2, the node-moving pairs.
@@ -45,7 +47,7 @@ rows, dim S^lam * dim S^mu unknowns, is both routes' oracle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
@@ -255,25 +257,31 @@ def compose_psi_theta(field: FieldSpec, tab: Tableau, d: int, t: int) -> HomSpec
         raise ValueError("tableau must be row standard")
     nu = nu_composition(tab.content(), d, t)
     return HomSpec(field, tab.shape, nu, {
-        other: _coefficient(field, *factors) for other, factors in _compose_terms(tab.rows, d, t)})
+        Tableau(rows): c for rows, c in _field_terms(field, _compose_terms(tab.rows, d, t))})
 
 
-def _coefficient(field: FieldSpec, k: int, pairs):
-    """q^k times the Gaussian binomials [a, b] of the pairs, in the field."""
-    rep = field.q_power(k)
-    for a, b in pairs:
-        rep = field.mul(rep, qbinom(field, a, b).rep)
-    return rep
+def _field_terms(field: FieldSpec, terms) -> tuple:
+    """The factored terms (rows, (sign, k, pairs)) read in the field as
+    (rows, c), c = sign q^k times the Gaussian binomials [a, b] of the
+    pairs, the terms whose c is zero left out."""
+    out = []
+    for rows, (sign, k, pairs) in terms:
+        c = field.q_power(k)
+        for a, b in pairs:
+            c = field.mul(c, qbinom(field, a, b).rep)
+        if not field.is_zero(c):
+            out.append((rows, c if sign > 0 else field.neg(c)))
+    return tuple(out)
 
 
 # the terms of psi_{d,t} o theta_T serve every field: at most 2^12 terms are
 # kept per (T, d, t) and 2^16 in all
 @sized_cache(maxsize=8192, maxterms=1 << 16, maxentry=1 << 12)
 def _compose_terms(rows, d: int, t: int) -> tuple:
-    """The terms (S, (k, pairs)) of psi_{d,t} o theta_T, T row standard with
-    these rows, unchecked: S's coefficient is q^k times the Gaussian
-    binomials [a, b] of the pairs, which ``_coefficient`` reads in a field,
-    where it may be zero."""
+    """The factored terms (S.rows, (1, k, pairs)) of psi_{d,t} o theta_T, T
+    row standard with these rows, unchecked: S's coefficient is q^k times
+    the Gaussian binomials [a, b] of the pairs, which may be zero in a
+    field (``_field_terms``)."""
     counts = [row.count(d + 1) for row in rows]
     below = [0] * (len(rows) + 1)  # below[i]: the d's in rows i+1, ...
     for i in range(len(rows) - 1, -1, -1):
@@ -290,7 +298,7 @@ def _compose_terms(rows, d: int, t: int) -> tuple:
                 if row.count(d) != beta:  # [a, a] = 1
                     pairs.append((row.count(d), beta))
             new.append(row)
-        out.append((Tableau(new), (k, tuple(pairs))))
+        out.append((tuple(new), (1, k, tuple(pairs))))
     return tuple(out)
 
 
@@ -336,12 +344,21 @@ def restriction_is_zero(hom: HomSpec) -> bool:
 
 
 def restriction_into_specht(hom: HomSpec) -> bool:
-    return restriction_verdicts(hom)[1]
+    return verify_cp(hom).lands_in_specht
 
 
-def restriction_verdicts(hom: HomSpec) -> tuple[bool, bool]:
-    """(is the restriction zero, does it land in the Specht submodule of
-    the target), by ``map_verdicts`` of its terms."""
+class CPVerification(namedtuple("CPVerification", "nonzero lands_in_specht")):
+    """Is a map's restriction nonzero, and does it land in the Specht
+    submodule of its target."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        return self._asdict()
+
+
+def verify_cp(hom: HomSpec) -> CPVerification:
+    """The verdict on a map (``map_verdicts`` of its terms)."""
     return map_verdicts(hom.field, check_partition(drop_trailing_zeros(hom.target)), _terms(hom))
 
 
@@ -350,33 +367,29 @@ def _terms(hom: HomSpec) -> tuple:
     return tuple((tab.rows, c) for tab, c in hom.coeffs.items())
 
 
-def map_verdicts(field: FieldSpec, mu, terms) -> tuple[bool, bool]:
-    """(is the restriction zero, does it land in the Specht submodule) of
-    the map into M^mu with the terms (T.rows, c), c a nonzero rep of the
-    field: its value at z, then psi_{d,t} of it up to the first that is
-    not zero, each read by ``_map_value``.  A single map lands when every
-    merge map kills it, so nothing is eliminated and no scalar inverted."""
+def map_verdicts(field: FieldSpec, mu, terms) -> CPVerification:
+    """The verdict on the map into M^mu with the terms (T.rows, c), c a
+    nonzero rep of the field: its value at z, then psi_{d,t} of it up to
+    the first that is not zero, each read by ``_map_value``.  A single map
+    lands when every merge map kills it, so nothing is eliminated and no
+    scalar inverted."""
     if not _map_value(field, terms, 0, 0):
-        return True, True
-    return False, not any(_map_value(field, terms, d, t)
-                          for d in range(1, len(mu)) for t in range(mu[d]))
+        return CPVerification(False, True)
+    return CPVerification(True, not any(_map_value(field, terms, d, t)
+                                        for d in range(1, len(mu)) for t in range(mu[d])))
 
 
 def _map_value(field: FieldSpec, terms, d: int, t: int) -> dict:
     """``generator_keys`` at the field's q of the value at z of the map
     whose terms are (T.rows, c), c a nonzero rep of the field (d = 0), or
     of psi_{d,t} of it: term by term, each theta_S of psi_{d,t} o theta_T
-    (``_compose_terms``), or theta_T itself, its value over Z[q]
-    (``_z_value``) read at q and times c and S's coefficient in the field,
-    skipped where that is zero."""
+    with its nonzero coefficient (``_field_terms`` of ``_compose_terms``),
+    or theta_T itself, its value over Z[q] (``_z_value``) read at q and
+    times c and that coefficient."""
     one = field.one_rep
     out: dict = {}
     for rows, c in terms:
-        merged = ([(S.rows, _coefficient(field, *factors))
-                   for S, factors in _compose_terms(rows, d, t)] if d else [(rows, one)])
-        for other, more in merged:
-            if field.is_zero(more):
-                continue
+        for other, more in _field_terms(field, _compose_terms(rows, d, t)) if d else ((rows, one),):
             coeff = c if more == one else field.mul(c, more)
             for key, poly in _z_value(tuple(map(len, other)), other).items():
                 rep = _read(field, poly)

@@ -316,7 +316,7 @@ def test_compose_stays_in_its_field(monkeypatch):
     monkeypatch.setattr(homs, "qbinom", counted)
     clear_caches()
     row, merged = Tableau([[1] * 60 + [2] * 60]), Tableau([[1] * 120])
-    assert _compose_terms(row.rows, 1, 0) == ((merged, (0, ((120, 60),))),)
+    assert _compose_terms(row.rows, 1, 0) == ((merged.rows, (1, 0, ((120, 60),))),)
     field = parse_field("cyclotomic:e=5")
     assert compose_psi_theta(field, row, 1, 0).coeffs == {merged: qbinom(field, 120, 60).rep}
     for spec in LANDING_FIELDS:

@@ -20,11 +20,12 @@ from heckespecht.carter_payne import (
     verify_terms,
 )
 from heckespecht.homs import (
+    HomSpec,
     _solved_dimension,
     evaluate_on_generator,
     hom_space_dim,
     restriction_into_specht,
-    restriction_verdicts,
+    restriction_is_zero,
     same_block,
     specht_membership,
 )
@@ -201,21 +202,24 @@ def _built_maps(field, max_n):
 
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))
 def test_symbolic_landing_matches_membership_of_the_value(spec):
-    # the verdicts compose the merge maps with the map symbolically, of the
-    # built map (restriction_verdicts) and of its terms with no map built
-    # (verify_terms); the oracle pushes the value at the generator through
-    # every merge map, sharing no code with either
+    # every entry point gives one CPVerification: verify_cp of the built
+    # map and of the map read back from its JSON, verify_terms of its terms
+    # with no map built, and the two restriction predicates; the oracle
+    # pushes the value at the generator through every merge map, sharing
+    # no code with any of them
     field = parse_field(spec)
     seen = set()
     for hom, terms_of, args in _built_maps(field, 6):
         value = evaluate_on_generator(hom)
-        want = value.is_zero(), specht_membership(value)
-        assert restriction_verdicts(hom) == want, hom
-        assert verify_terms(field, terms_of, *args) == (not want[0], want[1]), hom
+        want = CPVerification(not value.is_zero(), specht_membership(value))
+        for got in (verify_cp(hom), verify_cp(HomSpec.from_json(hom.to_json(), field)),
+                    verify_terms(field, terms_of, *args)):
+            assert type(got) is CPVerification and got == want, hom
+        assert (not restriction_is_zero(hom), restriction_into_specht(hom)) == want, hom
         seen.add(want)
     # no map with n <= 6 lands at e = 48 (p=97,q=3)
-    assert (False, False) in seen
-    assert ((False, True) in seen) == (field.profile().e < 8)
+    assert CPVerification(True, False) in seen
+    assert (CPVerification(True, True) in seen) == (field.profile().e < 8)
 
 
 @pytest.mark.parametrize("spec", ROADMAP_FIELDS + ("p=7,q=2",))

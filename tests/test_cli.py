@@ -440,6 +440,19 @@ def test_oversized_closed_form_input_is_refused(capsys, monkeypatch, argv, worke
     assert "exceeds the size limit" in err
 
 
+def test_an_internal_key_error_exits_1(capsys, monkeypatch):
+    # every refusal of bad input is a ValueError: a KeyError out of the
+    # library is a bug, reported as an internal error
+    def broken(*args, **kwargs):
+        raise KeyError((3, 1))
+
+    monkeypatch.setattr(cli, "hom_space_dim", broken)
+    code, out, err = run_cli(capsys, "hom-dim", "--field", "cyclotomic:e=3",
+                             "--lambda", "3,1", "--mu", "2,2")
+    assert (code, out) == (1, "")
+    assert err == "internal error: KeyError((3, 1))\n"
+
+
 @pytest.mark.parametrize("argv, payload, message", [
     (("compose", "--tableau", "[[1,100000000000]]", "--d", "1", "--t", "0"), None,
      "entry 100000000000 exceeds the size limit"),

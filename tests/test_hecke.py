@@ -407,6 +407,17 @@ def test_hecke_element_from_perm_refuses_a_scalar_of_another_field(cyclo3, f7q2)
     assert HeckeElement.from_perm(f7q2, perm_identity(3), f7q2.of(3)).coeffs == {(1, 2, 3): 3}
 
 
+def test_hecke_element_add_refuses_another_algebra(cyclo3, f7q2):
+    # as ModuleVector.add refuses vectors of different modules: another
+    # field, or another n, is refused, and equality compares n too
+    h = HeckeElement.from_perm(f7q2, (1, 2, 3))
+    for other in (HeckeElement.from_perm(cyclo3, (2, 1, 3)), HeckeElement.from_perm(f7q2, (2, 1))):
+        with pytest.raises(ValueError, match="different Hecke algebras"):
+            h.add(other)
+    assert HeckeElement(f7q2, 2, {}) != HeckeElement(f7q2, 3, {})
+    assert h.add(HeckeElement.from_perm(f7q2, (2, 1, 3))).coeffs == {(1, 2, 3): 1, (2, 1, 3): 1}
+
+
 def test_module_vector_json(cyclo3):
     v = specht_generator(cyclo3, (2, 1))
     data = v.to_json()
